@@ -117,7 +117,7 @@ def _assign_outcomes(dec: OnticDecomposition, d: int) -> tuple[int, ...]:
     stays well defined for null entries whose eigenvectors are arbitrary
     within the null space.
     """
-    overlaps = np.abs(np.column_stack([e.state.amplitudes for e in dec.entries]).T)
+    overlaps = np.abs(dec.vectors.T)
     pairs = sorted(
         ((s, m) for s in range(len(dec.entries)) for m in range(d)),
         key=lambda sm: (-overlaps[sm[0], sm[1]], sm[0], sm[1]),

@@ -11,16 +11,23 @@ eigenbasis inside such a group is a numerically arbitrary choice.
 Conditional probabilities link a parent-space decomposition at one time
 to subsystem decompositions at a later time through a channel:
 
-    p(i1..in | w) = Tr[ (P_1(i1) (x) ... (x) P_n(in)) ch(P_W(w)) ].
+    p(i1..in | w) = Tr[ (P_1(i1) (x) ... (x) P_n(in)) ch(P_W(w)) ]
+                  = sum_k |<c| K_k |w>|^2,
+
+where |w> is a parent eigenvector, K_k are the channel's Kraus operators
+and |c> is the product of one subsystem eigenvector per factor group.
+Every table is computed in this vector form by one kernel, so no
+per-configuration projector is ever formed or stored.
 
 Each row is a probability distribution whenever the channel is trace
-preserving and the subsystem projectors resolve the identity, which the
-table type checks at construction.
+preserving and the subsystem eigenvectors are complete, which the table
+type checks at construction.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,8 +42,6 @@ from .qcore import (
     PureState,
     _check_partition,
     _partial_trace_matrix,
-    kron_all,
-    permute_factors,
 )
 
 __all__ = [
@@ -59,8 +64,11 @@ class OnticEntry:
 
     probability: float
     state: PureState
-    projector: np.ndarray
     null: bool
+
+    @property
+    def projector(self) -> np.ndarray:
+        return self.state.projector()
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,27 +82,26 @@ class OnticDecomposition:
     def __post_init__(self) -> None:
         probs = self.probabilities
         total = probs.sum()
-        if abs(total - 1.0) > tol.DERIVED:
+        if not (abs(total - 1.0) <= tol.DERIVED):
             raise ToleranceBreach(f"probabilities sum to {total}")
-        vecs = np.column_stack([e.state.amplitudes for e in self.entries])
+        vecs = self.vectors
         gram = vecs.conjugate().T @ vecs
         ortho = np.max(np.abs(gram - np.eye(len(self.entries))))
-        if ortho > tol.DERIVED:
+        if not (ortho <= tol.DERIVED):
             raise ToleranceBreach(f"eigenvectors not orthonormal, defect {ortho}")
-        for e in self.entries:
-            drift = np.max(np.abs(e.projector - e.state.projector()))
-            if drift > tol.CONSTRUCTION:
-                raise ToleranceBreach(f"projector drifts from its state by {drift}")
 
     @property
     def probabilities(self) -> np.ndarray:
         return np.array([e.probability for e in self.entries])
 
+    @property
+    def vectors(self) -> np.ndarray:
+        """The eigenvectors as columns, in entry order."""
+        return np.column_stack([e.state.amplitudes for e in self.entries])
+
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros((self.source_space.total_dim,) * 2, dtype=np.complex128)
-        for e in self.entries:
-            out += e.probability * e.projector
-        return out
+        vecs = self.vectors
+        return (vecs * self.probabilities) @ vecs.conjugate().T
 
 
 def _lex_key(vector: np.ndarray) -> tuple[float, ...]:
@@ -116,7 +123,6 @@ def ontic_decomposition(
         OnticEntry(
             probability=float(probs[k]),
             state=states[k],
-            projector=states[k].projector(),
             null=bool(probs[k] < tol.NULL_PROBABILITY),
         )
         for k in order
@@ -132,7 +138,7 @@ def ontic_decomposition(
 
     dec = OnticDecomposition(rho.space, entries, tuple(groups))
     drift = np.max(np.abs(dec.reconstruct() - rho.matrix))
-    if drift > tol.DERIVED:
+    if not (drift <= tol.DERIVED):
         raise ToleranceBreach(f"decomposition reconstructs source within {drift} only")
     return dec
 
@@ -163,11 +169,11 @@ class ConditionalProbabilityTable:
         if vals.shape != shape:
             raise SpaceMismatch(f"values shape {vals.shape}, expected {shape}")
         lo = float(vals.min())
-        if lo < -tol.DERIVED:
+        if not (lo >= -tol.DERIVED):
             raise ToleranceBreach(f"conditional probability {lo} below floor")
         sums = vals.sum(axis=1)
         worst = float(np.max(np.abs(sums - 1.0)))
-        if worst > tol.ROW_SUM:
+        if not (worst <= tol.ROW_SUM):
             raise ToleranceBreach(f"row sum deviates from 1 by {worst}")
         vals = np.clip(vals, 0.0, None)
         vals.setflags(write=False)
@@ -180,6 +186,38 @@ class ConditionalProbabilityTable:
             object.__setattr__(
                 self, "splits", tuple(tuple(str(l) for l in g) for g in self.splits)
             )
+
+
+def _column_probabilities(
+    ch: QuantumChannel,
+    parent: OnticDecomposition,
+    groups: Sequence[tuple[Sequence[str], np.ndarray | None]],
+) -> np.ndarray:
+    """values[w, c] = sum_k |<c| K_k |w>|^2 over the parent eigenvectors |w>.
+
+    `groups` partitions the channel's output factors into (labels, basis)
+    pairs; a basis holds a group's eigenvectors as columns, on the group's
+    factors in the order its labels list them.  Each |c> takes one column per
+    group, enumerated in itertools.product order.  A group whose basis is
+    None is summed out, which marginalizes it.  K_k W is computed once,
+    its output factors are moved into group order by one transpose, and
+    each group axis is contracted with V_g^dag.
+    """
+    out = ch.out_space
+    order = [1 + out.axis(label) for labels, _ in groups for label in labels]
+    amp = np.stack(ch.kraus) @ parent.vectors
+    n_k, _, n_w = amp.shape
+    amp = amp.reshape(n_k, *out.dims, n_w).transpose(0, *order, len(order) + 1)
+    shape = [n_k]
+    for labels, basis in groups:
+        d_g = math.prod(out.dim_of(label) for label in labels)
+        amp = amp.reshape(math.prod(shape), d_g, -1)
+        if basis is not None:
+            amp = basis.conjugate().T @ amp
+        shape.append(amp.shape[1])
+    probs = (amp.real ** 2 + amp.imag ** 2).reshape(*shape, n_w)
+    summed = (0, *(1 + g for g, (_, basis) in enumerate(groups) if basis is None))
+    return probs.sum(axis=summed).reshape(-1, n_w).T
 
 
 def _conditional_core(
@@ -200,51 +238,28 @@ def _conditional_core(
     evolved = apply(ch_w, rho_w_t)
 
     out_space = ch_w.out_space
-    out_dims = out_space.dims
-    reduced_decs: list[OnticDecomposition] = []
+    reduced_states: list[DensityMatrix] = []
     for group in split_labels:
         axes = sorted(out_space.axis(label) for label in group)
         if len(axes) == len(out_space.factors):
-            reduced = evolved
+            reduced_states.append(evolved)
         else:
-            sub = _partial_trace_matrix(evolved.matrix, out_dims, axes)
-            reduced = DensityMatrix(out_space.subspace(group), sub)
-        reduced_decs.append(ontic_decomposition(reduced, delta_deg))
+            sub = _partial_trace_matrix(evolved.matrix, out_space.dims, axes)
+            reduced_states.append(DensityMatrix(out_space.subspace(group), sub))
+    reduced_decs = [ontic_decomposition(r, delta_deg) for r in reduced_states]
 
-    # factor order of the assembled projectors: split groups concatenated,
-    # each group in parent-relative order; permute back to the parent order
-    concat_labels = [l for dec in reduced_decs for l in dec.source_space.labels]
-    needs_perm = list(concat_labels) != list(out_space.labels)
-    concat_space = HilbertSpace(
-        tuple((l, out_space.dim_of(l)) for l in concat_labels)
+    values = _column_probabilities(
+        ch_w, parent, [(dec.source_space.labels, dec.vectors) for dec in reduced_decs]
     )
-
-    evolved_projectors = [
-        sum(k @ e.projector @ k.conjugate().T for k in ch_w.kraus)
-        for e in parent.entries
-    ]
-
-    column_indices = tuple(
-        itertools.product(*[range(len(dec.entries)) for dec in reduced_decs])
-    )
-    columns = []
-    for combo in column_indices:
-        big = kron_all([reduced_decs[g].entries[i].projector for g, i in enumerate(combo)])
-        if needs_perm:
-            big, _ = permute_factors(big, concat_space, out_space.labels)
-        columns.append(big)
-
-    col_stack = np.stack(columns)
-    row_stack = np.stack(evolved_projectors)
-    values = np.real(np.einsum("cij,rji->rc", col_stack, row_stack))
-
     table = ConditionalProbabilityTable(
         parent_indices=tuple(range(len(parent.entries))),
-        column_indices=column_indices,
+        column_indices=tuple(
+            itertools.product(*[range(len(dec.entries)) for dec in reduced_decs])
+        ),
         values=values,
         splits=tuple(split_labels),
     )
-    return table, parent, reduced_decs, evolved
+    return table, parent, reduced_states, reduced_decs
 
 
 def conditional_probabilities(
@@ -282,37 +297,20 @@ def bayesian_propagation_check(
 ) -> float:
     """Largest gap between direct and chained first-subsystem probabilities.
 
-    Direct route: project the evolved parent state onto the first
-    subsystem's eigenconfigurations.  Chained route: sum the conditional
-    table against the parent probabilities and marginalize the other
-    subsystems.  The two must agree for any trace-preserving channel.
+    Direct route: the quadratic form v^dag rho_1 v of each first-subsystem
+    eigenvector on the first subsystem's reduced state after the channel.
+    Chained route: sum the conditional table against the parent
+    probabilities and marginalize the other subsystems.  The two must
+    agree for any trace-preserving channel.
     """
-    table, parent, reduced_decs, evolved = _conditional_core(
+    table, parent, reduced_states, reduced_decs = _conditional_core(
         ch_w, rho_w_t, splits, delta_deg
     )
-    first = reduced_decs[0]
-    first_labels = first.source_space.labels
-    out_space = evolved.space
-
-    worst = 0.0
-    parent_probs = parent.probabilities
-    for i1, entry in enumerate(first.entries):
-        if len(first_labels) == len(out_space.labels):
-            big = entry.projector
-            if list(first_labels) != list(out_space.labels):
-                big, _ = permute_factors(big, first.source_space, out_space.labels)
-        else:
-            rest = [l for l in out_space.labels if l not in first_labels]
-            rest_dim = int(np.prod([out_space.dim_of(l) for l in rest]))
-            big = np.kron(entry.projector, np.eye(rest_dim))
-            concat = first.source_space.tensor(out_space.subspace(rest))
-            big, _ = permute_factors(big, concat, out_space.labels)
-        direct = float(np.real(np.trace(big @ evolved.matrix)))
-
-        mask = [c[0] == i1 for c in table.column_indices]
-        chained = float(parent_probs @ table.values[:, mask].sum(axis=1))
-        worst = max(worst, abs(direct - chained))
-    return worst
+    vecs = reduced_decs[0].vectors
+    direct = np.real(np.sum(vecs.conjugate() * (reduced_states[0].matrix @ vecs), axis=0))
+    joint = table.values.reshape(len(parent.entries), vecs.shape[1], -1).sum(axis=2)
+    chained = parent.probabilities @ joint
+    return float(np.max(np.abs(direct - chained)))
 
 
 def psd_pairing_check(a: np.ndarray, b: np.ndarray) -> float:
@@ -321,9 +319,9 @@ def psd_pairing_check(a: np.ndarray, b: np.ndarray) -> float:
         arr = np.asarray(m, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise NotPSD(f"{name} argument is not square")
-        if np.max(np.abs(arr - arr.conjugate().T)) > tol.DERIVED:
+        if not (np.max(np.abs(arr - arr.conjugate().T)) <= tol.DERIVED):
             raise NotPSD(f"{name} argument is not Hermitian")
-        if float(np.linalg.eigvalsh(arr)[0]) < tol.EIG_FLOOR:
+        if not (float(np.linalg.eigvalsh(arr)[0]) >= tol.EIG_FLOOR):
             raise NotPSD(f"{name} argument has an eigenvalue below {tol.EIG_FLOOR}")
     return float(np.real(np.trace(np.asarray(a) @ np.asarray(b))))
 

@@ -31,7 +31,7 @@ from .channels import (
     verify_cptp,
 )
 from .errors import NotAProjector, NotAWitnessPair, SpaceMismatch
-from .ontic import ConditionalProbabilityTable, ontic_decomposition
+from .ontic import ConditionalProbabilityTable, _column_probabilities, ontic_decomposition
 from .qcore import (
     DensityMatrix,
     HilbertSpace,
@@ -123,7 +123,7 @@ def parent_conditioned_probabilities(
 
     Marginalizes nothing away from the conditioning side: rows are the
     full parent decomposition, columns the system's reduced decomposition
-    after the channel.
+    after the channel, with the remaining factors summed out.
     """
     s_labels = list(s_split)
     parent = ontic_decomposition(rho_w_t, delta_deg)
@@ -131,25 +131,14 @@ def parent_conditioned_probabilities(
     reduced = partial_trace(evolved, s_labels)
     dec_s = ontic_decomposition(reduced, delta_deg)
 
-    out_space = evolved.space
-    rest = [l for l in out_space.labels if l not in s_labels]
-    rest_dim = int(np.prod([out_space.dim_of(l) for l in rest]))
-    embedded = []
-    for entry in dec_s.entries:
-        big = np.kron(entry.projector, np.eye(rest_dim))
-        concat = reduced.space.tensor(out_space.subspace(rest))
-        big, _ = permute_factors(big, concat, out_space.labels)
-        embedded.append(big)
-
-    rows = []
-    for entry in parent.entries:
-        moved = sum(k @ entry.projector @ k.conjugate().T for k in ch_w.kraus)
-        rows.append([float(np.real(np.trace(b @ moved))) for b in embedded])
-
+    rest = [l for l in evolved.space.labels if l not in s_labels]
+    values = _column_probabilities(
+        ch_w, parent, [(reduced.space.labels, dec_s.vectors), (rest, None)]
+    )
     return ConditionalProbabilityTable(
         parent_indices=tuple(range(len(parent.entries))),
         column_indices=tuple((j,) for j in range(len(dec_s.entries))),
-        values=np.array(rows),
+        values=values,
         splits=(tuple(s_labels),),
     )
 

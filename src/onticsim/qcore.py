@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,7 +39,6 @@ __all__ = [
     "trace_distance",
     "permute_factors",
     "embed_operator",
-    "kron_all",
     "basis_state",
     "maximally_mixed",
     "space_to_json",
@@ -203,13 +201,13 @@ class DensityMatrix:
         arr = _as_complex(self.matrix, (d, d), "density matrix")
         object.__setattr__(self, "matrix", arr)
         herm = np.max(np.abs(arr - arr.conjugate().T))
-        if herm > tol.CONSTRUCTION:
+        if not (herm <= tol.CONSTRUCTION):
             raise ToleranceBreach(f"Hermiticity defect {herm} exceeds {tol.CONSTRUCTION}")
         tr = arr.trace()
-        if abs(tr - 1.0) > tol.CONSTRUCTION:
+        if not (abs(tr - 1.0) <= tol.CONSTRUCTION):
             raise ToleranceBreach(f"trace {tr} is not 1 within {tol.CONSTRUCTION}")
         lo = float(np.linalg.eigvalsh(arr)[0])
-        if lo < tol.EIG_FLOOR:
+        if not (lo >= tol.EIG_FLOOR):
             raise ToleranceBreach(f"eigenvalue {lo} below floor {tol.EIG_FLOOR}")
 
 
@@ -221,10 +219,6 @@ def maximally_mixed(space: HilbertSpace) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 # factor bookkeeping on raw arrays
 # ---------------------------------------------------------------------------
-
-def kron_all(matrices: Sequence[np.ndarray]) -> np.ndarray:
-    return reduce(np.kron, matrices)
-
 
 def _permute_matrix(matrix: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     """Reorder the tensor factors of a square matrix by the axis permutation."""

@@ -1,12 +1,15 @@
 """Tests for the scenario runner: config parsing, artifacts, exit codes."""
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import onticsim
 from onticsim import (
     CNOT,
     HilbertSpace,
@@ -216,10 +219,16 @@ def test_outputs_are_byte_identical_across_runs(tmp_path, monkeypatch):
 
 
 def test_console_script_entry_point(tmp_path):
+    # the child process must import the same onticsim as this one, which
+    # pytest may have found through its own pythonpath setting
+    src = str(Path(onticsim.__file__).parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     result = subprocess.run(
         [sys.executable, "-m", "onticsim.cli", "helix", "--out", str(tmp_path / "h.csv")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert (tmp_path / "h.csv").exists()

@@ -1,4 +1,7 @@
 """Tests for canonical decompositions and conditional probability tables."""
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -7,13 +10,19 @@ from onticsim import (
     ConditionalProbabilityTable,
     DensityMatrix,
     HilbertSpace,
+    OnticDecomposition,
+    OnticEntry,
     UnitaryOperator,
+    apply,
     basis_state,
     bayesian_propagation_check,
     conditional_probabilities,
     dilation_channel,
+    embed_operator,
     maximally_mixed,
     ontic_decomposition,
+    parent_conditioned_probabilities,
+    partial_trace,
     psd_pairing_check,
     single_system_conditional,
     table_to_csv,
@@ -26,6 +35,8 @@ SEED = 20260816
 
 QUBIT = HilbertSpace.of(("s", 2))
 PAIR = HilbertSpace.of(("s", 2), ("e", 2))
+THREE = HilbertSpace.of(("a", 2), ("b", 3), ("c", 2))
+NAN_QUBIT = np.full((2, 2), np.nan, dtype=complex)
 
 
 def random_density(rng: np.random.Generator, space: HilbertSpace) -> DensityMatrix:
@@ -39,6 +50,38 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def three_factor_case():
+    """A random full-rank state on a(2) b(3) c(2), and a channel on it
+    dilated from a Haar unitary with a mixed ancilla f(2)."""
+    rng = np.random.default_rng(SEED + 8)
+    full = THREE.tensor(HilbertSpace.of(("f", 2)))
+    ancilla = random_density(rng, HilbertSpace.of(("f", 2)))
+    u = UnitaryOperator(full, haar_unitary(rng, full.total_dim))
+    ch = dilation_channel(u, ancilla, (list(THREE.labels), ["f"]))
+    return ch, random_density(rng, THREE)
+
+
+def direct_table(ch, rho, splits) -> np.ndarray:
+    """Tr[(P_1(i1) (x) ... (x) P_n(in)) ch(P_w)] with every projector embedded."""
+    evolved = apply(ch, rho)
+    decs = [ontic_decomposition(partial_trace(evolved, group)) for group in splits]
+    columns = [
+        reduce(
+            np.matmul,
+            [
+                embed_operator(dec.entries[i].projector, dec.source_space.labels, THREE)
+                for dec, i in zip(decs, combo)
+            ],
+        )
+        for combo in itertools.product(*[range(len(dec.entries)) for dec in decs])
+    ]
+    rows = [
+        sum(k @ entry.projector @ k.conjugate().T for k in ch.kraus)
+        for entry in ontic_decomposition(rho).entries
+    ]
+    return np.array([[np.trace(col @ row).real for col in columns] for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +148,31 @@ def test_table_validation():
         ConditionalProbabilityTable((0,), ((0,), (1,)), np.array([[0.5], [0.5]]))
 
 
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: DensityMatrix(QUBIT, NAN_QUBIT), ToleranceBreach),
+        (
+            lambda: ConditionalProbabilityTable((0,), ((0,), (1,)), [[np.nan, np.nan]]),
+            ToleranceBreach,
+        ),
+        (
+            lambda: OnticDecomposition(
+                QUBIT,
+                tuple(OnticEntry(np.nan, basis_state(QUBIT, i), False) for i in range(2)),
+                (),
+            ),
+            ToleranceBreach,
+        ),
+        (lambda: psd_pairing_check(NAN_QUBIT, np.eye(2)), NotPSD),
+    ],
+    ids=["density_matrix", "table", "decomposition", "psd_pairing"],
+)
+def test_invariant_checks_reject_nan(build, error):
+    with pytest.raises(error):
+        build()
+
+
 def test_table_clamps_floor_level_negatives():
     table = ConditionalProbabilityTable(
         (0, 1), ((0,), (1,)), np.array([[1.0 + 1e-12, -1e-12], [0.5, 0.5]])
@@ -165,6 +233,21 @@ def test_conditional_table_is_square_with_nulls_counted():
     pure = basis_state(PAIR, 0).density_matrix()
     table = conditional_probabilities(ch, pure, (["s"], ["e"]))
     assert table.values.shape == (4, 4)
+
+
+@pytest.mark.parametrize("splits", [[["c"], ["a", "b"]], [["b"], ["c"], ["a"]]])
+def test_permuted_splits_match_direct_formula(splits):
+    """Groups out of parent factor order, over a dilated three-factor channel."""
+    ch, rho = three_factor_case()
+    table = conditional_probabilities(ch, rho, splits)
+    assert np.max(np.abs(table.values - direct_table(ch, rho, splits))) <= 1e-12
+    assert bayesian_propagation_check(ch, rho, splits) <= 1e-12
+
+
+def test_parent_conditioned_middle_factor_matches_direct_formula():
+    ch, rho = three_factor_case()
+    table = parent_conditioned_probabilities(ch, rho, ["b"])
+    assert np.max(np.abs(table.values - direct_table(ch, rho, [["b"]]))) <= 1e-12
 
 
 def test_conditional_rejects_bad_partition():
