@@ -9,10 +9,15 @@ eigendirections,
     K[e, e'] = sqrt(p_e) <e'| U |e>,
 
 where the bra and ket act on the environment indices only and p_e are the
-eigenvalues of the initial environment state.  Pairs whose Kraus operator
-falls below the pruning norm are dropped; they contribute nothing to the
-map.  Kraus decompositions are not unique, so channel equality is decided
-on Choi matrices, never on Kraus lists.
+eigenvalues of the initial environment state.  Null environment
+configurations (p_e below the null-probability floor) are skipped, and
+pairs whose Kraus operator falls below the pruning norm are dropped; they
+contribute nothing beyond rounding to the map.  Conditioning a parent
+channel on an environment configuration (opendyn) is the same reduction,
+with each parent Kraus operator in place of U and the rank-one
+configuration projector as the environment state.  Kraus decompositions
+are not unique, so channel equality is decided on Choi matrices, never on
+Kraus lists.
 
 Composability of such reduced maps is not automatic.  semigroup_defect
 measures how far a two-segment composition (with the environment re-fed
@@ -34,6 +39,7 @@ from .errors import BadInterval, NotUnitary, SpaceMismatch, ToleranceBreach
 from .qcore import (
     DensityMatrix,
     HilbertSpace,
+    _as_complex,
     _check_partition,
     matrix_from_json,
     matrix_to_json,
@@ -100,7 +106,7 @@ class UnitaryOperator:
         if arr.shape != (d, d):
             raise SpaceMismatch(f"unitary has shape {arr.shape}, expected ({d}, {d})")
         defect = np.max(np.abs(arr.conjugate().T @ arr - np.eye(d)))
-        if defect > tol.CONSTRUCTION:
+        if not (defect <= tol.CONSTRUCTION):
             raise NotUnitary(f"U†U deviates from identity by {defect}")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
@@ -110,40 +116,33 @@ class UnitaryOperator:
 class QuantumChannel:
     """Trace-preserving completely positive map as a pruned Kraus family.
 
-    Construction checks Kraus completeness against the identity and the
-    positivity of the Choi matrix.  Pass validate=False only to wrap raw
-    data for diagnosis by verify_cptp.
+    `kraus` is stored as one read-only (k, d_out, d_in) array.  A map in
+    Kraus form is completely positive by construction (its Choi matrix is a
+    sum of rank-one PSD terms), so construction checks only completeness,
+    sum_k K_k^dag K_k = I.  Pass validate=False only to wrap raw data for
+    diagnosis by verify_cptp.
     """
 
     in_space: HilbertSpace
     out_space: HilbertSpace
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool) -> None:
         din, dout = self.in_space.total_dim, self.out_space.total_dim
-        ops = []
         for k in self.kraus:
-            arr = np.array(k, dtype=np.complex128)
-            if arr.shape != (dout, din):
+            if np.shape(k) != (dout, din):
                 raise SpaceMismatch(
-                    f"Kraus operator has shape {arr.shape}, expected ({dout}, {din})"
+                    f"Kraus operator has shape {np.shape(k)}, expected ({dout}, {din})"
                 )
-            arr.setflags(write=False)
-            ops.append(arr)
-        if not ops:
+        if not len(self.kraus):
             raise SpaceMismatch("a channel needs at least one Kraus operator")
-        object.__setattr__(self, "kraus", tuple(ops))
+        ops = _as_complex(self.kraus, (len(self.kraus), dout, din), "Kraus stack")
+        object.__setattr__(self, "kraus", ops)
         if validate:
-            report = verify_cptp(self)
-            if not report.trace_preserving:
-                raise ToleranceBreach(
-                    f"Kraus completeness defect {report.completeness_defect}"
-                )
-            if not report.completely_positive:
-                raise ToleranceBreach(
-                    f"Choi eigenvalue {report.min_choi_eigenvalue} below floor"
-                )
+            defect = _completeness_defect(ops)
+            if not (defect <= tol.DERIVED):
+                raise ToleranceBreach(f"Kraus completeness defect {defect}")
 
 
 @dataclass(frozen=True)
@@ -158,9 +157,42 @@ def unitary_channel(u: UnitaryOperator) -> QuantumChannel:
     return QuantumChannel(u.space, u.space, (u.matrix,))
 
 
-def _prune(ops: Sequence[np.ndarray]) -> list[np.ndarray]:
-    kept = [k for k in ops if np.linalg.norm(k) >= tol.KRAUS_PRUNE]
-    return kept if kept else [ops[0]]
+def _prune(ops: np.ndarray) -> np.ndarray:
+    kept = ops[np.linalg.norm(ops, axis=(1, 2)) >= tol.KRAUS_PRUNE]
+    return kept if len(kept) else ops[:1]
+
+
+def _reduced_channel(
+    parent_kraus: np.ndarray,
+    space: HilbertSpace,
+    rho_e: DensityMatrix,
+    split: tuple[Sequence[str], Sequence[str]],
+) -> QuantumChannel:
+    """X -> Tr_E[sum_K K (X (x) rho_e) K^dag] for parent Kraus operators on `space`.
+
+    One pruned Kraus operator sqrt(p_e) <e'|K|e> per parent operator K,
+    non-null eigenpair (p_e, |e>) of rho_e and eigenvector |e'> of rho_e.
+    """
+    s_labels, e_labels = [list(g) for g in split]
+    _check_partition(space, [s_labels, e_labels])
+    s_space, e_space = space.subspace(s_labels), space.subspace(e_labels)
+    if rho_e.space != e_space:
+        raise SpaceMismatch(
+            f"environment state lives on {rho_e.space.factors}, expected {e_space.factors}"
+        )
+    ds, de = s_space.total_dim, e_space.total_dim
+    aligned, _ = permute_factors(parent_kraus, space, s_space.labels + e_space.labels)
+    k5 = aligned.reshape(-1, ds, de, ds, de)
+    p_env, vecs = np.linalg.eigh(rho_e.matrix)
+    ops = []
+    for p, v in zip(p_env, vecs.T):
+        if p < tol.NULL_PROBABILITY:
+            continue
+        # amp[k, a, f, b] = sum_g K[(a, f), (b, g)] <g|e>, then one operator
+        # per output environment direction e'
+        amp = np.einsum("kafbg,g->kafb", k5, v)
+        ops.append(np.sqrt(p) * np.einsum("kafb,fy->kyab", amp, vecs.conjugate()))
+    return QuantumChannel(s_space, s_space, _prune(np.concatenate(ops).reshape(-1, ds, ds)))
 
 
 def dilation_channel(
@@ -175,40 +207,14 @@ def dilation_channel(
     state and must live on the environment factors in their parent order.
     The channel acts on the system subspace, also in parent order.
     """
-    s_labels, e_labels = [list(g) for g in split]
-    _check_partition(u_w.space, [s_labels, e_labels])
-    s_space = u_w.space.subspace(s_labels)
-    e_space = u_w.space.subspace(e_labels)
-    if rho_e0.space != e_space:
-        raise SpaceMismatch(
-            f"environment state lives on {rho_e0.space.factors}, expected {e_space.factors}"
-        )
-    ds, de = s_space.total_dim, e_space.total_dim
-    u_mat, _ = permute_factors(
-        u_w.matrix, u_w.space, list(s_space.labels) + list(e_space.labels)
-    )
-    u4 = u_mat.reshape(ds, de, ds, de)
-    p_env, vecs = np.linalg.eigh(rho_e0.matrix)
-    ops: list[np.ndarray] = []
-    for e in range(de):
-        p = float(p_env[e])
-        if p <= 0.0:
-            continue
-        # amp[a, f, b] = sum_g U[(a, f), (b, g)] <g|e>
-        amp = np.einsum("afbg,g->afb", u4, vecs[:, e])
-        # one operator per output environment direction e'
-        blocks = np.einsum("afb,fy->yab", amp, vecs.conjugate())
-        ops.extend(np.sqrt(p) * blocks[y] for y in range(de))
-    return QuantumChannel(s_space, s_space, tuple(_prune(ops)))
+    return _reduced_channel(u_w.matrix[None], u_w.space, rho_e0, split)
 
 
 def apply(ch: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     if rho.space != ch.in_space:
         raise SpaceMismatch(f"state on {rho.space.labels}, channel takes {ch.in_space.labels}")
-    out = np.zeros((ch.out_space.total_dim,) * 2, dtype=np.complex128)
-    for k in ch.kraus:
-        out += k @ rho.matrix @ k.conjugate().T
-    return DensityMatrix(ch.out_space, out)
+    terms = ch.kraus @ rho.matrix @ ch.kraus.conjugate().transpose(0, 2, 1)
+    return DensityMatrix(ch.out_space, terms.sum(axis=0))
 
 
 def compose(later: QuantumChannel, earlier: QuantumChannel) -> QuantumChannel:
@@ -217,25 +223,29 @@ def compose(later: QuantumChannel, earlier: QuantumChannel) -> QuantumChannel:
         raise SpaceMismatch(
             f"cannot feed {earlier.out_space.labels} into {later.in_space.labels}"
         )
-    products = [l @ e for l in later.kraus for e in earlier.kraus]
-    return QuantumChannel(earlier.in_space, later.out_space, tuple(_prune(products)))
+    dout, din = later.out_space.total_dim, earlier.in_space.total_dim
+    products = (later.kraus[:, None] @ earlier.kraus).reshape(-1, dout, din)
+    return QuantumChannel(earlier.in_space, later.out_space, _prune(products))
 
 
 def choi_matrix(ch: QuantumChannel) -> np.ndarray:
-    """Sum over input basis pairs |i><j| (x) ch(|i><j|), assembled per Kraus term."""
-    din, dout = ch.in_space.total_dim, ch.out_space.total_dim
-    choi = np.zeros((din * dout, din * dout), dtype=np.complex128)
-    for k in ch.kraus:
-        v = k.flatten(order="F")
-        choi += np.outer(v, v.conjugate())
-    return choi
+    """Sum over input basis pairs |i><j| (x) ch(|i><j|), as sum_k vec(K_k) vec(K_k)^dag."""
+    vecs = ch.kraus.transpose(0, 2, 1).reshape(len(ch.kraus), -1)
+    return vecs.T @ vecs.conjugate()
+
+
+def _completeness_defect(kraus: np.ndarray) -> float:
+    """Largest entry of sum_k K_k^dag K_k - I."""
+    flat = kraus.reshape(-1, kraus.shape[2])
+    return float(np.max(np.abs(flat.conjugate().T @ flat - np.eye(kraus.shape[2]))))
 
 
 def verify_cptp(ch: QuantumChannel) -> CPTPReport:
-    """Diagnostic report; never raises, even for badly broken Kraus sets."""
-    din = ch.in_space.total_dim
-    gram = sum(k.conjugate().T @ k for k in ch.kraus)
-    defect = float(np.max(np.abs(gram - np.eye(din))))
+    """Completeness and Choi positivity of any finite Kraus set, however broken.
+
+    The O((d_in d_out)^3) Choi eigensolve runs here, never at construction.
+    """
+    defect = _completeness_defect(ch.kraus)
     lo = float(np.linalg.eigvalsh(choi_matrix(ch))[0])
     return CPTPReport(
         trace_preserving=defect <= tol.DERIVED,
@@ -273,7 +283,7 @@ class UnitaryFamily:
         if arr.shape != (d, d):
             raise SpaceMismatch(f"generator has shape {arr.shape}, expected ({d}, {d})")
         herm = np.max(np.abs(arr - arr.conjugate().T))
-        if herm > tol.CONSTRUCTION:
+        if not (herm <= tol.CONSTRUCTION):
             raise ToleranceBreach(f"generator Hermiticity defect {herm}")
         arr.setflags(write=False)
         object.__setattr__(self, "generator", arr)
@@ -309,14 +319,13 @@ def semigroup_defect(
         raise BadInterval(f"need 0 < t1 < t2, got t1={t1}, t2={t2}")
     u1 = u_w_family(t1)
     u2 = u_w_family(t2)
-    s_labels, e_labels = [list(g) for g in split]
+    e_labels = list(split[1])
     seg10 = dilation_channel(u1, rho_e0, split)
     seg20 = dilation_channel(u2, rho_e0, split)
 
     prod = tensor(probe, rho_e0)
     aligned, _ = permute_factors(prod.matrix, prod.space, u1.space.labels)
-    evolved = u1.matrix @ aligned @ u1.matrix.conjugate().T
-    rho_w_t1 = DensityMatrix(u1.space, evolved)
+    rho_w_t1 = apply(unitary_channel(u1), DensityMatrix(u1.space, aligned))
     rho_e_t1 = partial_trace(rho_w_t1, e_labels)
 
     u_seg = UnitaryOperator(u1.space, u2.matrix @ u1.matrix.conjugate().T)

@@ -319,6 +319,8 @@ def parse_config(text: str, scenario: str | None = None) -> ScenarioConfig:
         value = _convert(specs[key], text_value, lineno, col, violations)
         if value is not None:
             config.params[key] = value
+            if specs[key].kind in ("float", "complex_list") and not np.isfinite(value).all():
+                range_problems.append(f"line {lineno}, column {col}: {key} must be finite")
 
     for spec in specs.values():
         if spec.name not in config.params:

@@ -152,7 +152,9 @@ def simulate_measurement(
     np.fill_diagonal(suppression, 1.0)
     if overlap_phases is not None:
         phases = np.asarray(overlap_phases, dtype=float)
-        if phases.shape != (d, d) or np.max(np.abs(phases + phases.T)) > tol.CONSTRUCTION:
+        if phases.shape != (d, d) or not (
+            np.max(np.abs(phases + phases.T)) <= tol.CONSTRUCTION
+        ):
             raise SpaceMismatch("overlap_phases must be a real antisymmetric d x d matrix")
         suppression = suppression * np.exp(1j * phases)
 
@@ -282,10 +284,10 @@ def error_entropy_bound(
 def correlational_entropy(probs) -> float:
     """Shannon entropy of a probability list, in nats, with 0 ln 0 = 0."""
     p = np.asarray(probs, dtype=float)
-    if p.min() < -tol.DERIVED:
+    if not (p.min() >= -tol.DERIVED):
         raise NotADistribution(f"negative probability {p.min()}")
     total = p.sum()
-    if abs(total - 1.0) > tol.DERIVED:
+    if not (abs(total - 1.0) <= tol.DERIVED):
         raise NotADistribution(f"probabilities sum to {total}")
     p = p[p > 0.0]
     return float(-(p * np.log(p)).sum())

@@ -205,7 +205,7 @@ def _column_probabilities(
     """
     out = ch.out_space
     order = [1 + out.axis(label) for labels, _ in groups for label in labels]
-    amp = np.stack(ch.kraus) @ parent.vectors
+    amp = ch.kraus @ parent.vectors
     n_k, _, n_w = amp.shape
     amp = amp.reshape(n_k, *out.dims, n_w).transpose(0, *order, len(order) + 1)
     shape = [n_k]

@@ -24,12 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tolerances as tol
-from .channels import (
-    CPTPReport,
-    QuantumChannel,
-    apply,
-    verify_cptp,
-)
+from .channels import CPTPReport, QuantumChannel, _reduced_channel, apply, verify_cptp
 from .errors import NotAProjector, NotAWitnessPair, SpaceMismatch
 from .ontic import ConditionalProbabilityTable, _column_probabilities, ontic_decomposition
 from .qcore import (
@@ -65,21 +60,23 @@ class ConditionedChannel:
     """System channel conditioned on an environment configuration."""
 
     channel: QuantumChannel
-    report: CPTPReport
+
+    @property
+    def report(self) -> CPTPReport:
+        """CPTP diagnosis of the channel, computed on demand."""
+        return verify_cptp(self.channel)
 
 
-def _rank_one_vector(p_e: np.ndarray, dim: int) -> np.ndarray:
-    arr = np.asarray(p_e, dtype=np.complex128)
+def _check_projector(p: np.ndarray, dim: int) -> np.ndarray:
+    """The matrix as a complex array, if it is a dim x dim orthogonal projector."""
+    arr = np.asarray(p, dtype=np.complex128)
     if arr.shape != (dim, dim):
         raise NotAProjector(f"projector has shape {arr.shape}, expected ({dim}, {dim})")
-    if np.max(np.abs(arr - arr.conjugate().T)) > tol.DERIVED:
-        raise NotAProjector("projector is not Hermitian")
-    if np.max(np.abs(arr @ arr - arr)) > tol.DERIVED:
+    if not (np.max(np.abs(arr - arr.conjugate().T)) <= tol.DERIVED):
+        raise NotAProjector("matrix is not Hermitian")
+    if not (np.max(np.abs(arr @ arr - arr)) <= tol.DERIVED):
         raise NotAProjector("matrix is not idempotent")
-    if abs(arr.trace() - 1.0) > tol.DERIVED:
-        raise NotAProjector(f"projector has rank {arr.trace().real:.3f}, need rank 1")
-    evals, evecs = np.linalg.eigh(arr)
-    return evecs[:, -1]
+    return arr
 
 
 def conditional_channel_given_env(
@@ -89,28 +86,19 @@ def conditional_channel_given_env(
 ) -> ConditionedChannel:
     """The system map obtained by fixing the environment input configuration.
 
-    One Kraus operator per parent Kraus operator and environment output
-    direction; trace preservation is inherited from the parent channel.
+    The rank-one projector P_E(e) is the environment state of the reduced
+    map Tr_E[ch_W(X (x) P_E(e))], built by the same reduction as a unitary
+    dilation; trace preservation is inherited from the parent channel.
     """
     if ch_w.in_space != ch_w.out_space:
         raise SpaceMismatch("conditioning needs a channel square on one parent space")
-    s_labels, e_labels = [list(g) for g in split]
-    _check_partition(ch_w.in_space, [s_labels, e_labels])
-    s_space = ch_w.in_space.subspace(s_labels)
-    e_space = ch_w.in_space.subspace(e_labels)
-    ds, de = s_space.total_dim, e_space.total_dim
-    v_e = _rank_one_vector(p_e, de)
-
-    order = list(s_space.labels) + list(e_space.labels)
-    ops = []
-    for k in ch_w.kraus:
-        aligned, _ = permute_factors(k, ch_w.in_space, order)
-        k4 = aligned.reshape(ds, de, ds, de)
-        amp = np.einsum("afbg,g->afb", k4, v_e)
-        ops.extend(amp[:, f, :] for f in range(de))
-    ops = [k for k in ops if np.linalg.norm(k) >= tol.KRAUS_PRUNE]
-    channel = QuantumChannel(s_space, s_space, tuple(ops))
-    return ConditionedChannel(channel=channel, report=verify_cptp(channel))
+    e_space = ch_w.in_space.subspace(split[1])
+    arr = _check_projector(p_e, e_space.total_dim)
+    if not (abs(arr.trace() - 1.0) <= tol.DERIVED):
+        raise NotAProjector(f"projector has rank {arr.trace().real:.3f}, need rank 1")
+    # a projector within the derived tolerance, made exactly a unit-trace state
+    rho_e = DensityMatrix(e_space, (arr + arr.conjugate().T) / (2.0 * arr.trace().real))
+    return ConditionedChannel(_reduced_channel(ch_w.kraus, ch_w.in_space, rho_e, split))
 
 
 def parent_conditioned_probabilities(
@@ -165,15 +153,8 @@ def projector_factorization_check(
     """
     s_labels, e_labels = [list(g) for g in split]
     _check_partition(space, [s_labels, e_labels])
-    arr = np.asarray(p_w, dtype=np.complex128)
-    d = space.total_dim
-    if arr.shape != (d, d):
-        raise NotAProjector(f"projector has shape {arr.shape}, expected ({d}, {d})")
-    if np.max(np.abs(arr - arr.conjugate().T)) > tol.DERIVED:
-        raise NotAProjector("matrix is not Hermitian")
-    if np.max(np.abs(arr @ arr - arr)) > tol.DERIVED:
-        raise NotAProjector("matrix is not idempotent")
-    if arr.trace().real < 0.5:
+    arr = _check_projector(p_w, space.total_dim)
+    if not (arr.trace().real >= 0.5):
         raise NotAProjector("zero projector cannot factorize")
 
     def candidate(labels: list[str]) -> np.ndarray:
@@ -218,7 +199,7 @@ def nonlinearity_witness(
     before_1 = partial_trace(rho_w_1, s_labels)
     before_2 = partial_trace(rho_w_2, s_labels)
     before = trace_distance(before_1, before_2)
-    if before > tol.DERIVED:
+    if not (before <= tol.DERIVED):
         raise NotAWitnessPair(
             f"system marginals differ by {before} before evolution; not a witness pair"
         )

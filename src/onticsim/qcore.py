@@ -162,7 +162,7 @@ class PureState:
                 f"amplitude vector has shape {arr.shape}, expected ({self.space.total_dim},)"
             )
         norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > tol.CONSTRUCTION:
+        if not (abs(norm - 1.0) <= tol.CONSTRUCTION):
             raise ToleranceBreach(f"state norm {norm} is not 1 within {tol.CONSTRUCTION}")
         arr = _canonical_phase(arr)
         arr.setflags(write=False)
@@ -221,18 +221,17 @@ def maximally_mixed(space: HilbertSpace) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 
 def _permute_matrix(matrix: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Reorder the tensor factors of a square matrix by the axis permutation."""
-    n = len(dims)
-    arr = matrix.reshape(tuple(dims) * 2)
-    axes = list(perm) + [n + p for p in perm]
-    out_dim = math.prod(dims)
-    return arr.transpose(axes).reshape(out_dim, out_dim)
+    """Reorder the tensor factors of a square matrix, or of each one in a stack."""
+    n, b = len(dims), matrix.ndim - 2
+    arr = matrix.reshape(*matrix.shape[:b], *dims, *dims)
+    axes = [*range(b), *(b + p for p in perm), *(b + n + p for p in perm)]
+    return arr.transpose(axes).reshape(matrix.shape)
 
 
 def permute_factors(
     matrix: np.ndarray, space: HilbertSpace, order: Sequence[str]
 ) -> tuple[np.ndarray, HilbertSpace]:
-    """Rewrite an operator with its factors in the requested label order."""
+    """Rewrite an operator, or a stack of them, with its factors in the requested order."""
     order = list(order)
     if sorted(order) != sorted(space.labels):
         raise BadPartition(f"order {order} does not permute {list(space.labels)}")
@@ -318,13 +317,13 @@ class CorrelationOperator:
         object.__setattr__(self, "e_labels", tuple(self.e_labels))
         _check_partition(self.space, [self.s_labels, self.e_labels])
         herm = np.max(np.abs(arr - arr.conjugate().T))
-        if herm > tol.CONSTRUCTION:
+        if not (herm <= tol.CONSTRUCTION):
             raise ToleranceBreach(f"Hermiticity defect {herm} exceeds {tol.CONSTRUCTION}")
         for group in (self.s_labels, self.e_labels):
             axes = sorted(self.space.axis(label) for label in group)
             reduced = _partial_trace_matrix(arr, self.space.dims, axes)
             worst = np.max(np.abs(reduced))
-            if worst > tol.DERIVED:
+            if not (worst <= tol.DERIVED):
                 raise ToleranceBreach(
                     f"partial trace over complement of {group} leaves {worst}"
                 )
@@ -379,7 +378,10 @@ def matrix_to_json(matrix: np.ndarray) -> dict:
 
 
 def matrix_from_json(payload: dict) -> np.ndarray:
-    return np.array(payload["re"], dtype=float) + 1j * np.array(payload["im"], dtype=float)
+    arr = np.array(payload["re"], dtype=float) + 1j * np.array(payload["im"], dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix has a non-finite entry")
+    return arr
 
 
 def density_matrix_to_json(rho: DensityMatrix) -> dict:

@@ -83,7 +83,7 @@ class OnticTrajectory:
             for f in frames:
                 gram = f.conjugate().T @ f
                 defect = np.max(np.abs(gram - np.eye(f.shape[1])))
-                if defect > tol.DERIVED:
+                if not (defect <= tol.DERIVED):
                     raise ToleranceBreach(f"frame orthonormality defect {defect}")
             object.__setattr__(self, "frames", frames)
 
@@ -172,7 +172,7 @@ def enumerate_trajectory_measure(
                 grown[path + (j,)] = p * float(row[j])
         measure = grown
     mass = math.fsum(measure.values())
-    if abs(mass - 1.0) > tol.ROW_SUM:
+    if not (abs(mass - 1.0) <= tol.ROW_SUM):
         raise ToleranceBreach(f"trajectory measure sums to {mass}")
     return measure
 

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import onticsim.channels
 from onticsim import (
     CNOT,
     HADAMARD,
@@ -22,6 +23,7 @@ from onticsim import (
     channel_to_json,
     choi_matrix,
     compose,
+    conditional_channel_given_env,
     dilation_channel,
     entangling_cnot_family,
     factorized_family,
@@ -89,6 +91,37 @@ def test_channel_completeness_is_enforced():
         QuantumChannel(QUBIT, QUBIT, (0.5 * np.eye(2, dtype=np.complex128),))
 
 
+def test_kraus_operators_are_one_read_only_stack():
+    ch = compose(
+        unitary_channel(UnitaryOperator(QUBIT, HADAMARD)),
+        unitary_channel(UnitaryOperator(QUBIT, PAULI_X)),
+    )
+    assert ch.kraus.shape == (1, 2, 2)
+    assert not ch.kraus.flags.writeable
+    with pytest.raises(SpaceMismatch):
+        QuantumChannel(QUBIT, QUBIT, (np.eye(2), np.eye(3)))
+    with pytest.raises(SpaceMismatch):
+        QuantumChannel(QUBIT, QUBIT, ())
+
+
+def test_construction_runs_no_choi_eigensolve(monkeypatch):
+    """A Kraus set is completely positive by construction; only completeness
+    is checked, so channels build with choi_matrix unavailable."""
+
+    def forbidden(ch):
+        raise AssertionError("choi_matrix called during construction")
+
+    monkeypatch.setattr(onticsim.channels, "choi_matrix", forbidden)
+    rng = np.random.default_rng(SEED + 7)
+    u = UnitaryOperator(PAIR, haar_unitary(rng, 4))
+    dilated = dilation_channel(u, random_density(rng, HilbertSpace.of(("e", 2))), SPLIT)
+    composed = compose(dilated, dilated)
+    env = basis_state(HilbertSpace.of(("e", 2)), 1).projector()
+    conditioned = conditional_channel_given_env(unitary_channel(u), env, SPLIT).channel
+    for ch in (dilated, composed, conditioned):
+        assert ch.kraus.shape[1:] == (2, 2)
+
+
 # ---------------------------------------------------------------------------
 # dilation
 # ---------------------------------------------------------------------------
@@ -134,6 +167,23 @@ def test_dilation_env_state_must_live_on_env_factors():
     env_wrong = maximally_mixed(HilbertSpace.of(("x", 2)))
     with pytest.raises(SpaceMismatch):
         dilation_channel(UnitaryOperator(PAIR, np.eye(4)), env_wrong, SPLIT)
+
+
+def test_conditioning_a_unitary_is_its_dilation():
+    """Both routes are the one reduction Tr_E[U (X (x) P_E) U^dag], here with
+    the environment factor in the middle of the parent."""
+    rng = np.random.default_rng(SEED + 8)
+    space = HilbertSpace.of(("a", 2), ("e", 3), ("b", 2))
+    split = (["a", "b"], ["e"])
+    u = UnitaryOperator(space, haar_unitary(rng, space.total_dim))
+    v = rng.normal(size=3) + 1j * rng.normal(size=3)
+    p_e = PureState(HilbertSpace.of(("e", 3)), v / np.linalg.norm(v)).projector()
+    conditioned = conditional_channel_given_env(unitary_channel(u), p_e, split)
+    dilated = dilation_channel(u, DensityMatrix(HilbertSpace.of(("e", 3)), p_e), split)
+    assert channel_distance(conditioned.channel, dilated) < 1e-12
+    # one operator per output direction of e: the rounding-level eigenvalues
+    # of the rank-one P_E contribute none
+    assert len(conditioned.channel.kraus) == 3
 
 
 def test_dilation_is_cptp_for_random_parents():

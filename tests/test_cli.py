@@ -21,6 +21,7 @@ from onticsim.cli import (
     EXIT_PARSE,
     EXIT_TOLERANCE,
     EXIT_VALIDATION,
+    SCENARIOS,
     ParseFailure,
     ValidationFailure,
     main,
@@ -176,6 +177,18 @@ def test_verify_good_and_broken_channels(tmp_path, monkeypatch):
     assert report["completeness_defect"] > 0.1
 
 
+def test_verify_rejects_non_finite_channel_entries(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    space = HilbertSpace.of(("s", 2), ("e", 2))
+    payload = channel_to_json(unitary_channel(UnitaryOperator(space, CNOT)))
+    payload["kraus"][0]["im"][1][2] = float("nan")
+    (tmp_path / "nan.json").write_text(json.dumps(payload))
+    cfg = write_config(tmp_path, "channel_path = nan.json\n")
+    assert main(["verify", "--config", cfg, "--out", "report.json"]) == EXIT_VALIDATION
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # exit codes and determinism
 # ---------------------------------------------------------------------------
@@ -202,6 +215,31 @@ def test_exit_code_for_missing_config_file(tmp_path, monkeypatch):
 def test_bad_flag_seed_is_validation_failure(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["helix", "--seed", "-3"]) == EXIT_VALIDATION
+
+
+NUMERIC_KEYS = [
+    (scenario, spec.name)
+    for scenario, specs in SCENARIOS.items()
+    for spec in specs
+    if spec.kind in ("float", "complex_list")
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "scenario, key", NUMERIC_KEYS, ids=[f"{scenario}-{key}" for scenario, key in NUMERIC_KEYS]
+)
+def test_non_finite_values_are_validation_failures(
+    tmp_path, capsys, monkeypatch, scenario, key, value
+):
+    monkeypatch.chdir(tmp_path)
+    prefix = "subject_dim = 2\n" if scenario == "measure" else ""
+    entry = f"{key} = {value}, 0" if key == "psi" else f"{key} = {value}"
+    cfg = write_config(tmp_path, prefix + entry + "\n")
+    assert main([scenario, "--config", cfg, "--out", "artifact"]) == EXIT_VALIDATION
+    line = prefix.count("\n") + 1
+    assert f"line {line}, column 1: {key} must be finite" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.cfg"]
 
 
 def test_unnormalized_psi_is_validation_failure(tmp_path, monkeypatch):

@@ -8,28 +8,44 @@ import pytest
 from onticsim import (
     CNOT,
     ConditionalProbabilityTable,
+    CorrelationOperator,
     DensityMatrix,
     HilbertSpace,
     OnticDecomposition,
     OnticEntry,
+    OnticTrajectory,
+    PureState,
+    QuantumChannel,
+    UnitaryFamily,
     UnitaryOperator,
     apply,
     basis_state,
     bayesian_propagation_check,
+    conditional_channel_given_env,
     conditional_probabilities,
+    correlational_entropy,
     dilation_channel,
     embed_operator,
     maximally_mixed,
     ontic_decomposition,
     parent_conditioned_probabilities,
     partial_trace,
+    projector_factorization_check,
     psd_pairing_check,
     single_system_conditional,
     table_to_csv,
     table_to_json,
     unitary_channel,
 )
-from onticsim.errors import BadPartition, NotPSD, SpaceMismatch, ToleranceBreach
+from onticsim.errors import (
+    BadPartition,
+    NotADistribution,
+    NotAProjector,
+    NotPSD,
+    NotUnitary,
+    SpaceMismatch,
+    ToleranceBreach,
+)
 
 SEED = 20260816
 
@@ -37,6 +53,7 @@ QUBIT = HilbertSpace.of(("s", 2))
 PAIR = HilbertSpace.of(("s", 2), ("e", 2))
 THREE = HilbertSpace.of(("a", 2), ("b", 3), ("c", 2))
 NAN_QUBIT = np.full((2, 2), np.nan, dtype=complex)
+NAN_PAIR = np.full((4, 4), np.nan, dtype=complex)
 
 
 def random_density(rng: np.random.Generator, space: HilbertSpace) -> DensityMatrix:
@@ -165,8 +182,26 @@ def test_table_validation():
             ToleranceBreach,
         ),
         (lambda: psd_pairing_check(NAN_QUBIT, np.eye(2)), NotPSD),
+        (lambda: PureState(QUBIT, [np.nan, 0.0]), ToleranceBreach),
+        (lambda: UnitaryOperator(QUBIT, NAN_QUBIT), NotUnitary),
+        (lambda: UnitaryFamily(QUBIT, NAN_QUBIT), ToleranceBreach),
+        (lambda: QuantumChannel(QUBIT, QUBIT, (NAN_QUBIT,)), ToleranceBreach),
+        (lambda: CorrelationOperator(PAIR, ("s",), ("e",), NAN_PAIR), ToleranceBreach),
+        (
+            lambda: conditional_channel_given_env(
+                unitary_channel(UnitaryOperator(PAIR, CNOT)), NAN_QUBIT, (["s"], ["e"])
+            ),
+            NotAProjector,
+        ),
+        (lambda: projector_factorization_check(NAN_PAIR, PAIR, (["s"], ["e"])), NotAProjector),
+        (lambda: OnticTrajectory((0.0,), (0,), frames=(NAN_QUBIT,)), ToleranceBreach),
+        (lambda: correlational_entropy([np.nan, 1.0]), NotADistribution),
     ],
-    ids=["density_matrix", "table", "decomposition", "psd_pairing"],
+    ids=[
+        "density_matrix", "table", "decomposition", "psd_pairing", "pure_state", "unitary",
+        "unitary_family", "kraus_channel", "correlation_operator", "conditioning_projector",
+        "factorization_projector", "trajectory_frames", "correlational_entropy",
+    ],
 )
 def test_invariant_checks_reject_nan(build, error):
     with pytest.raises(error):
