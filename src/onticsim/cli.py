@@ -2,9 +2,16 @@
 
 Subcommands name the scenario; a config file supplies parameters, and
 the --seed / --out / --format flags override their config counterparts.
-Exit codes: 0 success, 2 config parse failure (with line and column
-diagnostics), 3 numeric validation failure, 4 internal tolerance breach
-(including a failed channel verification).
+Sizes are capped at the config boundary, so no config can ask for an
+unbounded allocation.
+
+Each scenario runner returns its result as data: csv columns and rows, a
+json document, a summary line and an exit code.  `run` is the only code
+that encodes a result, in the requested format only, and `main` is the
+only code that maps an error to an exit code: 0 success, 2 config parse
+failure (with line and column diagnostics), 4 tolerance breach (including
+a failed channel verification), and 3 for any other domain error raised
+from a config, including an artifact that would hold a non-finite number.
 
 Output files are written atomically (temp file plus rename) and are
 byte-identical for identical (config, seed) pairs.  Tolerances across
@@ -22,6 +29,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,31 +48,20 @@ from .channels import (
     verify_cptp,
 )
 from .errors import OnticSimError, ToleranceBreach
-from .measurement import (
-    SWEEP_CSV_HEADER,
-    MeasurementModel,
-    SweepPoint,
-    born_conditional_check,
-    decoherence_scaling_sweep,
-    error_entropy_bound,
-    simulate_measurement,
-    sweep_to_csv,
-)
+from .measurement import MeasurementModel, born_conditional_check, decoherence_scaling_sweep
 from .opendyn import (
     nonlinearity_witness,
     witness_pair_bell_vs_product,
     witness_pair_werner,
     witness_report_to_json,
 )
-from .qcore import DensityMatrix, HilbertSpace, PureState, basis_state, maximally_mixed
+from .qcore import DensityMatrix, HilbertSpace, PureState, _csv_text, basis_state, maximally_mixed
 from .trajectories import (
-    OnticTrajectory,
     bloch_helix,
     enumerate_trajectory_measure,
     markov_chain_from_repeated_interaction,
     measure_to_json,
     sample_trajectory,
-    trajectory_to_csv,
 )
 
 __all__ = ["ScenarioConfig", "ParseFailure", "ValidationFailure", "parse_config", "run", "main"]
@@ -106,6 +103,12 @@ class ParamSpec:
     exclusive_min: bool = False
 
 
+# size caps: a config past one is refused before anything is allocated
+_MAX_DIM = 1024
+_MAX_POINTS = 10**6
+_MAX_STEPS = 10**4
+_MAX_LIST_LENGTH = 1024
+
 _MEASURE_COMMON = [
     ParamSpec("psi", "complex_list", ()),
     ParamSpec("gamma_a", "float", 1.0, minimum=0.0),
@@ -115,13 +118,13 @@ _MEASURE_COMMON = [
 
 SCENARIOS: dict[str, list[ParamSpec]] = {
     "measure": [
-        ParamSpec("subject_dim", "int", None, minimum=2),
+        ParamSpec("subject_dim", "int", None, minimum=2, maximum=_MAX_DIM),
         ParamSpec("n_a", "int", 10, minimum=0),
         ParamSpec("n_e", "int", 10, minimum=0),
         *_MEASURE_COMMON,
     ],
     "sweep": [
-        ParamSpec("subject_dim", "int", 2, minimum=2),
+        ParamSpec("subject_dim", "int", 2, minimum=2, maximum=_MAX_DIM),
         ParamSpec("n_values", "int_list", (4, 8, 16, 32), minimum=0),
         ParamSpec("n_a", "int", 1, minimum=0),
         ParamSpec("n_e", "int", 1, minimum=0),
@@ -140,14 +143,14 @@ SCENARIOS: dict[str, list[ParamSpec]] = {
     ],
     "trajectories": [
         ParamSpec("mode", "str", "enumerate", choices=("enumerate", "sample")),
-        ParamSpec("steps", "int", 4, minimum=1),
+        ParamSpec("steps", "int", 4, minimum=1, maximum=_MAX_STEPS),
         ParamSpec("step", "float", 0.4, minimum=0.0, exclusive_min=True),
         ParamSpec("rate", "float", 1.0, minimum=0.0, exclusive_min=True),
         ParamSpec("p0", "float", 0.7, minimum=0.0, maximum=1.0),
     ],
     "helix": [
         ParamSpec("omega", "float", 1.0),
-        ParamSpec("points", "int", 100, minimum=2),
+        ParamSpec("points", "int", 100, minimum=2, maximum=_MAX_POINTS),
         ParamSpec("t_max", "float", 2.0 * math.pi, minimum=0.0, exclusive_min=True),
     ],
     "nonlinear": [
@@ -172,6 +175,7 @@ DEFAULT_FORMATS = {
 }
 
 MAX_SEED = 2**64 - 1
+_SEED = ParamSpec("seed", "int", 0, minimum=0, maximum=MAX_SEED)
 
 
 @dataclass
@@ -242,6 +246,8 @@ def _convert(spec: ParamSpec, text: str, lineno: int, col: int, violations: list
 
 def _range_check(spec: ParamSpec, value, problems: list[str]) -> None:
     scalars = value if isinstance(value, tuple) and spec.kind == "int_list" else (value,)
+    if spec.kind == "int_list" and not 1 <= len(value) <= _MAX_LIST_LENGTH:
+        problems.append(f"{spec.name} must hold 1 to {_MAX_LIST_LENGTH} values, got {len(value)}")
     if spec.kind in ("int", "float", "int_list"):
         for x in scalars:
             if spec.minimum is not None:
@@ -291,15 +297,9 @@ def parse_config(text: str, scenario: str | None = None) -> ScenarioConfig:
     range_problems: list[str] = []
 
     if "seed" in entries:
-        text_value, lineno, col = entries.pop("seed")
-        try:
-            seed = int(text_value)
-            if not 0 <= seed <= MAX_SEED:
-                range_problems.append(f"seed must be in [0, 2**64), got {seed}")
-            else:
-                config.seed = seed
-        except ValueError:
-            violations.append(f"line {lineno}, column {col}: cannot parse seed {text_value!r}")
+        seed = _convert(_SEED, *entries.pop("seed"), violations)
+        if seed is not None:
+            config.seed = seed
     if "out" in entries:
         config.output_path = entries.pop("out")[0]
     if "format" in entries:
@@ -336,6 +336,7 @@ def parse_config(text: str, scenario: str | None = None) -> ScenarioConfig:
 
     for spec in specs.values():
         _range_check(spec, config.params[spec.name], range_problems)
+    _range_check(_SEED, config.seed, range_problems)
     if range_problems:
         raise ValidationFailure(range_problems)
     return config
@@ -360,14 +361,6 @@ def _atomic_write(path: str, data: bytes) -> None:
         raise
 
 
-def _json_bytes(payload) -> bytes:
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _subject_state(dim: int, amplitudes: tuple[complex, ...]) -> PureState:
     space = HilbertSpace.of(("s", dim))
     if not amplitudes:
@@ -382,80 +375,67 @@ def _subject_state(dim: int, amplitudes: tuple[complex, ...]) -> PureState:
     return PureState(space, vec / norm)
 
 
-def _measure_row(point: SweepPoint) -> dict:
-    return {
-        "N": point.n,
-        "overlap_A": float(point.overlap_a),
-        "overlap_E": float(point.overlap_e),
-        "max_offdiag": float(point.max_offdiag),
-        "max_born_deviation": float(point.max_born_deviation),
-        "S_max": float(point.s_max),
-        "bound": float(point.bound),
-    }
+# what a runner returns: csv columns, csv rows, json document, summary line,
+# exit code; rows may be a generator, so a json run never formats csv cells
+_Result = tuple[Sequence[str], Iterable[Sequence], object, str, int]
+
+
+def _one_record(record: dict, summary: str, code: int = EXIT_OK) -> _Result:
+    """A one-row artifact whose json document is the record itself."""
+    return list(record), [tuple(record.values())], record, summary, code
+
+
+def _sweep(params: dict, n_values: list[int]) -> tuple[MeasurementModel, PureState, list[dict]]:
+    """The template model, the subject state and one record per total count."""
+    model = MeasurementModel(
+        subject_dim=params["subject_dim"],
+        n_a=params["n_a"],
+        n_e=params["n_e"],
+        gamma_a=params["gamma_a"],
+        gamma_e=params["gamma_e"],
+        dt=params["dt"],
+    )
+    psi = _subject_state(params["subject_dim"], params["psi"])
+    records = [
+        {
+            "N": point.n,
+            "overlap_A": float(point.overlap_a),
+            "overlap_E": float(point.overlap_e),
+            "max_offdiag": float(point.max_offdiag),
+            "max_born_deviation": float(point.max_born_deviation),
+            "S_max": float(point.s_max),
+            "bound": float(point.bound),
+        }
+        for point in decoherence_scaling_sweep(model, psi, n_values)
+    ]
+    return model, psi, records
 
 
 # ---------------------------------------------------------------------------
 # scenarios
 # ---------------------------------------------------------------------------
 
-def _run_measure(config: ScenarioConfig) -> tuple[bytes, str, int]:
+def _run_measure(config: ScenarioConfig) -> _Result:
     p = config.params
-    model = MeasurementModel(
-        subject_dim=p["subject_dim"],
-        n_a=p["n_a"],
-        n_e=p["n_e"],
-        gamma_a=p["gamma_a"],
-        gamma_e=p["gamma_e"],
-        dt=p["dt"],
-    )
-    psi = _subject_state(p["subject_dim"], p["psi"])
-    report = simulate_measurement(model, psi)
+    # at the template's own total count the sweep keeps n_a and n_e exactly
+    model, psi, (record,) = _sweep(p, [p["n_a"] + p["n_e"]])
     check = born_conditional_check(model, psi)
-    bound = error_entropy_bound(model, report.max_born_deviation)
-    point = SweepPoint(
-        n=model.n_a + model.n_e,
-        n_a=model.n_a,
-        n_e=model.n_e,
-        overlap_a=report.overlap_apparatus,
-        overlap_e=report.overlap_environment,
-        max_offdiag=report.max_offdiag,
-        max_born_deviation=report.max_born_deviation,
-        s_max=bound.s_max,
-        bound=bound.bound,
-    )
-    if config.resolved_format() == "csv":
-        payload = sweep_to_csv([point]).encode()
-    else:
-        payload = _json_bytes(_measure_row(point))
     summary = (
         f"measure: d={model.subject_dim} N_A={model.n_a} N_E={model.n_e} "
-        f"max_offdiag={report.max_offdiag:.6g} max_born_deviation={report.max_born_deviation:.6g} "
-        f"born_check={check:.6g}"
+        f"max_offdiag={record['max_offdiag']:.6g} "
+        f"max_born_deviation={record['max_born_deviation']:.6g} born_check={check:.6g}"
     )
-    return payload, summary, EXIT_OK
+    return _one_record(record, summary)
 
 
-def _run_sweep(config: ScenarioConfig) -> tuple[bytes, str, int]:
+def _run_sweep(config: ScenarioConfig) -> _Result:
     p = config.params
-    template = MeasurementModel(
-        subject_dim=p["subject_dim"],
-        n_a=p["n_a"],
-        n_e=p["n_e"],
-        gamma_a=p["gamma_a"],
-        gamma_e=p["gamma_e"],
-        dt=p["dt"],
-    )
-    psi = _subject_state(p["subject_dim"], p["psi"])
-    points = decoherence_scaling_sweep(template, psi, list(p["n_values"]))
-    if config.resolved_format() == "csv":
-        payload = sweep_to_csv(points).encode()
-    else:
-        payload = _json_bytes([_measure_row(pt) for pt in points])
+    model, _, records = _sweep(p, list(p["n_values"]))
     summary = (
-        f"sweep: d={template.subject_dim} N={list(p['n_values'])} "
-        f"final_max_offdiag={points[-1].max_offdiag:.6g}"
+        f"sweep: d={model.subject_dim} N={list(p['n_values'])} "
+        f"final_max_offdiag={records[-1]['max_offdiag']:.6g}"
     )
-    return payload, summary, EXIT_OK
+    return list(records[0]), (tuple(r.values()) for r in records), records, summary, EXIT_OK
 
 
 _FAMILIES = {
@@ -465,7 +445,7 @@ _FAMILIES = {
 }
 
 
-def _run_semigroup(config: ScenarioConfig) -> tuple[bytes, str, int]:
+def _run_semigroup(config: ScenarioConfig) -> _Result:
     p = config.params
     family = _FAMILIES[p["family"]]()
     env = basis_state(HilbertSpace.of(("e", 2)), 0).density_matrix()
@@ -487,22 +467,11 @@ def _run_semigroup(config: ScenarioConfig) -> tuple[bytes, str, int]:
         "probe": p["probe"],
         "defect": float(defect),
     }
-    if config.resolved_format() == "csv":
-        payload = (
-            "family,t1,t2,probe,defect\n"
-            + ",".join(
-                [record["family"], _fmt(record["t1"]), _fmt(record["t2"]),
-                 record["probe"], _fmt(record["defect"])]
-            )
-            + "\n"
-        ).encode()
-    else:
-        payload = _json_bytes(record)
     summary = f"semigroup: family={p['family']} t1={p['t1']:g} t2={p['t2']:g} defect={defect:.6g}"
-    return payload, summary, EXIT_OK
+    return _one_record(record, summary)
 
 
-def _run_trajectories(config: ScenarioConfig) -> tuple[bytes, str, int]:
+def _run_trajectories(config: ScenarioConfig) -> _Result:
     p = config.params
     rho_s0 = DensityMatrix(
         HilbertSpace.of(("s", 2)), np.diag([p["p0"], 1.0 - p["p0"]]).astype(np.complex128)
@@ -513,51 +482,36 @@ def _run_trajectories(config: ScenarioConfig) -> tuple[bytes, str, int]:
     )
     if p["mode"] == "enumerate":
         measure = enumerate_trajectory_measure(chain, 2, 0)
-        if config.resolved_format() == "json":
-            payload = _json_bytes(measure_to_json(chain, measure))
-        else:
-            steps = len(chain.kernels)
-            header = ",".join(f"i{k}" for k in range(steps + 1)) + ",p"
-            lines = [header]
-            for path, prob in sorted(measure.items()):
-                lines.append(",".join([*(str(i) for i in path), _fmt(prob)]))
-            payload = ("\n".join(lines) + "\n").encode()
+        document = measure_to_json(chain, measure)
+        columns = [*(f"i{k}" for k in range(len(chain.kernels) + 1)), "p"]
+        rows = ((*t["indices"], t["p"]) for t in document["trajectories"])
         summary = (
             f"trajectories: enumerated {len(measure)} paths over {len(chain.kernels)} steps, "
             f"mass={math.fsum(measure.values()):.12g}"
         )
     else:
         traj = sample_trajectory(chain, 0, (config.seed, 0))
-        if config.resolved_format() == "csv":
-            payload = trajectory_to_csv(traj).encode()
-        else:
-            payload = _json_bytes(
-                {"times": [float(t) for t in traj.times], "indices": list(traj.indices)}
-            )
+        document = {"times": list(traj.times), "indices": list(traj.indices)}
+        columns, rows = ("t", "index"), zip(traj.times, traj.indices)
         summary = f"trajectories: sampled {traj.indices} seed={config.seed}"
-    return payload, summary, EXIT_OK
+    return columns, rows, document, summary, EXIT_OK
 
 
-def _run_helix(config: ScenarioConfig) -> tuple[bytes, str, int]:
+def _run_helix(config: ScenarioConfig) -> _Result:
     p = config.params
     times = np.linspace(0.0, p["t_max"], p["points"])
-    strands = bloch_helix(p["omega"], times)
-    if config.resolved_format() == "csv":
-        traj = OnticTrajectory(tuple(float(t) for t in times), (0,) * len(times))
-        payload = trajectory_to_csv(traj, helix=strands).encode()
-    else:
-        payload = _json_bytes(
-            {
-                "times": [float(t) for t in times],
-                "strand1": [[float(x) for x in row] for row in strands[0]],
-                "strand2": [[float(x) for x in row] for row in strands[1]],
-            }
-        )
+    strand1, strand2 = bloch_helix(p["omega"], times)
+    document = {"times": times.tolist(), "strand1": strand1.tolist(), "strand2": strand2.tolist()}
+    columns = ("t", "index", "theta1", "phi1", "theta2", "phi2")
+    rows = (
+        (t, 0, *a, *b)
+        for t, a, b in zip(document["times"], document["strand1"], document["strand2"])
+    )
     summary = f"helix: omega={p['omega']:g} points={p['points']} t_max={p['t_max']:g}"
-    return payload, summary, EXIT_OK
+    return columns, rows, document, summary, EXIT_OK
 
 
-def _run_nonlinear(config: ScenarioConfig) -> tuple[bytes, str, int]:
+def _run_nonlinear(config: ScenarioConfig) -> _Result:
     p = config.params
     if p["pair"] == "bell_vs_product":
         pair = witness_pair_bell_vs_product()
@@ -573,25 +527,14 @@ def _run_nonlinear(config: ScenarioConfig) -> tuple[bytes, str, int]:
         )
     report = nonlinearity_witness(channel, pair.rho_1, pair.rho_2, pair.split)
     record = witness_report_to_json(report, p["channel"], pair.pair_id)
-    if config.resolved_format() == "csv":
-        payload = (
-            "distance_before,distance_after,channel,pair_id\n"
-            + ",".join(
-                [_fmt(record["distance_before"]), _fmt(record["distance_after"]),
-                 record["channel"], record["pair_id"]]
-            )
-            + "\n"
-        ).encode()
-    else:
-        payload = _json_bytes(record)
     summary = (
         f"nonlinear: pair={pair.pair_id} channel={p['channel']} "
         f"before={record['distance_before']:.3g} after={record['distance_after']:.6g}"
     )
-    return payload, summary, EXIT_OK
+    return _one_record(record, summary)
 
 
-def _run_verify(config: ScenarioConfig) -> tuple[bytes, str, int]:
+def _run_verify(config: ScenarioConfig) -> _Result:
     path = config.params["channel_path"]
     try:
         text = Path(path).read_text()
@@ -609,26 +552,13 @@ def _run_verify(config: ScenarioConfig) -> tuple[bytes, str, int]:
         "min_choi_eigenvalue": float(report.min_choi_eigenvalue),
         "completeness_defect": float(report.completeness_defect),
     }
-    if config.resolved_format() == "csv":
-        body = (
-            "trace_preserving,completely_positive,min_choi_eigenvalue,completeness_defect\n"
-            + ",".join(
-                [str(record["trace_preserving"]).lower(),
-                 str(record["completely_positive"]).lower(),
-                 _fmt(record["min_choi_eigenvalue"]),
-                 _fmt(record["completeness_defect"])]
-            )
-            + "\n"
-        ).encode()
-    else:
-        body = _json_bytes(record)
     ok = report.trace_preserving and report.completely_positive
     summary = (
         f"verify: {path} trace_preserving={report.trace_preserving} "
         f"completely_positive={report.completely_positive} "
         f"completeness_defect={report.completeness_defect:.6g}"
     )
-    return body, summary, EXIT_OK if ok else EXIT_TOLERANCE
+    return _one_record(record, summary, EXIT_OK if ok else EXIT_TOLERANCE)
 
 
 _RUNNERS = {
@@ -643,10 +573,21 @@ _RUNNERS = {
 
 
 def run(config: ScenarioConfig) -> int:
-    """Execute a scenario, write its artifact, print the one-line summary."""
-    payload, summary, code = _RUNNERS[config.scenario](config)
+    """Execute a scenario, write its artifact, print the one-line summary.
+
+    Only the requested format is encoded.  A result holding a non-finite
+    number is refused as a ValidationFailure, and nothing is written.
+    """
+    columns, rows, document, summary, code = _RUNNERS[config.scenario](config)
+    try:
+        if config.resolved_format() == "csv":
+            text = _csv_text(columns, rows)
+        else:
+            text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as err:
+        raise ValidationFailure([f"{config.scenario} artifact refused: {err}"]) from err
     out = config.resolved_output_path()
-    _atomic_write(out, payload)
+    _atomic_write(out, text.encode())
     print(f"{summary} -> {out}")
     return code
 
@@ -690,25 +631,26 @@ def main(argv: list[str] | None = None) -> int:
                 raise ParseFailure([f"cannot read config {args.config!r}: {err}"])
         config = parse_config(text, scenario=args.scenario)
         if args.seed is not None:
-            if not 0 <= args.seed <= MAX_SEED:
-                raise ValidationFailure([f"seed must be in [0, 2**64), got {args.seed}"])
+            problems: list[str] = []
+            _range_check(_SEED, args.seed, problems)
+            if problems:
+                raise ValidationFailure(problems)
             config.seed = args.seed
         if args.out is not None:
             config.output_path = args.out
         if args.format is not None:
             config.format = args.format
         return run(config)
-    except ParseFailure as err:
-        for line in err.violations:
-            print(f"config error: {line}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValidationFailure as err:
-        for line in err.violations:
-            print(f"validation error: {line}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ToleranceBreach as err:
-        print(f"tolerance breach: {err}", file=sys.stderr)
-        return EXIT_TOLERANCE
+    except OnticSimError as err:
+        if isinstance(err, ParseFailure):
+            prefix, code = "config error", EXIT_PARSE
+        elif isinstance(err, ToleranceBreach):
+            prefix, code = "tolerance breach", EXIT_TOLERANCE
+        else:
+            prefix, code = "validation error", EXIT_VALIDATION
+        for line in getattr(err, "violations", [f"{type(err).__name__}: {err}"]):
+            print(f"{prefix}: {line}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

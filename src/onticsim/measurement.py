@@ -42,8 +42,6 @@ __all__ = [
     "decoherence_scaling_sweep",
     "error_entropy_bound",
     "correlational_entropy",
-    "sweep_to_csv",
-    "SWEEP_CSV_HEADER",
 ]
 
 
@@ -292,24 +290,3 @@ def correlational_entropy(probs) -> float:
     p = p[p > 0.0]
     return float(-(p * np.log(p)).sum())
 
-
-SWEEP_CSV_HEADER = "N,overlap_A,overlap_E,max_offdiag,max_born_deviation,S_max,bound"
-
-
-def sweep_to_csv(points: list[SweepPoint]) -> str:
-    lines = [SWEEP_CSV_HEADER]
-    for pt in points:
-        lines.append(
-            ",".join(
-                [
-                    str(pt.n),
-                    repr(float(pt.overlap_a)),
-                    repr(float(pt.overlap_e)),
-                    repr(float(pt.max_offdiag)),
-                    repr(float(pt.max_born_deviation)),
-                    repr(float(pt.s_max)),
-                    repr(float(pt.bound)),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"

@@ -41,6 +41,7 @@ from .qcore import (
     HilbertSpace,
     PureState,
     _check_partition,
+    _csv_text,
     _partial_trace_matrix,
 )
 
@@ -332,14 +333,15 @@ def psd_pairing_check(a: np.ndarray, b: np.ndarray) -> float:
 
 def table_to_csv(table: ConditionalProbabilityTable) -> str:
     """Rows of `w,i1,...,in,p`, one line per table cell."""
-    n = len(table.column_indices[0])
-    header = "w," + ",".join(f"i{k + 1}" for k in range(n)) + ",p"
-    lines = [header]
-    for r, w in enumerate(table.parent_indices):
-        for c, combo in enumerate(table.column_indices):
-            cells = [str(w), *[str(i) for i in combo], repr(float(table.values[r, c]))]
-            lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    columns = ["w", *(f"i{k + 1}" for k in range(len(table.column_indices[0]))), "p"]
+    return _csv_text(
+        columns,
+        (
+            (w, *combo, p)
+            for w, row in zip(table.parent_indices, table.values.tolist())
+            for combo, p in zip(table.column_indices, row)
+        ),
+    )
 
 
 def table_to_json(table: ConditionalProbabilityTable) -> dict:

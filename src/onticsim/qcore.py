@@ -392,3 +392,27 @@ def density_matrix_to_json(rho: DensityMatrix) -> dict:
 
 def density_matrix_from_json(payload: dict) -> DensityMatrix:
     return DensityMatrix(space_from_json(payload["space"]), matrix_from_json(payload))
+
+
+def _float_cell(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {x!r}")
+    return repr(x)
+
+
+# keyed by exact type: rows hold Python scalars, and bool must not fall to int
+_CELL_TEXT = {bool: ("false", "true").__getitem__, int: int.__repr__, float: _float_cell, str: str}
+
+
+def _csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text: the header line, then one line per row.
+
+    A bool cell is written true/false, an int with str, a float with repr
+    so every digit survives a round-trip, and a str as is.  A non-finite
+    float raises ValueError.
+    """
+    cell = _CELL_TEXT
+    lines = [",".join(columns)]
+    lines.extend(",".join([cell[type(x)](x) for x in row]) for row in rows)
+    lines.append("")
+    return "\n".join(lines)

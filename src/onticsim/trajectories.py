@@ -35,7 +35,7 @@ from .errors import (
     TooManyTrajectories,
 )
 from .ontic import ConditionalProbabilityTable, single_system_conditional
-from .qcore import DensityMatrix, HilbertSpace, PureState
+from .qcore import DensityMatrix, HilbertSpace, PureState, _csv_text
 
 __all__ = [
     "OnticTrajectory",
@@ -319,21 +319,9 @@ def closed_system_trajectory(
 # serialization
 # ---------------------------------------------------------------------------
 
-def trajectory_to_csv(
-    traj: OnticTrajectory, helix: tuple[np.ndarray, np.ndarray] | None = None
-) -> str:
-    """Rows of `t,index`, with helix strand angles appended when given."""
-    header = "t,index"
-    if helix is not None:
-        header += ",theta1,phi1,theta2,phi2"
-    lines = [header]
-    for k, (t, i) in enumerate(zip(traj.times, traj.indices)):
-        cells = [repr(float(t)), str(i)]
-        if helix is not None:
-            s1, s2 = helix
-            cells.extend(repr(float(x)) for x in (*s1[k], *s2[k]))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def trajectory_to_csv(traj: OnticTrajectory) -> str:
+    """Rows of `t,index`, one line per grid time."""
+    return _csv_text(("t", "index"), zip(traj.times, traj.indices))
 
 
 def measure_to_json(

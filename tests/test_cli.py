@@ -17,6 +17,7 @@ from onticsim import (
     channel_to_json,
     unitary_channel,
 )
+from onticsim import cli, errors
 from onticsim.cli import (
     EXIT_PARSE,
     EXIT_TOLERANCE,
@@ -27,6 +28,7 @@ from onticsim.cli import (
     main,
     parse_config,
 )
+from onticsim.errors import OnticSimError, ToleranceBreach
 
 LOPSIDED = "0.8366600265340756, 0.5477225575051661"  # sqrt(0.7), sqrt(0.3)
 
@@ -100,6 +102,38 @@ def test_range_validation_is_exit_three_material():
         parse_config("scenario = semigroup\nprobe = sideways\n")
     with pytest.raises(ValidationFailure):
         parse_config(f"scenario = helix\nseed = {2**64}\n")
+
+
+CAPPED = [
+    (scenario, spec)
+    for scenario, specs in SCENARIOS.items()
+    for spec in specs
+    if spec.maximum is not None and spec.kind == "int"
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, spec", CAPPED, ids=[f"{scenario}-{spec.name}" for scenario, spec in CAPPED]
+)
+def test_size_caps_are_validation_failures(scenario, spec):
+    at_cap = parse_config(f"{spec.name} = {spec.maximum}\n", scenario)
+    assert at_cap.params[spec.name] == spec.maximum
+    with pytest.raises(ValidationFailure) as err:
+        parse_config(f"{spec.name} = {spec.maximum + 1}\n", scenario)
+    assert err.value.violations == [
+        f"{spec.name} must be at most {spec.maximum}, got {spec.maximum + 1}"
+    ]
+
+
+@pytest.mark.parametrize("count", [0, 1025])
+def test_n_values_length_is_capped(count):
+    def n_values(k):
+        return "n_values = " + ", ".join(["4"] * k) + "\n"
+
+    assert len(parse_config(n_values(1024), "sweep").params["n_values"]) == 1024
+    with pytest.raises(ValidationFailure) as err:
+        parse_config(n_values(count), "sweep")
+    assert err.value.violations == [f"n_values must hold 1 to 1024 values, got {count}"]
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +249,54 @@ def test_exit_code_for_missing_config_file(tmp_path, monkeypatch):
 def test_bad_flag_seed_is_validation_failure(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["helix", "--seed", "-3"]) == EXIT_VALIDATION
+
+
+DOMAIN_ERRORS = [
+    cls
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, OnticSimError) and cls is not OnticSimError
+] + [ParseFailure, ValidationFailure]
+
+
+@pytest.mark.parametrize("error", DOMAIN_ERRORS, ids=lambda cls: cls.__name__)
+def test_every_domain_error_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, error):
+    monkeypatch.chdir(tmp_path)
+
+    def runner(config):
+        if error in (ParseFailure, ValidationFailure):
+            raise error(["from the runner"])
+        raise error("from the runner")
+
+    monkeypatch.setitem(cli._RUNNERS, "helix", runner)
+    expected = {ParseFailure: EXIT_PARSE, ToleranceBreach: EXIT_TOLERANCE}.get(error, EXIT_VALIDATION)
+    assert main(["helix"]) == expected
+    assert "from the runner" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+TRAJECTORY_ERRORS = [
+    ("steps = 21\n", "TooManyTrajectories"),
+    ("step = 1e308\n", "BadInterval"),
+    ("step = 1e200\nrate = 1e200\n", "NotUnitary"),
+]
+
+
+@pytest.mark.parametrize("text, error", TRAJECTORY_ERRORS, ids=[e for _, e in TRAJECTORY_ERRORS])
+def test_trajectory_domain_errors_exit_three(tmp_path, capsys, monkeypatch, text, error):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, text)
+    assert main(["trajectories", "--config", cfg, "--out", "artifact"]) == EXIT_VALIDATION
+    assert f"validation error: {error}: " in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.cfg"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_helix_refuses_non_finite_angles(tmp_path, capsys, monkeypatch, fmt):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "omega = 1e308\npoints = 3\n")
+    assert main(["helix", "--config", cfg, "--format", fmt]) == EXIT_VALIDATION
+    assert "helix artifact refused" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.cfg"]
 
 
 NUMERIC_KEYS = [

@@ -8,7 +8,6 @@ from onticsim import (
     HilbertSpace,
     MeasurementModel,
     PureState,
-    SWEEP_CSV_HEADER,
     born_conditional_check,
     correlational_entropy,
     decoherence_scaling_sweep,
@@ -16,7 +15,6 @@ from onticsim import (
     exponential_overlap,
     pointer_overlap,
     simulate_measurement,
-    sweep_to_csv,
 )
 from onticsim.errors import NotADistribution, SpaceMismatch, ToleranceBreach
 
@@ -152,15 +150,6 @@ def test_sweep_preserves_factor_ratio():
     assert (points[0].n_a, points[0].n_e) == (3, 1)
     assert (points[1].n_a, points[1].n_e) == (6, 2)
     assert all(pt.n_a + pt.n_e == pt.n for pt in points)
-
-
-def test_sweep_csv_schema():
-    points = decoherence_scaling_sweep(default_model(), lopsided_qubit(), [4])
-    text = sweep_to_csv(points)
-    lines = text.strip().split("\n")
-    assert lines[0] == SWEEP_CSV_HEADER
-    assert len(lines) == 2
-    assert lines[1].startswith("4,")
 
 
 # ---------------------------------------------------------------------------

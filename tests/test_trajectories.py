@@ -224,15 +224,9 @@ def test_closed_system_trajectory_never_jumps():
 # serialization
 # ---------------------------------------------------------------------------
 
-def test_trajectory_to_csv_plain_and_helix():
+def test_trajectory_to_csv_rows():
     traj = OnticTrajectory((0.0, 0.5), (0, 1))
-    assert trajectory_to_csv(traj).splitlines()[0] == "t,index"
-    times = np.array([0.0, 0.5])
-    text = trajectory_to_csv(OnticTrajectory(tuple(times), (0, 0)), helix=bloch_helix(1.0, times))
-    lines = text.splitlines()
-    assert lines[0] == "t,index,theta1,phi1,theta2,phi2"
-    assert len(lines) == 3
-    assert lines[1].split(",")[2] == repr(math.pi / 2)
+    assert trajectory_to_csv(traj) == "t,index\n0.0,0\n0.5,1\n"
 
 
 def test_measure_to_json_is_sorted_and_complete():
