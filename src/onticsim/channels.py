@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tolerances as tol
-from .errors import BadInterval, NotUnitary, SpaceMismatch, ToleranceBreach
+from .errors import BadInterval, NotUnitary, OnticSimError, SpaceMismatch, ToleranceBreach
 from .qcore import (
     DensityMatrix,
     HilbertSpace,
@@ -244,9 +244,15 @@ def verify_cptp(ch: QuantumChannel) -> CPTPReport:
     """Completeness and Choi positivity of any finite Kraus set, however broken.
 
     The O((d_in d_out)^3) Choi eigensolve runs here, never at construction.
+    Entries so large that the products overflow give an infinite defect, or
+    an eigensolve that does not converge, which raises OnticSimError.
     """
-    defect = _completeness_defect(ch.kraus)
-    lo = float(np.linalg.eigvalsh(choi_matrix(ch))[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = _completeness_defect(ch.kraus)
+        try:
+            lo = float(np.linalg.eigvalsh(choi_matrix(ch))[0])
+        except np.linalg.LinAlgError as err:
+            raise OnticSimError(f"Choi eigensolve failed: {err}") from err
     return CPTPReport(
         trace_preserving=defect <= tol.DERIVED,
         completely_positive=lo >= tol.EIG_FLOOR,

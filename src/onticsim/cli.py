@@ -11,7 +11,8 @@ that encodes a result, in the requested format only, and `main` is the
 only code that maps an error to an exit code: 0 success, 2 config parse
 failure (with line and column diagnostics), 4 tolerance breach (including
 a failed channel verification), and 3 for any other domain error raised
-from a config, including an artifact that would hold a non-finite number.
+from a config, including an artifact that would hold a non-finite number
+and an output path that cannot be written.
 
 Output files are written atomically (temp file plus rename) and are
 byte-identical for identical (config, seed) pairs.  Tolerances across
@@ -22,6 +23,7 @@ ONTIC_SIM_TOLERANCE_SCALE environment variable before launch.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -347,18 +349,21 @@ def parse_config(text: str, scenario: str | None = None) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: str, data: bytes) -> None:
+    """Temp file plus rename; an OSError is a ValidationFailure and leaves no temp file."""
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=".onticsim-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=".onticsim-")
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
         os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+        tmp = None
+    except OSError as err:
+        raise ValidationFailure([f"cannot write {path!r}: {err.strerror or err}"]) from err
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def _subject_state(dim: int, amplitudes: tuple[complex, ...]) -> PureState:

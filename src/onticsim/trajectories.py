@@ -3,10 +3,11 @@
 A chain of single-system conditional tables defines a product measure
 over index sequences: the probability of a trajectory is the product of
 its per-step conditional probabilities.  The measure can be enumerated
-exhaustively (small chains), sampled (one seeded stream per trajectory,
-so parallel draws stay reproducible), or generated physically by
-repeatedly coupling the system to a fresh environment factor, which is
-the regime where per-step reduced channels compose exactly.
+exhaustively (small chains), sampled (trajectory k draws its uniforms
+from default_rng((seed, k)) in one random(steps) call, equal to steps
+sequential scalar draws), or generated physically by repeatedly coupling
+the system to a fresh environment factor, which is the regime where
+per-step reduced channels compose exactly.
 
 Closed systems are the degenerate case: the single occupied
 configuration follows the unitary flow and never jumps, so the
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -163,24 +165,32 @@ def enumerate_trajectory_measure(
     total = n_states**steps
     if total > ENUMERATION_GUARD:
         raise TooManyTrajectories(f"{total} trajectories exceed guard {ENUMERATION_GUARD}")
-    measure: dict[tuple[int, ...], float] = {(initial_index,): 1.0}
-    for kern in chain.kernels:
-        grown: dict[tuple[int, ...], float] = {}
-        for path, p in measure.items():
-            row = kern.values[path[-1]]
-            for j in range(n_states):
-                grown[path + (j,)] = p * float(row[j])
-        measure = grown
+    # In lexicographic order path m ends in m % n_states; children append a row.
+    p = chain.kernels[0].values[initial_index]
+    for kern in chain.kernels[1:]:
+        p = (p[:, None] * kern.values[np.arange(p.size) % n_states]).ravel()
+    paths = ((initial_index,) + tail for tail in product(range(n_states), repeat=steps))
+    measure = dict(zip(paths, p.tolist()))
     mass = math.fsum(measure.values())
     if not (abs(mass - 1.0) <= tol.ROW_SUM):
         raise ToleranceBreach(f"trajectory measure sums to {mass}")
     return measure
 
 
-def _draw(rng: np.random.Generator, row: np.ndarray) -> int:
-    cdf = np.cumsum(np.clip(row, 0.0, None))
-    u = rng.random() * cdf[-1]
-    return int(min(np.searchsorted(cdf, u, side="right"), len(row) - 1))
+def _sample(chain: MarkovKernelChain, initial_index: int, seeds: list) -> list[OnticTrajectory]:
+    # One pass per step over all paths.  Table rows are clipped non-negative, so
+    # each CDF row is nondecreasing and the count is searchsorted(side="right").
+    if not 0 <= initial_index < chain.state_counts[0]:
+        raise GridMismatch(f"initial index {initial_index} out of range")
+    steps = len(chain.kernels)
+    u = np.reshape([np.random.default_rng(s).random(steps) for s in seeds], (len(seeds), steps))
+    idx = np.full((len(seeds), steps + 1), initial_index)
+    for k, kern in enumerate(chain.kernels):
+        cdf = np.cumsum(kern.values, axis=1)
+        rows = cdf[idx[:, k]]
+        drawn = np.count_nonzero(rows <= u[:, k, None] * rows[:, -1:], axis=1)
+        idx[:, k + 1] = np.minimum(drawn, cdf.shape[1] - 1)
+    return [OnticTrajectory(chain.times, path) for path in idx.tolist()]
 
 
 def sample_trajectory(
@@ -192,21 +202,18 @@ def sample_trajectory(
     (seed, trajectory_id) tuples to give concurrent draws independent,
     reproducible streams.
     """
-    counts = chain.state_counts
-    if not 0 <= initial_index < counts[0]:
-        raise GridMismatch(f"initial index {initial_index} out of range")
-    rng = np.random.default_rng(rng_seed)
-    indices = [initial_index]
-    for kern in chain.kernels:
-        indices.append(_draw(rng, kern.values[indices[-1]]))
-    return OnticTrajectory(chain.times, tuple(indices))
+    return _sample(chain, initial_index, [rng_seed])[0]
 
 
 def sample_trajectories(
     chain: MarkovKernelChain, initial_index: int, seed: int, count: int
 ) -> list[OnticTrajectory]:
-    """Independent trajectories on streams derived from (seed, trajectory id)."""
-    return [sample_trajectory(chain, initial_index, (seed, k)) for k in range(count)]
+    """Independent trajectories on streams derived from (seed, trajectory id).
+
+    Stream k draws its uniforms in one default_rng((seed, k)).random(steps)
+    call, equal to steps sequential scalar draws.
+    """
+    return _sample(chain, initial_index, [(seed, k) for k in range(count)])
 
 
 def markov_chain_from_repeated_interaction(

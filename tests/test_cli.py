@@ -223,6 +223,21 @@ def test_verify_rejects_non_finite_channel_entries(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "report.json").exists()
 
 
+def test_verify_refuses_overflowing_channel_entries(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    space = HilbertSpace.of(("s", 2), ("e", 2))
+    payload = channel_to_json(unitary_channel(UnitaryOperator(space, CNOT)))
+    for i, j in [(0, 0), (1, 1), (2, 3)]:
+        payload["kraus"][0]["re"][i][j] = 1e300
+    (tmp_path / "huge.json").write_text(json.dumps(payload))
+    cfg = write_config(tmp_path, "channel_path = huge.json\n")
+    assert main(["verify", "--config", cfg, "--out", "report.json"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: OnticSimError: Choi eigensolve failed")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # exit codes and determinism
 # ---------------------------------------------------------------------------
@@ -272,6 +287,17 @@ def test_every_domain_error_maps_to_its_exit_code(tmp_path, capsys, monkeypatch,
     assert main(["helix"]) == expected
     assert "from the runner" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out", ["missing_dir/h.csv", "a_directory"])
+def test_unwritable_output_path_exits_three(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_directory").mkdir()
+    assert main(["helix", "--out", out]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: cannot write {out!r}: ")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a_directory"]
 
 
 TRAJECTORY_ERRORS = [

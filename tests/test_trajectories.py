@@ -147,6 +147,137 @@ def test_sampled_frequencies_track_the_measure():
 def test_sampling_checks_initial_index():
     with pytest.raises(GridMismatch):
         sample_trajectory(coin_chain(2), 5, SEED)
+    with pytest.raises(GridMismatch):
+        sample_trajectories(coin_chain(2), 5, SEED, 0)
+
+
+# ---------------------------------------------------------------------------
+# scalar references for the array sampler and enumerator
+# ---------------------------------------------------------------------------
+
+def _draw_reference(rng, row):
+    cdf = np.cumsum(np.clip(row, 0.0, None))
+    u = rng.random() * cdf[-1]
+    return int(min(np.searchsorted(cdf, u, side="right"), len(row) - 1))
+
+
+def sample_reference(chain, initial_index, rng_seed):
+    """One scalar draw per step from the path's own generator."""
+    rng = np.random.default_rng(rng_seed)
+    indices = [initial_index]
+    for kern in chain.kernels:
+        indices.append(_draw_reference(rng, kern.values[indices[-1]]))
+    return tuple(indices)
+
+
+def enumerate_reference(chain, n_states, initial_index):
+    """Dict-of-paths growth, one Python float product per child."""
+    measure = {(initial_index,): 1.0}
+    for kern in chain.kernels:
+        grown = {}
+        for path, p in measure.items():
+            row = kern.values[path[-1]]
+            for j in range(n_states):
+                grown[path + (j,)] = p * float(row[j])
+        measure = grown
+    return measure
+
+
+def _bits(values):
+    return np.array(list(values), dtype=float).view(np.uint64).tolist()
+
+
+def sparse_rows(rng, rows, cols):
+    """Row-stochastic matrix with exact zeros, including a leading and a trailing one."""
+    m = rng.dirichlet(np.ones(cols), size=rows)
+    m[rng.random((rows, cols)) < 0.35] = 0.0
+    m[0, 0] = 0.0
+    m[-1, -1] = 0.0
+    m[np.all(m == 0.0, axis=1), 1] = 1.0
+    return m / m.sum(axis=1, keepdims=True)
+
+
+def ragged_chain(rng):
+    """States 2 -> 3 -> 2 -> 3 -> 2 through non-square kernels."""
+    shapes = [(2, 3), (3, 2), (2, 3), (3, 2)]
+    kernels = tuple(kernel_from_matrix(sparse_rows(rng, r, c)) for r, c in shapes)
+    return MarkovKernelChain(tuple(range(len(shapes) + 1)), kernels)
+
+
+def square_chain(rng, n, steps):
+    kernels = tuple(kernel_from_matrix(sparse_rows(rng, n, n)) for _ in range(steps))
+    return MarkovKernelChain(tuple(range(steps + 1)), kernels)
+
+
+@pytest.mark.parametrize("count", [0, 1, 257])
+@pytest.mark.parametrize("initial_index", [0, 1])
+def test_sampler_matches_scalar_reference_on_ragged_chains(count, initial_index):
+    rng = np.random.default_rng(SEED + 11)
+    for _ in range(5):
+        chain = ragged_chain(rng)
+        seed = int(rng.integers(2**32))
+        paths = [t.indices for t in sample_trajectories(chain, initial_index, seed, count)]
+        assert paths == [sample_reference(chain, initial_index, (seed, k)) for k in range(count)]
+
+
+@pytest.mark.parametrize("initial_index", [0, 1, 2])
+def test_sampler_matches_scalar_reference_with_exact_zeros(initial_index):
+    rng = np.random.default_rng(SEED + 12)
+    for _ in range(10):
+        chain = square_chain(rng, 3, 6)
+        seed = int(rng.integers(2**32))
+        paths = [t.indices for t in sample_trajectories(chain, initial_index, seed, 200)]
+        assert paths == [sample_reference(chain, initial_index, (seed, k)) for k in range(200)]
+
+
+def test_sampler_matches_scalar_reference_on_a_plain_int_seed():
+    chain = ragged_chain(np.random.default_rng(SEED + 13))
+    for seed in range(50):
+        traj = sample_trajectory(chain, 1, seed)
+        assert traj.times == chain.times
+        assert traj.indices == sample_reference(chain, 1, seed)
+
+
+class TieStream:
+    """Stands in for default_rng with uniforms that land exactly on CDF entries.
+
+    1.0 is outside random()'s range; it drives the clamp to the last index.
+    """
+
+    UNIFORMS = (0.0, 0.25, 0.75, 0.5, 1.0 - 2.0**-53, 1.0)
+
+    def __init__(self, seed):
+        self.next = seed[1] if isinstance(seed, tuple) else seed
+
+    def random(self, size=None):
+        n = 1 if size is None else size
+        out = [self.UNIFORMS[(self.next + i) % len(self.UNIFORMS)] for i in range(n)]
+        self.next += n
+        return out[0] if size is None else np.array(out)
+
+
+def test_sampler_matches_scalar_reference_on_ties(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", TieStream)
+    dyadic = kernel_from_matrix(
+        [[0.0, 0.25, 0.5, 0.25], [0.25, 0.0, 0.75, 0.0], [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+    )
+    chain = MarkovKernelChain(tuple(range(7)), (dyadic,) * 6)
+    for initial_index in range(4):
+        paths = [t.indices for t in sample_trajectories(chain, initial_index, SEED, 36)]
+        assert paths == [sample_reference(chain, initial_index, (SEED, k)) for k in range(36)]
+
+
+@pytest.mark.parametrize("initial_index", [0, 1, 2])
+def test_enumeration_matches_dict_growth_bit_for_bit(initial_index):
+    rng = np.random.default_rng(SEED + 14)
+    for n, steps in [(3, 1), (3, 5), (2, 9)]:
+        if initial_index >= n:
+            continue
+        chain = square_chain(rng, n, steps)
+        measure = enumerate_trajectory_measure(chain, n, initial_index)
+        reference = enumerate_reference(chain, n, initial_index)
+        assert list(measure) == list(reference)
+        assert _bits(measure.values()) == _bits(reference.values())
 
 
 # ---------------------------------------------------------------------------
