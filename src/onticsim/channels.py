@@ -298,7 +298,8 @@ class UnitaryFamily:
         object.__setattr__(self, "_evecs", evecs)
 
     def at(self, t: float) -> UnitaryOperator:
-        phases = np.exp(-1j * self._evals * t)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow: NaN, refused below
+            phases = np.exp(-1j * self._evals * t)
         u = (self._evecs * phases) @ self._evecs.conjugate().T
         return UnitaryOperator(self.space, u)
 

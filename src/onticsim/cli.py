@@ -110,6 +110,7 @@ _MAX_DIM = 1024
 _MAX_POINTS = 10**6
 _MAX_STEPS = 10**4
 _MAX_LIST_LENGTH = 1024
+_MAX_CHOI_DIM = 4096  # verify's d_in * d_out: past it the Choi matrix tops 256 MiB
 
 _MEASURE_COMMON = [
     ParamSpec("psi", "complex_list", ()),
@@ -547,9 +548,13 @@ def _run_verify(config: ScenarioConfig) -> _Result:
         raise ValidationFailure([f"cannot read channel file {path!r}: {err}"])
     try:
         payload = json.loads(text)
-        channel = channel_from_json(payload, validate=False)
+        dims = math.prod(int(f["dim"]) for k in ("in_space", "out_space") for f in payload[k])
+        if dims <= _MAX_CHOI_DIM:
+            channel = channel_from_json(payload, validate=False)
     except (KeyError, TypeError, ValueError) as err:
         raise ValidationFailure([f"malformed channel JSON in {path!r}: {err}"])
+    if dims > _MAX_CHOI_DIM:
+        raise ValidationFailure([f"{path!r}: d_in*d_out = {dims} > cap {_MAX_CHOI_DIM}"])
     report = verify_cptp(channel)
     record = {
         "trace_preserving": report.trace_preserving,

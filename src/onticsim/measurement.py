@@ -20,7 +20,7 @@ record entropy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -107,26 +107,26 @@ class MeasurementReport:
     overlap_environment: float
 
 
-def _assign_outcomes(dec: OnticDecomposition, d: int) -> tuple[int, ...]:
-    """Match each decomposition entry to its nearest basis outcome, bijectively.
+def _assign_outcomes(vectors: np.ndarray) -> tuple[int, ...]:
+    """Match each eigenvector column to its nearest basis outcome, bijectively.
 
-    Greedy on descending overlap magnitude with deterministic index
-    tie-breaks; for a decohered state this is just the argmax, but it
-    stays well defined for null entries whose eigenvectors are arbitrary
-    within the null space.
+    Greedy on descending overlap magnitude, ties broken by entry, then
+    outcome index (a stable sort of the flattened overlaps); for a
+    decohered state this is just the argmax, but it stays well defined for
+    null entries whose eigenvectors are arbitrary within the null space.
     """
-    overlaps = np.abs(dec.vectors.T)
-    pairs = sorted(
-        ((s, m) for s in range(len(dec.entries)) for m in range(d)),
-        key=lambda sm: (-overlaps[sm[0], sm[1]], sm[0], sm[1]),
-    )
-    out: dict[int, int] = {}
+    overlaps = np.abs(vectors.T)
+    n, d = overlaps.shape
+    outcome = [-1] * n
     used: set[int] = set()
-    for s, m in pairs:
-        if s not in out and m not in used:
-            out[s] = m
+    for flat in np.argsort(-overlaps, axis=None, kind="stable").tolist():
+        s, m = divmod(flat, d)
+        if outcome[s] < 0 and m not in used:
+            outcome[s] = m
             used.add(m)
-    return tuple(out[s] for s in range(len(dec.entries)))
+            if len(used) == n:
+                break
+    return tuple(outcome)
 
 
 def simulate_measurement(
@@ -160,10 +160,8 @@ def simulate_measurement(
     rho_s = DensityMatrix(psi.space, rho)
     dec = ontic_decomposition(rho_s, delta_deg)
     born = np.abs(psi.amplitudes) ** 2
-    outcome_of_entry = _assign_outcomes(dec, d)
-    deviations = [
-        abs(e.probability - born[outcome_of_entry[s]]) for s, e in enumerate(dec.entries)
-    ]
+    outcome_of_entry = _assign_outcomes(dec.vectors)
+    deviations = np.abs(dec.probabilities - born[list(outcome_of_entry)])
     off = rho.copy()
     np.fill_diagonal(off, 0.0)
     return MeasurementReport(
@@ -171,7 +169,7 @@ def simulate_measurement(
         decomposition=dec,
         born_targets=born,
         outcome_of_entry=outcome_of_entry,
-        max_born_deviation=float(max(deviations)),
+        max_born_deviation=float(deviations.max()),
         max_offdiag=float(np.max(np.abs(off))),
         overlap_apparatus=c_a,
         overlap_environment=c_e,
@@ -191,8 +189,8 @@ def born_conditional_check(
     """
     report = simulate_measurement(model, psi, delta_deg=delta_deg)
     worst = 0.0
-    for s, entry in enumerate(report.decomposition.entries):
-        v = entry.state.amplitudes
+    # contiguous rows: a strided column can take another BLAS path (last bits)
+    for s, v in enumerate(report.decomposition.vectors.T.copy()):
         p = float(np.real(v.conjugate() @ report.rho_s.matrix @ v))
         worst = max(worst, abs(p - report.born_targets[report.outcome_of_entry[s]]))
     return worst
@@ -228,15 +226,7 @@ def decoherence_scaling_sweep(
         if n < 0:
             raise NotADistribution(f"factor count {n} is negative")
         n_a = round(n * model.n_a / n0) if n0 > 0 else n - n // 2
-        variant = MeasurementModel(
-            subject_dim=model.subject_dim,
-            n_a=n_a,
-            n_e=n - n_a,
-            gamma_a=model.gamma_a,
-            gamma_e=model.gamma_e,
-            dt=model.dt,
-            overlap_fn=model.overlap_fn,
-        )
+        variant = replace(model, n_a=n_a, n_e=n - n_a)
         report = simulate_measurement(variant, psi)
         bound = error_entropy_bound(variant, report.max_born_deviation)
         points.append(

@@ -2,11 +2,12 @@
 
 A density matrix's eigendecomposition is read as an exhaustive list of
 possible configurations with their probabilities.  Entries are ordered by
-descending probability with a deterministic lexicographic tie-break on
-the phase-canonicalized eigenvectors, near-zero eigenvalues are kept but
-flagged null so tables built from two decompositions stay square, and
-near-coincident eigenvalues are reported as degeneracy groups because the
-eigenbasis inside such a group is a numerically arbitrary choice.
+descending probability; one lexsort breaks exact ties by the (re, im)
+pairs of the phase-canonical eigenvectors, amplitude by amplitude.
+Near-zero eigenvalues are kept but flagged null so tables built from two
+decompositions stay square, and near-coincident eigenvalues are reported
+as degeneracy groups because the eigenbasis inside such a group is a
+numerically arbitrary choice.
 
 Conditional probabilities link a parent-space decomposition at one time
 to subsystem decompositions at a later time through a channel:
@@ -40,9 +41,11 @@ from .qcore import (
     DensityMatrix,
     HilbertSpace,
     PureState,
+    _as_complex,
+    _canonical_phase,
     _check_partition,
     _csv_text,
-    _partial_trace_matrix,
+    partial_trace,
 )
 
 __all__ = [
@@ -74,39 +77,41 @@ class OnticEntry:
 
 @dataclass(frozen=True, eq=False)
 class OnticDecomposition:
-    """Complete eigensystem of a density matrix, in canonical order."""
+    """Complete eigensystem of a density matrix, in canonical order: read-only
+    `probabilities` (n,) and phase-canonical eigenvector columns `vectors`
+    (d, n).  `entries` is a view built on demand, one OnticEntry per column;
+    its PureState re-applies the phase rule, so may differ in the last bit.
+    """
 
     source_space: HilbertSpace
-    entries: tuple[OnticEntry, ...]
+    probabilities: np.ndarray
+    vectors: np.ndarray
     degeneracy_groups: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        probs = self.probabilities
+        probs = np.array(self.probabilities, dtype=float)
+        probs.setflags(write=False)
+        vecs = _as_complex(self.vectors, (self.source_space.total_dim, probs.size), "vectors")
+        object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "vectors", vecs)
         total = probs.sum()
         if not (abs(total - 1.0) <= tol.DERIVED):
             raise ToleranceBreach(f"probabilities sum to {total}")
-        vecs = self.vectors
         gram = vecs.conjugate().T @ vecs
-        ortho = np.max(np.abs(gram - np.eye(len(self.entries))))
+        ortho = np.max(np.abs(gram - np.eye(probs.size)))
         if not (ortho <= tol.DERIVED):
             raise ToleranceBreach(f"eigenvectors not orthonormal, defect {ortho}")
 
     @property
-    def probabilities(self) -> np.ndarray:
-        return np.array([e.probability for e in self.entries])
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """The eigenvectors as columns, in entry order."""
-        return np.column_stack([e.state.amplitudes for e in self.entries])
+    def entries(self) -> tuple[OnticEntry, ...]:
+        return tuple(
+            OnticEntry(p, PureState(self.source_space, v), p < tol.NULL_PROBABILITY)
+            for p, v in zip(self.probabilities.tolist(), self.vectors.T)
+        )
 
     def reconstruct(self) -> np.ndarray:
         vecs = self.vectors
         return (vecs * self.probabilities) @ vecs.conjugate().T
-
-
-def _lex_key(vector: np.ndarray) -> tuple[float, ...]:
-    return tuple(x for c in vector for x in (float(c.real), float(c.imag)))
 
 
 def ontic_decomposition(
@@ -115,29 +120,22 @@ def ontic_decomposition(
     """Eigendecompose a density matrix into its canonical configuration list."""
     evals, evecs = np.linalg.eigh(rho.matrix)
     probs = np.clip(evals, 0.0, 1.0)
-    states = [PureState(rho.space, evecs[:, k]) for k in range(len(evals))]
-    order = sorted(
-        range(len(evals)),
-        key=lambda k: (-probs[k], _lex_key(states[k].amplitudes)),
-    )
-    entries = tuple(
-        OnticEntry(
-            probability=float(probs[k]),
-            state=states[k],
-            null=bool(probs[k] < tol.NULL_PROBABILITY),
-        )
-        for k in order
-    )
+    vecs = _canonical_phase(evecs)
+    # rows re_0, im_0, re_1, im_1, ...: the lexicographic tie-break keys
+    keys = np.stack([vecs.real, vecs.imag], axis=1).reshape(-1, probs.size)
+    order = np.lexsort((*keys[::-1], -probs))
+    # take keeps the stack C-ordered, as every matrix here is; [:, order] would not
+    probs, vecs = probs[order], vecs.take(order, axis=1)
 
     groups: list[tuple[int, ...]] = []
     start = 0
-    for k in range(1, len(entries) + 1):
-        if k == len(entries) or entries[start].probability - entries[k].probability >= delta_deg:
+    for k in range(1, probs.size + 1):
+        if k == probs.size or probs[start] - probs[k] >= delta_deg:
             if k - start > 1:
                 groups.append(tuple(range(start, k)))
             start = k
 
-    dec = OnticDecomposition(rho.space, entries, tuple(groups))
+    dec = OnticDecomposition(rho.space, probs, vecs, tuple(groups))
     drift = np.max(np.abs(dec.reconstruct() - rho.matrix))
     if not (drift <= tol.DERIVED):
         raise ToleranceBreach(f"decomposition reconstructs source within {drift} only")
@@ -238,24 +236,19 @@ def _conditional_core(
     parent = ontic_decomposition(rho_w_t, delta_deg)
     evolved = apply(ch_w, rho_w_t)
 
-    out_space = ch_w.out_space
-    reduced_states: list[DensityMatrix] = []
-    for group in split_labels:
-        axes = sorted(out_space.axis(label) for label in group)
-        if len(axes) == len(out_space.factors):
-            reduced_states.append(evolved)
-        else:
-            sub = _partial_trace_matrix(evolved.matrix, out_space.dims, axes)
-            reduced_states.append(DensityMatrix(out_space.subspace(group), sub))
+    reduced_states = [
+        partial_trace(evolved, g) if len(g) < len(evolved.space.factors) else evolved
+        for g in split_labels
+    ]
     reduced_decs = [ontic_decomposition(r, delta_deg) for r in reduced_states]
 
     values = _column_probabilities(
         ch_w, parent, [(dec.source_space.labels, dec.vectors) for dec in reduced_decs]
     )
     table = ConditionalProbabilityTable(
-        parent_indices=tuple(range(len(parent.entries))),
+        parent_indices=tuple(range(len(parent.probabilities))),
         column_indices=tuple(
-            itertools.product(*[range(len(dec.entries)) for dec in reduced_decs])
+            itertools.product(*[range(len(dec.probabilities)) for dec in reduced_decs])
         ),
         values=values,
         splits=tuple(split_labels),
@@ -309,7 +302,7 @@ def bayesian_propagation_check(
     )
     vecs = reduced_decs[0].vectors
     direct = np.real(np.sum(vecs.conjugate() * (reduced_states[0].matrix @ vecs), axis=0))
-    joint = table.values.reshape(len(parent.entries), vecs.shape[1], -1).sum(axis=2)
+    joint = table.values.reshape(len(parent.probabilities), vecs.shape[1], -1).sum(axis=2)
     chained = parent.probabilities @ joint
     return float(np.max(np.abs(direct - chained)))
 

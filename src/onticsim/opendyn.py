@@ -124,8 +124,8 @@ def parent_conditioned_probabilities(
         ch_w, parent, [(reduced.space.labels, dec_s.vectors), (rest, None)]
     )
     return ConditionalProbabilityTable(
-        parent_indices=tuple(range(len(parent.entries))),
-        column_indices=tuple((j,) for j in range(len(dec_s.entries))),
+        parent_indices=tuple(range(len(parent.probabilities))),
+        column_indices=tuple((j,) for j in range(len(dec_s.probabilities))),
         values=values,
         splits=(tuple(s_labels),),
     )

@@ -137,15 +137,19 @@ def _as_complex(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     return arr
 
 
-def _canonical_phase(vector: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the first significant amplitude is real positive."""
-    for value in vector:
-        if abs(value) > tol.PHASE_PIVOT:
-            out = vector * (value.conjugate() / abs(value))
-            pivot = np.argmax(np.abs(vector) > tol.PHASE_PIVOT)
-            out[pivot] = abs(out[pivot])
-            return out
-    return vector.copy()
+def _canonical_phase(vectors: np.ndarray) -> np.ndarray:
+    """Rotate the global phase of a vector, or of each column of a (d, n) stack,
+    so its first significant amplitude is real positive.  Factors and pivot
+    moduli use scalar abs, which np.abs on an array can miss by 1 ulp."""
+    stack = vectors.reshape(len(vectors), -1)
+    significant = np.abs(stack) > tol.PHASE_PIVOT
+    cols = np.flatnonzero(significant.any(axis=0))
+    rows = significant.argmax(axis=0)[cols]
+    factors = np.ones(stack.shape[1], dtype=np.complex128)
+    factors[cols] = [value.conjugate() / abs(value) for value in stack[rows, cols]]
+    out = stack * factors
+    out[rows, cols] = [abs(value) for value in out[rows, cols]]
+    return out.reshape(vectors.shape)
 
 
 @dataclass(frozen=True, eq=False)

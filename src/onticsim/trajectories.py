@@ -7,7 +7,10 @@ exhaustively (small chains), sampled (trajectory k draws its uniforms
 from default_rng((seed, k)) in one random(steps) call, equal to steps
 sequential scalar draws), or generated physically by repeatedly coupling
 the system to a fresh environment factor, which is the regime where
-per-step reduced channels compose exactly.
+per-step reduced channels compose exactly.  The kernels compose only
+while the states stay diagonal in one fixed basis: otherwise ch(P_w) is
+not diagonal in the next state's eigenbasis, and the product measure
+misses the multi-time tables, the obstruction to a trajectory measure.
 
 Closed systems are the degenerate case: the single occupied
 configuration follows the unitary flow and never jumps, so the
@@ -228,8 +231,9 @@ def markov_chain_from_repeated_interaction(
 
     h_int is a Hermitian generator on the system factors followed by the
     fresh environment factor.  Because every step meets an uncorrelated
-    environment, the per-step reduced channels compose exactly and the
-    product measure over the resulting kernels is the faithful one.
+    environment, the per-step reduced channels compose exactly; the product
+    measure over the kernels reproduces the multi-time tables only while
+    the states stay diagonal in one fixed basis.
     """
     if step <= 0 or steps < 1:
         raise BadInterval(f"need positive step and at least one step, got {step}, {steps}")
@@ -270,8 +274,9 @@ def bloch_helix(omega: float, times: Sequence[float]) -> tuple[np.ndarray, np.nd
     the phi = 0 chart.
     """
     t = np.asarray(list(times), dtype=float)
-    nx = np.cos(omega * t)
-    nz = np.sin(omega * t)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: NaN, refused on output
+        nx = np.cos(omega * t)
+        nz = np.sin(omega * t)
     theta1 = np.arccos(np.clip(nz, -1.0, 1.0))
     phi1 = np.where(nx >= 0.0, 0.0, math.pi)
     strand1 = np.column_stack([theta1, phi1])

@@ -223,6 +223,27 @@ def test_verify_rejects_non_finite_channel_entries(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "report.json").exists()
 
 
+VERIFY_CAP_CASES = [(128, "d_in*d_out = 16384 > cap 4096"), (64, "malformed")]
+
+
+@pytest.mark.parametrize("dim, message", VERIFY_CAP_CASES)
+def test_verify_caps_dimensions_before_reading_kraus_data(
+    tmp_path, capsys, monkeypatch, dim, message
+):
+    """The cap runs first: a 128 x 128 file is refused on its size, not on its
+    bad Kraus entry; at 64 x 64, the cap itself, the Kraus entry is read."""
+    monkeypatch.chdir(tmp_path)
+    space = [{"label": "s", "dim": dim}]
+    payload = {"in_space": space, "out_space": space, "kraus": [{"re": [[1.0]]}]}
+    (tmp_path / "big.json").write_text(json.dumps(payload))
+    cfg = write_config(tmp_path, "channel_path = big.json\n")
+    assert main(["verify", "--config", cfg, "--out", "report.json"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_verify_refuses_overflowing_channel_entries(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     space = HilbertSpace.of(("s", 2), ("e", 2))
@@ -307,6 +328,7 @@ TRAJECTORY_ERRORS = [
 ]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("text, error", TRAJECTORY_ERRORS, ids=[e for _, e in TRAJECTORY_ERRORS])
 def test_trajectory_domain_errors_exit_three(tmp_path, capsys, monkeypatch, text, error):
     monkeypatch.chdir(tmp_path)
@@ -316,6 +338,7 @@ def test_trajectory_domain_errors_exit_three(tmp_path, capsys, monkeypatch, text
     assert [p.name for p in tmp_path.iterdir()] == ["scenario.cfg"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_helix_refuses_non_finite_angles(tmp_path, capsys, monkeypatch, fmt):
     monkeypatch.chdir(tmp_path)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from onticsim import (
+    DensityMatrix,
     HilbertSpace,
     MeasurementModel,
     PureState,
@@ -13,14 +14,18 @@ from onticsim import (
     decoherence_scaling_sweep,
     error_entropy_bound,
     exponential_overlap,
+    maximally_mixed,
+    ontic_decomposition,
     pointer_overlap,
     simulate_measurement,
 )
 from onticsim.errors import NotADistribution, SpaceMismatch, ToleranceBreach
+from onticsim.measurement import _assign_outcomes
 
 SEED = 20260816
 
 QUBIT = HilbertSpace.of(("s", 2))
+SIXTEEN = HilbertSpace.of(("s", 16))
 
 
 def lopsided_qubit() -> PureState:
@@ -87,6 +92,92 @@ def test_measurement_outcomes_are_bijective():
     assigned = [report.outcome_of_entry[k] for k in range(2)]
     assert sorted(assigned) == [0, 1]
     assert report.born_targets[report.outcome_of_entry[0]] == pytest.approx(0.7)
+
+
+def reference_assign_outcomes(vectors: np.ndarray) -> tuple[int, ...]:
+    """Greedy matching over every (entry, outcome) pair, sorted on
+    (-overlap, entry, outcome)."""
+    overlaps = np.abs(vectors.T)
+    n, d = overlaps.shape
+    pairs = sorted(
+        ((s, m) for s in range(n) for m in range(d)),
+        key=lambda sm: (-overlaps[sm[0], sm[1]], sm[0], sm[1]),
+    )
+    out: dict[int, int] = {}
+    used: set[int] = set()
+    for s, m in pairs:
+        if s not in out and m not in used:
+            out[s] = m
+            used.add(m)
+    return tuple(out[s] for s in range(n))
+
+
+def sylvester_hadamard(d: int) -> np.ndarray:
+    """d x d, every entry of modulus 1/sqrt(d) exactly: every overlap ties."""
+    h = np.ones((1, 1))
+    while h.shape[0] < d:
+        h = np.block([[h, h], [h, -h]])
+    return h / math.sqrt(d)
+
+
+def decomposition_vectors(rho: DensityMatrix) -> np.ndarray:
+    return ontic_decomposition(rho).vectors
+
+
+def low_rank_vectors(d: int, rank: int) -> np.ndarray:
+    rng = np.random.default_rng(SEED + d + rank)
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    m = g @ g.conjugate().T
+    return decomposition_vectors(DensityMatrix(HilbertSpace.of(("s", d)), m / np.trace(m)))
+
+
+def haar_vectors(d: int) -> np.ndarray:
+    rng = np.random.default_rng(SEED + d)
+    return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+
+
+def decohered_vectors(d: int, n: int) -> np.ndarray:
+    amps = np.arange(1.0, d + 1.0)
+    psi = PureState(HilbertSpace.of(("s", d)), amps / np.linalg.norm(amps))
+    model = default_model(subject_dim=d, n_a=n, n_e=n, dt=0.05)
+    return simulate_measurement(model, psi).decomposition.vectors
+
+
+OUTCOME_CASES = {
+    "identity_8": lambda: np.eye(8),
+    "hadamard_4": lambda: sylvester_hadamard(4),
+    "hadamard_64": lambda: sylvester_hadamard(64),
+    "maximally_mixed_16": lambda: decomposition_vectors(maximally_mixed(SIXTEEN)),
+    "rank1_d16": lambda: low_rank_vectors(16, 1),
+    "rank2_d64": lambda: low_rank_vectors(64, 2),
+    "haar_32": lambda: haar_vectors(32),
+    "four_levels_32": lambda: np.random.default_rng(SEED).integers(0, 4, size=(32, 32)) / 4.0,
+    "decohered_d5": lambda: decohered_vectors(5, 2),
+    "decohered_d128": lambda: decohered_vectors(128, 3),
+    "coherent_d128": lambda: decohered_vectors(128, 0),
+}
+
+
+@pytest.mark.parametrize("build", OUTCOME_CASES.values(), ids=OUTCOME_CASES.keys())
+def test_outcome_matching_equals_pair_sort(build):
+    vectors = build()
+    assert _assign_outcomes(vectors) == reference_assign_outcomes(vectors)
+
+
+def test_born_check_takes_each_quadratic_form_on_a_contiguous_vector():
+    """Bit for bit: a strided column can take another BLAS path at d = 64."""
+    d = 64
+    amps = np.arange(1.0, d + 1.0)
+    psi = PureState(HilbertSpace.of(("s", d)), amps / np.linalg.norm(amps))
+    model = default_model(subject_dim=d, n_a=1, n_e=1, dt=0.05)
+    report = simulate_measurement(model, psi)
+    vecs = report.decomposition.vectors
+    worst = 0.0
+    for s, m in enumerate(report.outcome_of_entry):
+        v = np.array(vecs[:, s])
+        p = float(np.real(v.conjugate() @ report.rho_s.matrix @ v))
+        worst = max(worst, abs(p - report.born_targets[m]))
+    assert born_conditional_check(model, psi) == worst
 
 
 def test_doubling_factors_squares_the_overlap():

@@ -37,6 +37,7 @@ from onticsim import (
     table_to_json,
     unitary_channel,
 )
+from onticsim import tolerances as tol
 from onticsim.errors import (
     BadPartition,
     NotADistribution,
@@ -46,6 +47,7 @@ from onticsim.errors import (
     SpaceMismatch,
     ToleranceBreach,
 )
+from onticsim.qcore import _canonical_phase
 
 SEED = 20260816
 
@@ -152,6 +154,129 @@ def test_decomposition_fuzz_reconstruction_and_orthonormality():
         assert np.max(np.abs(vecs.conjugate().T @ vecs - np.eye(4))) < 1e-10
 
 
+def reference_phase(vector: np.ndarray) -> np.ndarray:
+    """The scalar phase rule, one vector at a time."""
+    for value in vector:
+        if abs(value) > tol.PHASE_PIVOT:
+            out = vector * (value.conjugate() / abs(value))
+            pivot = np.argmax(np.abs(vector) > tol.PHASE_PIVOT)
+            out[pivot] = abs(out[pivot])
+            return out
+    return vector.copy()
+
+
+def reference_decomposition(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Per-eigenvector build: phase each column, then sort on a tuple key
+    of (-p, re_0, im_0, re_1, im_1, ...)."""
+    evals, evecs = np.linalg.eigh(rho.matrix)
+    probs = np.clip(evals, 0.0, 1.0)
+    vecs = [reference_phase(np.array(evecs[:, k])) for k in range(len(evals))]
+
+    def lex_key(v):
+        return tuple(x for c in v for x in (float(c.real), float(c.imag)))
+
+    order = sorted(range(len(evals)), key=lambda k: (-probs[k], lex_key(vecs[k])))
+    return probs[order], np.column_stack([vecs[k] for k in order])
+
+
+def low_rank_density(rng: np.random.Generator, d: int, rank: int) -> DensityMatrix:
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    m = g @ g.conjugate().T
+    return DensityMatrix(HilbertSpace.of(("s", d)), m / np.trace(m))
+
+
+def diagonal_density(weights) -> DensityMatrix:
+    w = np.asarray(weights, dtype=float)
+    return DensityMatrix(HilbertSpace.of(("s", len(w))), np.diag(w / w.sum()).astype(complex))
+
+
+def bits(arr: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
+LOW_RANK = [(d, rank) for rank in (1, 2) for d in (4, 5, 8, 16, 32, 64)]
+TIED = {
+    "maximally_mixed_2": lambda: maximally_mixed(QUBIT),
+    "maximally_mixed_5": lambda: maximally_mixed(HilbertSpace.of(("s", 5))),
+    "maximally_mixed_16": lambda: maximally_mixed(HilbertSpace.of(("s", 16))),
+    "basis_0_of_3": lambda: basis_state(HilbertSpace.of(("s", 3)), 0).density_matrix(),
+    "basis_5_of_8": lambda: basis_state(HilbertSpace.of(("s", 8)), 5).density_matrix(),
+    "basis_3_of_4_pair": lambda: basis_state(PAIR, 3).density_matrix(),
+    "diagonal_repeats": lambda: diagonal_density([0.1, 0.3, 0.1, 0.2, 0.0, 0.2, 0.1, 0.0]),
+    "diagonal_all_but_one": lambda: diagonal_density([1, 1, 1, 1, 1, 1, 2]),
+    "diagonal_two_blocks": lambda: diagonal_density([0.0] * 6 + [1.0] * 6),
+}
+
+
+def assert_matches_reference(rho: DensityMatrix) -> None:
+    dec = ontic_decomposition(rho)
+    probs, vecs = reference_decomposition(rho)
+    assert np.array_equal(bits(dec.probabilities), bits(probs))
+    assert np.array_equal(bits(dec.vectors), bits(vecs))
+
+
+@pytest.mark.parametrize("d, rank", LOW_RANK, ids=[f"rank{r}_d{d}" for d, r in LOW_RANK])
+def test_decomposition_matches_tuple_key_sort_on_clipped_ties(d, rank):
+    """Eigenvalues clipped to 0.0 tie exactly, so the vector order decides."""
+    rng = np.random.default_rng(SEED + 10 * d + rank)
+    for _ in range(100):
+        rho = low_rank_density(rng, d, rank)
+        if np.count_nonzero(np.clip(np.linalg.eigh(rho.matrix)[0], 0.0, 1.0) == 0.0) >= 2:
+            break
+    else:
+        pytest.fail("no state with two eigenvalues clipped to 0.0")
+    assert_matches_reference(rho)
+
+
+@pytest.mark.parametrize("build", TIED.values(), ids=TIED.keys())
+def test_decomposition_matches_tuple_key_sort_on_tied_states(build):
+    assert_matches_reference(build())
+
+
+def test_decomposition_matches_tuple_key_sort_on_random_states():
+    rng = np.random.default_rng(SEED + 11)
+    for d in (2, 3, 7, 16, 48):
+        for _ in range(4):
+            assert_matches_reference(random_density(rng, HilbertSpace.of(("s", d))))
+
+
+def test_decomposition_tie_break_reads_re_then_im_amplitude_by_amplitude(monkeypatch):
+    """A stubbed eigh returns a fully tied spectrum with DFT eigenvectors:
+    every column shares its first amplitude, so the (re, im) pair of the
+    second amplitude decides, and cos ties between k and d - k fall to im."""
+    d = 8
+    fourier = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / np.sqrt(d)
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.full(d, 1.0 / d), fourier.copy()))
+    rho = maximally_mixed(HilbertSpace.of(("s", d)))
+    assert_matches_reference(rho)
+    second = ontic_decomposition(rho).vectors[1]
+    assert np.all(np.diff(second.real) >= 0.0)
+
+
+def test_pure_state_and_decomposition_share_the_phase_rule():
+    rng = np.random.default_rng(SEED + 12)
+    space = HilbertSpace.of(("s", 6))
+    stack = haar_unitary(rng, 6) * np.exp(1j * rng.uniform(0, 6, size=6))
+    canonical = _canonical_phase(stack)
+    for k in range(6):
+        column = np.array(stack[:, k])
+        assert np.array_equal(bits(PureState(space, column).amplitudes), bits(canonical[:, k]))
+        assert np.array_equal(bits(reference_phase(column)), bits(canonical[:, k]))
+
+
+def test_decomposition_arrays_are_read_only_and_entries_view_them():
+    rho = low_rank_density(np.random.default_rng(SEED + 13), 5, 2)
+    dec = ontic_decomposition(rho)
+    assert not dec.probabilities.flags.writeable
+    assert not dec.vectors.flags.writeable
+    entries = dec.entries
+    assert all(isinstance(e, OnticEntry) for e in entries)
+    assert [e.probability for e in entries] == dec.probabilities.tolist()
+    assert [e.null for e in entries] == [False, False, True, True, True]
+    for k, e in enumerate(entries):
+        assert np.max(np.abs(e.state.amplitudes - dec.vectors[:, k])) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # conditional probability tables
 # ---------------------------------------------------------------------------
@@ -174,11 +299,7 @@ def test_table_validation():
             ToleranceBreach,
         ),
         (
-            lambda: OnticDecomposition(
-                QUBIT,
-                tuple(OnticEntry(np.nan, basis_state(QUBIT, i), False) for i in range(2)),
-                (),
-            ),
+            lambda: OnticDecomposition(QUBIT, np.array([np.nan, np.nan]), np.eye(2), ()),
             ToleranceBreach,
         ),
         (lambda: psd_pairing_check(NAN_QUBIT, np.eye(2)), NotPSD),

@@ -1,5 +1,6 @@
 """Tests for kernel chains, trajectory measures, sampling, and qubit strands."""
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -15,12 +16,15 @@ from onticsim import (
     bloch_helix,
     bloch_state,
     closed_system_trajectory,
+    compose,
+    dilation_channel,
     enumerate_trajectory_measure,
     kernel_from_matrix,
     markov_chain_from_repeated_interaction,
     measure_to_json,
     sample_trajectories,
     sample_trajectory,
+    single_system_conditional,
     trajectory_probability,
     trajectory_to_csv,
 )
@@ -303,6 +307,41 @@ def test_repeated_interaction_rejects_bad_grid():
         markov_chain_from_repeated_interaction(SWAP, env, rho_s0, 0.0, 4)
     with pytest.raises(BadInterval):
         markov_chain_from_repeated_interaction(SWAP, env, rho_s0, 0.4, 0)
+
+
+PARTIAL_SWAP_SETTINGS = [(0.4, 1.0), (0.2, 1.0), (1.0, 0.7)]
+
+
+def kernel_product_gap(rho_s0: DensityMatrix, step: float, rate: float, n: int) -> float:
+    """Largest gap between the product K_01 K_12 ... of the partial-swap
+    chain's kernels and the direct table of its n-fold composed channel."""
+    system, env_space = rho_s0.space, HilbertSpace.of(("e", 2))
+    env = basis_state(env_space, 0).density_matrix()
+    chain = markov_chain_from_repeated_interaction(rate * SWAP, env, rho_s0, step, n)
+    u = UnitaryFamily(system.tensor(env_space), rate * SWAP).at(step)
+    ch = dilation_channel(u, env, (["s"], ["e"]))
+    direct = single_system_conditional(reduce(compose, [ch] * n), rho_s0)
+    product = reduce(np.matmul, [kern.values for kern in chain.kernels])
+    return float(np.max(np.abs(product - direct.values)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("step, rate", PARTIAL_SWAP_SETTINGS)
+def test_kernel_product_is_the_multi_time_table_for_diagonal_states(step, rate, n):
+    """States that stay diagonal in one basis: Chapman-Kolmogorov holds."""
+    rho_s0 = DensityMatrix(HilbertSpace.of(("s", 2)), np.diag([0.7, 0.3]).astype(complex))
+    assert kernel_product_gap(rho_s0, step, rate, n) <= 1e-12
+
+
+@pytest.mark.parametrize("step, rate", PARTIAL_SWAP_SETTINGS)
+def test_kernel_product_misses_the_multi_time_table_for_coherent_states(step, rate):
+    """The obstruction: the channels compose exactly, but ch(P_w) is not
+    diagonal in the eigenbasis of the next state, so the kernels do not."""
+    psi = np.array([math.sqrt(0.7), math.sqrt(0.3)])
+    rho_s0 = DensityMatrix(
+        HilbertSpace.of(("s", 2)), 0.8 * np.outer(psi, psi) + 0.1 * np.eye(2)
+    )
+    assert kernel_product_gap(rho_s0, step, rate, 2) > 1e-3
 
 
 # ---------------------------------------------------------------------------
