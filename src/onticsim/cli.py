@@ -375,7 +375,8 @@ def _subject_state(dim: int, amplitudes: tuple[complex, ...]) -> PureState:
     vec = np.array(amplitudes, dtype=np.complex128)
     if len(vec) != dim:
         raise ValidationFailure([f"psi has {len(vec)} amplitudes, subject_dim is {dim}"])
-    norm = float(np.linalg.norm(vec))
+    with np.errstate(over="ignore"):  # huge finite amplitudes: an inf norm, refused below
+        norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > 1e-6:
         raise ValidationFailure([f"psi norm is {norm}, must be 1 within 1e-6"])
     return PureState(space, vec / norm)
@@ -582,6 +583,60 @@ _RUNNERS = {
 }
 
 
+def _json_text(document) -> str:
+    """json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\\n", byte for byte.
+
+    Formats by column: a list of one leaf type in one map, a list of
+    equal-length lists flattened once, a list of dicts with one key set
+    one column per key; anything else item by item.
+    """
+    return _json_items([document], 0)[0] + "\n"
+
+
+def _json_items(items: list, level: int) -> list[str]:
+    """The json text of each item, for items nested `level` deep."""
+    kinds = set(map(type, items))
+    kind = kinds.pop() if len(kinds) == 1 else object  # object: mixed types
+    if kind is bool:
+        return ["true" if x else "false" for x in items]
+    if kind is type(None):
+        return ["null"] * len(items)
+    if issubclass(kind, float):
+        if not all(map(math.isfinite, items)):
+            bad = next(x for x in items if not math.isfinite(x))
+            raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+        return list(map(float.__repr__, items))
+    if issubclass(kind, int):
+        return list(map(int.__repr__, items))
+    if issubclass(kind, str):
+        return list(map(json.encoder.encode_basestring_ascii, items))
+    inner, close = "\n" + "  " * (level + 1), "\n" + "  " * level
+    if issubclass(kind, (list, tuple)):
+        sizes = set(map(len, items))
+        if len(sizes) == 1:
+            n = sizes.pop()
+            if n == 0:
+                return ["[]"] * len(items)
+            flat = _json_items([x for row in items for x in row], level + 1)
+            template = "[" + inner + ("," + inner).join(["%s"] * n) + close + "]"
+            return [template % row for row in zip(*[iter(flat)] * n)]
+    if issubclass(kind, dict):
+        keys = items[0].keys()
+        if all(d.keys() == keys for d in items):
+            if not all(isinstance(k, str) for k in keys):
+                raise TypeError("keys must be str")
+            if not keys:
+                return ["{}"] * len(items)
+            names = sorted(keys)
+            columns = [_json_items([d[k] for d in items], level + 1) for k in names]
+            fields = (json.encoder.encode_basestring_ascii(k).replace("%", "%%") for k in names)
+            template = "{" + inner + ("," + inner).join(f + ": %s" for f in fields) + close + "}"
+            return [template % row for row in zip(*columns)]
+    if len(items) > 1:
+        return [_json_items([x], level)[0] for x in items]
+    raise TypeError(f"Object of type {type(items[0]).__name__} is not JSON serializable")
+
+
 def run(config: ScenarioConfig) -> int:
     """Execute a scenario, write its artifact, print the one-line summary.
 
@@ -593,7 +648,7 @@ def run(config: ScenarioConfig) -> int:
         if config.resolved_format() == "csv":
             text = _csv_text(columns, rows)
         else:
-            text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+            text = _json_text(document)
     except ValueError as err:
         raise ValidationFailure([f"{config.scenario} artifact refused: {err}"]) from err
     out = config.resolved_output_path()

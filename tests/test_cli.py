@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import onticsim
 from onticsim import (
@@ -29,6 +31,8 @@ from onticsim.cli import (
     parse_config,
 )
 from onticsim.errors import OnticSimError, ToleranceBreach
+
+import test_golden  # the golden cases; pytest puts tests/ on sys.path
 
 LOPSIDED = "0.8366600265340756, 0.5477225575051661"  # sqrt(0.7), sqrt(0.3)
 
@@ -379,6 +383,18 @@ def test_unnormalized_psi_is_validation_failure(tmp_path, monkeypatch):
     assert main(["measure", "--config", cfg]) == EXIT_VALIDATION
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scenario", ["measure", "sweep"])
+def test_overflowing_psi_is_a_one_line_refusal(tmp_path, capsys, monkeypatch, scenario):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "subject_dim = 2\npsi = 1e200, 1e200\n")
+    assert main([scenario, "--config", cfg, "--out", "artifact"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: psi norm is inf, ")
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.cfg"]
+
+
 def test_outputs_are_byte_identical_across_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, "mode = sample\nsteps = 6\n")
@@ -411,3 +427,124 @@ def test_helix_csv_angles_match_library(tmp_path, monkeypatch):
     rows = (tmp_path / "helix.csv").read_text().strip().split("\n")[1:]
     thetas = [float(r.split(",")[2]) for r in rows]
     assert np.allclose(thetas, [math.pi / 2, math.pi / 4, 0.0, math.pi / 4, math.pi / 2])
+
+
+# ---------------------------------------------------------------------------
+# the json encoder
+# ---------------------------------------------------------------------------
+
+def reference_json(document) -> str:
+    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+TEXT = st.text(st.sampled_from('a%"\\/\n\t\x00\x1f\x7f\u00e9\u2603\U0001d11e ') | st.characters())
+LEAF_KINDS = [
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    TEXT,
+]
+# lists of one leaf kind and equal-length rows of one leaf kind: the encoder's fast paths
+COLUMNS = st.sampled_from(LEAF_KINDS).flatmap(
+    lambda leaf: st.lists(leaf, min_size=1)
+    | st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(leaf, min_size=n, max_size=n), min_size=1)
+    )
+)
+
+
+def containers(inner):
+    rows = st.integers(0, 3).flatmap(lambda n: st.lists(st.lists(inner, min_size=n, max_size=n)))
+    records = st.lists(TEXT, max_size=3, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries({k: inner for k in keys}))
+    )
+    return st.lists(inner) | st.dictionaries(TEXT, inner) | rows | records
+
+
+DOCUMENTS = st.recursive(st.one_of(*LEAF_KINDS) | COLUMNS, containers, max_leaves=30)
+
+
+@given(DOCUMENTS)
+def test_json_text_writes_the_bytes_of_json_dumps(document):
+    assert cli._json_text(document) == reference_json(document)
+
+
+EXPLICIT_DOCUMENTS = {
+    "bools_in_int_list": [1, True, 2, False, 0],
+    "bool_list": [True, False],
+    "int_and_float": [1, 2.5, -3],
+    "np_float64_leaves": [np.float64(0.1), np.float64(1 / 3)],
+    "np_float64_mixed_with_float": {"x": [0.1, np.float64(0.2)], "y": np.float64(-2.5e-300)},
+    "np_float64_rows": np.linspace(0.0, 1.0, 6).reshape(3, 2).tolist() + [[np.float64(2.0)] * 2],
+    "ragged_rows": [[1, 2], [3], [4, 5, 6]],
+    "ragged_float_rows": [[1.0], [], [2.0, 3.0]],
+    "rows_of_empty_lists": [[[], []], [[], []]],
+    "empty_rows": [[], [], []],
+    "tuple_rows": [(1.0, 2.0), (3.0, 4.0)],
+    "list_and_tuple_rows": [[1, 2], (3, 4)],
+    "rows_of_records": [[{"a": 1}, {"a": 2}], [{"a": 3}, {"a": 4}]],
+    "records_with_different_keys": [{"a": 1}, {"b": 2}, {"a": 3, "b": 4}],
+    "records_with_different_value_kinds": [{"a": 1, "b": [1.5]}, {"a": "x", "b": [None, 2]}],
+    "percent_in_record_keys": [{"%s": 1, "a%d": 2.5, "%%": "%s"}, {"%s": 3, "a%d": 4.5, "%%": "%"}],
+    "percent_in_dict_key": {"%(x)s": [1, 2], "%": {"%": "%"}},
+    "empty_records": [{}, {}],
+    "nested_empty": {"a": {}, "b": [], "c": [{}], "d": [[]]},
+    "escapes": ['quote " backslash \\', "\u00e9\u2603\U0001d11e", "\x00\x1f\x7f\n\t"],
+    "leaves": {"n": None, "t": True, "f": False, "i": -(2**70), "x": 5e-324, "s": ""},
+    "trajectory_measure": {
+        "times": [0.0, 0.4, 0.8],
+        "trajectories": [{"indices": [0, 1, 0], "p": 0.25}, {"indices": [1, 1, 0], "p": 0.75}],
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(EXPLICIT_DOCUMENTS))
+def test_json_text_matches_json_dumps_on_edge_cases(name):
+    document = EXPLICIT_DOCUMENTS[name]
+    assert cli._json_text(document) == reference_json(document)
+
+
+def nest(value, depth: int):
+    """`value` at `depth` levels down, through lists, rows and records in turn."""
+    wrappers = [lambda v: [[1.0, v]], lambda v: {"a": 1.0, "b": v}, lambda v: [0.5, v]]
+    for level in range(depth):
+        value = wrappers[level % 3](value)
+    return value
+
+
+@pytest.mark.parametrize("depth", range(4))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_json_text_refuses_non_finite_floats(value, depth):
+    for document in (nest(value, depth), nest(np.float64(value), depth)):
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            cli._json_text(document)
+        with pytest.raises(ValueError):
+            reference_json(document)
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {1: 2},
+        [{"a": 1}, {"a": 2}, {3: 4}],
+        [np.int64(1)],
+        {"a": [np.int64(1), 2]},
+        object(),
+        [{1, 2}],
+    ],
+    ids=["int_key", "int_key_in_record", "np_int64", "np_int64_mixed", "object", "set"],
+)
+def test_json_text_refuses_non_str_keys_and_unknown_types(document):
+    with pytest.raises(TypeError):
+        cli._json_text(document)
+
+
+@pytest.mark.parametrize("name", list(test_golden.CASES))
+def test_every_scenario_encodes_json_without_json_dumps(tmp_path, monkeypatch, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("json.dumps called on the artifact path")
+
+    monkeypatch.setattr(cli.json, "dumps", forbidden)
+    expected = (test_golden.GOLDEN / f"{name}.json").read_bytes()
+    assert test_golden.run_case(name, "json", tmp_path) == expected

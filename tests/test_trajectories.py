@@ -333,6 +333,14 @@ def test_kernel_product_is_the_multi_time_table_for_diagonal_states(step, rate, 
     assert kernel_product_gap(rho_s0, step, rate, n) <= 1e-12
 
 
+# the coherent gap at n = 2 for each (step, rate), pinned to its value
+COHERENT_GAPS = {
+    (0.4, 1.0): 0.011298186330791271,
+    (0.2, 1.0): 0.001119240333377805,
+    (1.0, 0.7): 0.023822615976578865,
+}
+
+
 @pytest.mark.parametrize("step, rate", PARTIAL_SWAP_SETTINGS)
 def test_kernel_product_misses_the_multi_time_table_for_coherent_states(step, rate):
     """The obstruction: the channels compose exactly, but ch(P_w) is not
@@ -341,7 +349,9 @@ def test_kernel_product_misses_the_multi_time_table_for_coherent_states(step, ra
     rho_s0 = DensityMatrix(
         HilbertSpace.of(("s", 2)), 0.8 * np.outer(psi, psi) + 0.1 * np.eye(2)
     )
-    assert kernel_product_gap(rho_s0, step, rate, 2) > 1e-3
+    measured = kernel_product_gap(rho_s0, step, rate, 2)
+    assert measured > 1e-3
+    assert measured == pytest.approx(COHERENT_GAPS[step, rate], rel=1e-9, abs=0)
 
 
 # ---------------------------------------------------------------------------
