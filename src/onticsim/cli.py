@@ -15,9 +15,7 @@ from a config, including an artifact that would hold a non-finite number
 and an output path that cannot be written.
 
 Output files are written atomically (temp file plus rename) and are
-byte-identical for identical (config, seed) pairs.  Tolerances across
-the package can be loosened for debugging by setting the
-ONTIC_SIM_TOLERANCE_SCALE environment variable before launch.
+byte-identical for identical (config, seed) pairs.
 """
 
 from __future__ import annotations

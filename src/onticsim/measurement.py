@@ -74,10 +74,10 @@ class MeasurementModel:
             raise NotADistribution(
                 f"factor counts must be non-negative, got n_a={self.n_a}, n_e={self.n_e}"
             )
-        if self.gamma_a < 0 or self.gamma_e < 0 or self.dt < 0:
+        if not (self.gamma_a >= 0 and self.gamma_e >= 0 and self.dt >= 0):
             raise NotADistribution("rates and duration must be non-negative")
         for gamma in (self.gamma_a, self.gamma_e):
-            if abs(self.overlap_fn(gamma, 0.0) - 1.0) > 1e-9:
+            if not (abs(self.overlap_fn(gamma, 0.0) - 1.0) <= 1e-9):
                 raise ToleranceBreach("overlap_fn must equal 1 at zero duration")
 
 

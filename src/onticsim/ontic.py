@@ -17,8 +17,10 @@ to subsystem decompositions at a later time through a channel:
 
 where |w> is a parent eigenvector, K_k are the channel's Kraus operators
 and |c> is the product of one subsystem eigenvector per factor group.
-Every table is computed in this vector form by one kernel, so no
-per-configuration projector is ever formed or stored.
+One kernel computes every table in this vector form and builds the
+table object around it, for the subsystem tables here, the system table
+in opendyn and each step of a trajectory chain, so no per-configuration
+projector is ever formed or stored.
 
 Each row is a probability distribution whenever the channel is trace
 preserving and the subsystem eigenvectors are complete, which the table
@@ -187,12 +189,13 @@ class ConditionalProbabilityTable:
             )
 
 
-def _column_probabilities(
+def _kernel_table(
     ch: QuantumChannel,
     parent: OnticDecomposition,
     groups: Sequence[tuple[Sequence[str], np.ndarray | None]],
-) -> np.ndarray:
-    """values[w, c] = sum_k |<c| K_k |w>|^2 over the parent eigenvectors |w>.
+    splits: Sequence[Sequence[str]],
+) -> ConditionalProbabilityTable:
+    """The table values[w, c] = sum_k |<c| K_k |w>|^2 over the parent eigenvectors |w>.
 
     `groups` partitions the channel's output factors into (labels, basis)
     pairs; a basis holds a group's eigenvectors as columns, on the group's
@@ -200,7 +203,8 @@ def _column_probabilities(
     group, enumerated in itertools.product order.  A group whose basis is
     None is summed out, which marginalizes it.  K_k W is computed once,
     its output factors are moved into group order by one transpose, and
-    each group axis is contracted with V_g^dag.
+    each group axis is contracted with V_g^dag.  `splits` is stored on the
+    table as given.
     """
     out = ch.out_space
     order = [1 + out.axis(label) for labels, _ in groups for label in labels]
@@ -215,8 +219,14 @@ def _column_probabilities(
             amp = basis.conjugate().T @ amp
         shape.append(amp.shape[1])
     probs = (amp.real ** 2 + amp.imag ** 2).reshape(*shape, n_w)
+    kept = [n for n, (_, basis) in zip(shape[1:], groups) if basis is not None]
     summed = (0, *(1 + g for g, (_, basis) in enumerate(groups) if basis is None))
-    return probs.sum(axis=summed).reshape(-1, n_w).T
+    return ConditionalProbabilityTable(
+        parent_indices=tuple(range(n_w)),
+        column_indices=tuple(itertools.product(*map(range, kept))),
+        values=probs.sum(axis=summed).reshape(-1, n_w).T,
+        splits=splits,
+    )
 
 
 def _conditional_core(
@@ -242,16 +252,11 @@ def _conditional_core(
     ]
     reduced_decs = [ontic_decomposition(r, delta_deg) for r in reduced_states]
 
-    values = _column_probabilities(
-        ch_w, parent, [(dec.source_space.labels, dec.vectors) for dec in reduced_decs]
-    )
-    table = ConditionalProbabilityTable(
-        parent_indices=tuple(range(len(parent.probabilities))),
-        column_indices=tuple(
-            itertools.product(*[range(len(dec.probabilities)) for dec in reduced_decs])
-        ),
-        values=values,
-        splits=tuple(split_labels),
+    table = _kernel_table(
+        ch_w,
+        parent,
+        [(dec.source_space.labels, dec.vectors) for dec in reduced_decs],
+        split_labels,
     )
     return table, parent, reduced_states, reduced_decs
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import tolerances as tol
 from .channels import CPTPReport, QuantumChannel, _reduced_channel, apply, verify_cptp
-from .errors import NotAProjector, NotAWitnessPair, SpaceMismatch
-from .ontic import ConditionalProbabilityTable, _column_probabilities, ontic_decomposition
+from .errors import BadPartition, NotAProjector, NotAWitnessPair, SpaceMismatch
+from .ontic import ConditionalProbabilityTable, _kernel_table, ontic_decomposition
 from .qcore import (
     DensityMatrix,
     HilbertSpace,
@@ -114,20 +114,16 @@ def parent_conditioned_probabilities(
     after the channel, with the remaining factors summed out.
     """
     s_labels = list(s_split)
+    if len(set(s_labels)) != len(s_labels):
+        raise BadPartition(f"labels repeated in the system split: {s_labels}")
     parent = ontic_decomposition(rho_w_t, delta_deg)
     evolved = apply(ch_w, rho_w_t)
     reduced = partial_trace(evolved, s_labels)
     dec_s = ontic_decomposition(reduced, delta_deg)
 
     rest = [l for l in evolved.space.labels if l not in s_labels]
-    values = _column_probabilities(
-        ch_w, parent, [(reduced.space.labels, dec_s.vectors), (rest, None)]
-    )
-    return ConditionalProbabilityTable(
-        parent_indices=tuple(range(len(parent.probabilities))),
-        column_indices=tuple((j,) for j in range(len(dec_s.probabilities))),
-        values=values,
-        splits=(tuple(s_labels),),
+    return _kernel_table(
+        ch_w, parent, [(reduced.space.labels, dec_s.vectors), (rest, None)], [s_labels]
     )
 
 

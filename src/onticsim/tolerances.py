@@ -6,37 +6,29 @@ through a computation (vanishing partial traces, Kraus completeness,
 eigenprojector reconstruction).  Conditional-probability rows get a
 slightly looser budget because they accumulate error from several
 eigendecompositions and a channel application.
-
-Every default is multiplied by the ONTIC_SIM_TOLERANCE_SCALE environment
-variable (read once at import) so the whole stack can be loosened for
-debugging without touching call sites.
 """
 
-import os
-
-SCALE = float(os.environ.get("ONTIC_SIM_TOLERANCE_SCALE", "1"))
-
 # construction-time invariants: Hermiticity, unit trace, unit norm
-CONSTRUCTION = 1e-12 * SCALE
+CONSTRUCTION = 1e-12
 
 # derived checks: partial traces of correlation operators, Kraus
 # completeness, decomposition reconstruction, projector idempotence
-DERIVED = 1e-10 * SCALE
+DERIVED = 1e-10
 
 # most negative admissible eigenvalue for density and Choi matrices
-EIG_FLOOR = -1e-10 * SCALE
+EIG_FLOOR = -1e-10
 
 # conditional-probability table rows must sum to one within this
-ROW_SUM = 1e-9 * SCALE
+ROW_SUM = 1e-9
 
 # ontic entries with probability below this are flagged null
-NULL_PROBABILITY = 1e-12 * SCALE
+NULL_PROBABILITY = 1e-12
 
 # Kraus operators below this Frobenius norm are dropped
-KRAUS_PRUNE = 1e-12 * SCALE
+KRAUS_PRUNE = 1e-12
 
 # smallest amplitude magnitude usable as the global-phase pivot
-PHASE_PIVOT = 1e-10 * SCALE
+PHASE_PIVOT = 1e-10
 
 # default spacing below which neighbouring eigenvalues count as degenerate
 DEGENERACY_GAP = 1e-8

@@ -39,7 +39,7 @@ from .errors import (
     ToleranceBreach,
     TooManyTrajectories,
 )
-from .ontic import ConditionalProbabilityTable, single_system_conditional
+from .ontic import ConditionalProbabilityTable, _kernel_table, ontic_decomposition
 from .qcore import DensityMatrix, HilbertSpace, PureState, _csv_text
 
 __all__ = [
@@ -77,7 +77,7 @@ class OnticTrajectory:
         object.__setattr__(self, "indices", indices)
         if len(times) != len(indices):
             raise GridMismatch(f"{len(times)} times but {len(indices)} indices")
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if any(not (b > a) for a, b in zip(times, times[1:])):
             raise BadInterval(f"times must strictly increase, got {times}")
         if any(i < 0 for i in indices):
             raise GridMismatch("indices must be non-negative")
@@ -108,7 +108,7 @@ class MarkovKernelChain:
             raise GridMismatch(
                 f"{len(times)} grid times need {len(times) - 1} kernels, got {len(self.kernels)}"
             )
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if any(not (b > a) for a, b in zip(times, times[1:])):
             raise BadInterval(f"times must strictly increase, got {times}")
         for k, kern in enumerate(self.kernels):
             if any(len(c) != 1 for c in kern.column_indices):
@@ -233,21 +233,25 @@ def markov_chain_from_repeated_interaction(
     fresh environment factor.  Because every step meets an uncorrelated
     environment, the per-step reduced channels compose exactly; the product
     measure over the kernels reproduces the multi-time tables only while
-    the states stay diagonal in one fixed basis.
+    the states stay diagonal in one fixed basis.  Each state is evolved and
+    decomposed once: its decomposition is the column side of one kernel
+    and the row side of the next.
     """
-    if step <= 0 or steps < 1:
-        raise BadInterval(f"need positive step and at least one step, got {step}, {steps}")
+    if not 0 < step < math.inf or steps < 1:
+        raise BadInterval(f"need finite positive step and at least one step, got {step}, {steps}")
     combined = rho_s0.space.tensor(rho_e_fresh.space)
     family = UnitaryFamily(combined, h_int)
     u_step = family.at(step)
     ch = dilation_channel(
         u_step, rho_e_fresh, (list(rho_s0.space.labels), list(rho_e_fresh.space.labels))
     )
+    labels = rho_s0.space.labels
     kernels = []
-    rho = rho_s0
+    rho, dec = rho_s0, ontic_decomposition(rho_s0, delta_deg)
     for _ in range(steps):
-        kernels.append(single_system_conditional(ch, rho, delta_deg))
         rho = apply(ch, rho)
+        parent, dec = dec, ontic_decomposition(rho, delta_deg)
+        kernels.append(_kernel_table(ch, parent, [(labels, dec.vectors)], [labels]))
     times = tuple(k * step for k in range(steps + 1))
     return MarkovKernelChain(times, tuple(kernels))
 

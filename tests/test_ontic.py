@@ -1,16 +1,24 @@
 """Tests for canonical decompositions and conditional probability tables."""
 import itertools
+import os
+import subprocess
+import sys
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import onticsim
 from onticsim import (
     CNOT,
+    SWAP,
     ConditionalProbabilityTable,
     CorrelationOperator,
     DensityMatrix,
     HilbertSpace,
+    MarkovKernelChain,
+    MeasurementModel,
     OnticDecomposition,
     OnticEntry,
     OnticTrajectory,
@@ -26,6 +34,8 @@ from onticsim import (
     correlational_entropy,
     dilation_channel,
     embed_operator,
+    kernel_from_matrix,
+    markov_chain_from_repeated_interaction,
     maximally_mixed,
     ontic_decomposition,
     parent_conditioned_probabilities,
@@ -39,13 +49,16 @@ from onticsim import (
 )
 from onticsim import tolerances as tol
 from onticsim.errors import (
+    BadInterval,
     BadPartition,
     NotADistribution,
     NotAProjector,
     NotPSD,
     NotUnitary,
+    NothingToTrace,
     SpaceMismatch,
     ToleranceBreach,
+    UnknownSubsystem,
 )
 from onticsim.qcore import _canonical_phase
 
@@ -316,17 +329,59 @@ def test_table_validation():
         ),
         (lambda: projector_factorization_check(NAN_PAIR, PAIR, (["s"], ["e"])), NotAProjector),
         (lambda: OnticTrajectory((0.0,), (0,), frames=(NAN_QUBIT,)), ToleranceBreach),
+        (lambda: OnticTrajectory((0.0, np.nan, 1.0), (0, 0, 0)), BadInterval),
+        (
+            lambda: MarkovKernelChain((0.0, np.nan, 1.0), (kernel_from_matrix([[1.0]]),) * 2),
+            BadInterval,
+        ),
         (lambda: correlational_entropy([np.nan, 1.0]), NotADistribution),
+        (lambda: MeasurementModel(2, 1, 1, np.nan, 1.0, 0.1), NotADistribution),
+        (lambda: MeasurementModel(2, 1, 1, 1.0, np.nan, 0.1), NotADistribution),
+        (lambda: MeasurementModel(2, 1, 1, 1.0, 1.0, np.nan), NotADistribution),
+        (
+            lambda: MeasurementModel(2, 1, 1, 1.0, 1.0, 0.1, overlap_fn=lambda g, t: np.nan),
+            ToleranceBreach,
+        ),
+        (
+            lambda: markov_chain_from_repeated_interaction(
+                SWAP,
+                basis_state(HilbertSpace.of(("e", 2)), 0).density_matrix(),
+                maximally_mixed(QUBIT),
+                np.nan,
+                4,
+            ),
+            BadInterval,
+        ),
     ],
     ids=[
         "density_matrix", "table", "decomposition", "psd_pairing", "pure_state", "unitary",
         "unitary_family", "kraus_channel", "correlation_operator", "conditioning_projector",
-        "factorization_projector", "trajectory_frames", "correlational_entropy",
+        "factorization_projector", "trajectory_frames", "trajectory_times", "chain_times",
+        "correlational_entropy", "measurement_gamma_a", "measurement_gamma_e",
+        "measurement_dt", "measurement_overlap_fn", "repeated_interaction_step",
     ],
 )
 def test_invariant_checks_reject_nan(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_tolerances_are_constants_whatever_the_environment():
+    """The old ONTIC_SIM_TOLERANCE_SCALE variable no longer scales any check."""
+    paths = [str(Path(onticsim.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(
+        os.environ,
+        ONTIC_SIM_TOLERANCE_SCALE="1e6",
+        PYTHONPATH=os.pathsep.join(p for p in paths if p),
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", "import onticsim; print(onticsim.tolerances.CONSTRUCTION)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert float(result.stdout) == 1e-12
 
 
 def test_table_clamps_floor_level_negatives():
@@ -404,6 +459,30 @@ def test_parent_conditioned_middle_factor_matches_direct_formula():
     ch, rho = three_factor_case()
     table = parent_conditioned_probabilities(ch, rho, ["b"])
     assert np.max(np.abs(table.values - direct_table(ch, rho, [["b"]]))) <= 1e-12
+
+
+def test_parent_conditioned_keeps_the_callers_split_order():
+    ch, rho = three_factor_case()
+    table = parent_conditioned_probabilities(ch, rho, ["b", "a"])
+    assert table.splits == (("b", "a"),)
+    assert table.column_indices == tuple((j,) for j in range(6))
+    assert np.max(np.abs(table.values - direct_table(ch, rho, [["b", "a"]]))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "split, error",
+    [
+        (["a", "a"], BadPartition),
+        ([], BadPartition),
+        (["a", "b", "c"], NothingToTrace),
+        (["x"], UnknownSubsystem),
+    ],
+    ids=["repeated", "empty", "every_factor", "unknown"],
+)
+def test_parent_conditioned_rejects_bad_split(split, error):
+    ch, rho = three_factor_case()
+    with pytest.raises(error):
+        parent_conditioned_probabilities(ch, rho, split)
 
 
 def test_conditional_rejects_bad_partition():

@@ -12,6 +12,7 @@ from onticsim import (
     MarkovKernelChain,
     OnticTrajectory,
     UnitaryFamily,
+    apply,
     basis_state,
     bloch_helix,
     bloch_state,
@@ -300,11 +301,60 @@ def test_partial_swap_kernel_closed_form():
         assert np.allclose(kern.values, expect, atol=1e-12)
 
 
+def chain_kernels_reference(h_int, rho_e, rho_s0, step, steps):
+    """Kernels built one step at a time by single_system_conditional, the
+    next state from a second apply of the same channel."""
+    u = UnitaryFamily(rho_s0.space.tensor(rho_e.space), h_int).at(step)
+    ch = dilation_channel(u, rho_e, (list(rho_s0.space.labels), list(rho_e.space.labels)))
+    kernels, rho = [], rho_s0
+    for _ in range(steps):
+        kernels.append(single_system_conditional(ch, rho))
+        rho = apply(ch, rho)
+    return kernels
+
+
+def random_mixed(rng, space):
+    d = space.total_dim
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    m = g @ g.conjugate().T
+    return DensityMatrix(space, m / np.trace(m))
+
+
+def chain_cases():
+    system, env_space = HilbertSpace.of(("s", 2)), HilbertSpace.of(("e", 2))
+    # the command line's partial-swap chain at its default config
+    yield (
+        SWAP,
+        basis_state(env_space, 0).density_matrix(),
+        DensityMatrix(system, np.diag([0.7, 0.3]).astype(complex)),
+        0.4,
+    )
+    rng = np.random.default_rng(SEED + 15)
+    for _ in range(5):
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        h = 0.5 * (g + g.conjugate().T)
+        yield h, random_mixed(rng, env_space), random_mixed(rng, system), rng.uniform(0.2, 0.5)
+
+
+def test_chain_kernels_match_the_per_step_conditional_bit_for_bit():
+    for h, rho_e, rho_s0, step in chain_cases():
+        chain = markov_chain_from_repeated_interaction(h, rho_e, rho_s0, step, 32)
+        reference = chain_kernels_reference(h, rho_e, rho_s0, step, 32)
+        assert len(chain.kernels) == len(reference)
+        for kern, ref in zip(chain.kernels, reference):
+            assert kern.parent_indices == ref.parent_indices
+            assert kern.column_indices == ref.column_indices
+            assert kern.splits == ref.splits == (("s",),)
+            assert _bits(kern.values.ravel()) == _bits(ref.values.ravel())
+
+
 def test_repeated_interaction_rejects_bad_grid():
     rho_s0 = DensityMatrix(HilbertSpace.of(("s", 2)), np.diag([0.7, 0.3]).astype(complex))
     env = basis_state(HilbertSpace.of(("e", 2)), 0).density_matrix()
     with pytest.raises(BadInterval):
         markov_chain_from_repeated_interaction(SWAP, env, rho_s0, 0.0, 4)
+    with pytest.raises(BadInterval):
+        markov_chain_from_repeated_interaction(SWAP, env, rho_s0, math.inf, 4)
     with pytest.raises(BadInterval):
         markov_chain_from_repeated_interaction(SWAP, env, rho_s0, 0.4, 0)
 
