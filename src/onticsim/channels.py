@@ -105,9 +105,7 @@ class UnitaryOperator:
         arr = np.array(self.matrix, dtype=np.complex128)
         if arr.shape != (d, d):
             raise SpaceMismatch(f"unitary has shape {arr.shape}, expected ({d}, {d})")
-        defect = np.max(np.abs(arr.conjugate().T @ arr - np.eye(d)))
-        if not (defect <= tol.CONSTRUCTION):
-            raise NotUnitary(f"U†U deviates from identity by {defect}")
+        tol.check(tol.isometry_defect(arr), tol.CONSTRUCTION, NotUnitary, "unitarity defect")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
@@ -140,9 +138,8 @@ class QuantumChannel:
         ops = _as_complex(self.kraus, (len(self.kraus), dout, din), "Kraus stack")
         object.__setattr__(self, "kraus", ops)
         if validate:
-            defect = _completeness_defect(ops)
-            if not (defect <= tol.DERIVED):
-                raise ToleranceBreach(f"Kraus completeness defect {defect}")
+            defect = tol.isometry_defect(ops.reshape(-1, din))
+            tol.check(defect, tol.DERIVED, ToleranceBreach, "Kraus completeness defect")
 
 
 @dataclass(frozen=True)
@@ -234,12 +231,6 @@ def choi_matrix(ch: QuantumChannel) -> np.ndarray:
     return vecs.T @ vecs.conjugate()
 
 
-def _completeness_defect(kraus: np.ndarray) -> float:
-    """Largest entry of sum_k K_k^dag K_k - I."""
-    flat = kraus.reshape(-1, kraus.shape[2])
-    return float(np.max(np.abs(flat.conjugate().T @ flat - np.eye(kraus.shape[2]))))
-
-
 def verify_cptp(ch: QuantumChannel) -> CPTPReport:
     """Completeness and Choi positivity of any finite Kraus set, however broken.
 
@@ -248,15 +239,15 @@ def verify_cptp(ch: QuantumChannel) -> CPTPReport:
     an eigensolve that does not converge, which raises OnticSimError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = _completeness_defect(ch.kraus)
+        defect = tol.isometry_defect(ch.kraus.reshape(-1, ch.in_space.total_dim))
         try:
-            lo = float(np.linalg.eigvalsh(choi_matrix(ch))[0])
+            negativity = tol.negativity(choi_matrix(ch))
         except np.linalg.LinAlgError as err:
             raise OnticSimError(f"Choi eigensolve failed: {err}") from err
     return CPTPReport(
         trace_preserving=defect <= tol.DERIVED,
-        completely_positive=lo >= tol.EIG_FLOOR,
-        min_choi_eigenvalue=lo,
+        completely_positive=negativity <= -tol.EIG_FLOOR,
+        min_choi_eigenvalue=-negativity,
         completeness_defect=defect,
     )
 
@@ -288,9 +279,8 @@ class UnitaryFamily:
         arr = np.array(self.generator, dtype=np.complex128)
         if arr.shape != (d, d):
             raise SpaceMismatch(f"generator has shape {arr.shape}, expected ({d}, {d})")
-        herm = np.max(np.abs(arr - arr.conjugate().T))
-        if not (herm <= tol.CONSTRUCTION):
-            raise ToleranceBreach(f"generator Hermiticity defect {herm}")
+        herm = tol.hermiticity_defect(arr)
+        tol.check(herm, tol.CONSTRUCTION, ToleranceBreach, "generator Hermiticity defect")
         arr.setflags(write=False)
         object.__setattr__(self, "generator", arr)
         evals, evecs = np.linalg.eigh(arr)

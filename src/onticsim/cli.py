@@ -550,7 +550,7 @@ def _run_verify(config: ScenarioConfig) -> _Result:
         dims = math.prod(int(f["dim"]) for k in ("in_space", "out_space") for f in payload[k])
         if dims <= _MAX_CHOI_DIM:
             channel = channel_from_json(payload, validate=False)
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ValidationFailure([f"malformed channel JSON in {path!r}: {err}"])
     if dims > _MAX_CHOI_DIM:
         raise ValidationFailure([f"{path!r}: d_in*d_out = {dims} > cap {_MAX_CHOI_DIM}"])

@@ -77,8 +77,8 @@ class MeasurementModel:
         if not (self.gamma_a >= 0 and self.gamma_e >= 0 and self.dt >= 0):
             raise NotADistribution("rates and duration must be non-negative")
         for gamma in (self.gamma_a, self.gamma_e):
-            if not (abs(self.overlap_fn(gamma, 0.0) - 1.0) <= 1e-9):
-                raise ToleranceBreach("overlap_fn must equal 1 at zero duration")
+            defect = abs(self.overlap_fn(gamma, 0.0) - 1.0)
+            tol.check(defect, 1e-9, ToleranceBreach, "overlap_fn distance from 1 at zero duration")
 
 
 def pointer_overlap(model: MeasurementModel, which: str) -> float:
@@ -90,8 +90,7 @@ def pointer_overlap(model: MeasurementModel, which: str) -> float:
     else:
         raise NotADistribution(f"which must be 'apparatus' or 'environment', got {which!r}")
     c = model.overlap_fn(gamma, model.dt)
-    if not -tol.CONSTRUCTION <= c <= 1.0 + tol.CONSTRUCTION:
-        raise ToleranceBreach(f"overlap {c} outside [0, 1]")
+    tol.check(max(-c, c - 1.0), tol.CONSTRUCTION, ToleranceBreach, "overlap distance from [0, 1]")
     return float(min(max(c, 0.0), 1.0) ** n)
 
 
@@ -150,10 +149,10 @@ def simulate_measurement(
     np.fill_diagonal(suppression, 1.0)
     if overlap_phases is not None:
         phases = np.asarray(overlap_phases, dtype=float)
-        if phases.shape != (d, d) or not (
-            np.max(np.abs(phases + phases.T)) <= tol.CONSTRUCTION
-        ):
-            raise SpaceMismatch("overlap_phases must be a real antisymmetric d x d matrix")
+        if phases.shape != (d, d):
+            raise SpaceMismatch(f"overlap_phases has shape {phases.shape}, expected ({d}, {d})")
+        asym = np.max(np.abs(phases + phases.T))
+        tol.check(asym, tol.CONSTRUCTION, SpaceMismatch, "overlap_phases antisymmetry defect")
         suppression = suppression * np.exp(1j * phases)
 
     rho = np.outer(psi.amplitudes, psi.amplitudes.conjugate()) * suppression
@@ -262,8 +261,7 @@ def error_entropy_bound(
     passes when the observed deviation is no further than the slack
     factor below that floor.
     """
-    if observed_deviation < 0:
-        raise NotADistribution(f"deviation {observed_deviation} is negative")
+    tol.check(-observed_deviation, 0.0, NotADistribution, "Born deviation negativity")
     s_max = model.n_a * math.log(2.0)
     bound = math.exp(-s_max)
     return BoundReport(s_max=s_max, bound=bound, satisfied=observed_deviation >= bound / slack)
@@ -272,11 +270,8 @@ def error_entropy_bound(
 def correlational_entropy(probs) -> float:
     """Shannon entropy of a probability list, in nats, with 0 ln 0 = 0."""
     p = np.asarray(probs, dtype=float)
-    if not (p.min() >= -tol.DERIVED):
-        raise NotADistribution(f"negative probability {p.min()}")
-    total = p.sum()
-    if not (abs(total - 1.0) <= tol.DERIVED):
-        raise NotADistribution(f"probabilities sum to {total}")
+    tol.check(-p.min(), tol.DERIVED, NotADistribution, "probability negativity")
+    tol.check(abs(p.sum() - 1.0), tol.DERIVED, NotADistribution, "probability sum defect")
     p = p[p > 0.0]
     return float(-(p * np.log(p)).sum())
 

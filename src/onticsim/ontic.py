@@ -96,13 +96,9 @@ class OnticDecomposition:
         vecs = _as_complex(self.vectors, (self.source_space.total_dim, probs.size), "vectors")
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "vectors", vecs)
-        total = probs.sum()
-        if not (abs(total - 1.0) <= tol.DERIVED):
-            raise ToleranceBreach(f"probabilities sum to {total}")
-        gram = vecs.conjugate().T @ vecs
-        ortho = np.max(np.abs(gram - np.eye(probs.size)))
-        if not (ortho <= tol.DERIVED):
-            raise ToleranceBreach(f"eigenvectors not orthonormal, defect {ortho}")
+        tol.check(abs(probs.sum() - 1.0), tol.DERIVED, ToleranceBreach, "probability sum defect")
+        ortho = tol.isometry_defect(vecs)
+        tol.check(ortho, tol.DERIVED, ToleranceBreach, "eigenvector orthonormality defect")
 
     @property
     def entries(self) -> tuple[OnticEntry, ...]:
@@ -139,8 +135,7 @@ def ontic_decomposition(
 
     dec = OnticDecomposition(rho.space, probs, vecs, tuple(groups))
     drift = np.max(np.abs(dec.reconstruct() - rho.matrix))
-    if not (drift <= tol.DERIVED):
-        raise ToleranceBreach(f"decomposition reconstructs source within {drift} only")
+    tol.check(drift, tol.DERIVED, ToleranceBreach, "reconstruction drift")
     return dec
 
 
@@ -169,13 +164,9 @@ class ConditionalProbabilityTable:
         shape = (len(self.parent_indices), len(self.column_indices))
         if vals.shape != shape:
             raise SpaceMismatch(f"values shape {vals.shape}, expected {shape}")
-        lo = float(vals.min())
-        if not (lo >= -tol.DERIVED):
-            raise ToleranceBreach(f"conditional probability {lo} below floor")
-        sums = vals.sum(axis=1)
-        worst = float(np.max(np.abs(sums - 1.0)))
-        if not (worst <= tol.ROW_SUM):
-            raise ToleranceBreach(f"row sum deviates from 1 by {worst}")
+        tol.check(-float(vals.min()), tol.DERIVED, ToleranceBreach, "table entry negativity")
+        worst = float(np.max(np.abs(vals.sum(axis=1) - 1.0)))
+        tol.check(worst, tol.ROW_SUM, ToleranceBreach, "row sum defect")
         vals = np.clip(vals, 0.0, None)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -318,10 +309,8 @@ def psd_pairing_check(a: np.ndarray, b: np.ndarray) -> float:
         arr = np.asarray(m, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise NotPSD(f"{name} argument is not square")
-        if not (np.max(np.abs(arr - arr.conjugate().T)) <= tol.DERIVED):
-            raise NotPSD(f"{name} argument is not Hermitian")
-        if not (float(np.linalg.eigvalsh(arr)[0]) >= tol.EIG_FLOOR):
-            raise NotPSD(f"{name} argument has an eigenvalue below {tol.EIG_FLOOR}")
+        tol.check(tol.hermiticity_defect(arr), tol.DERIVED, NotPSD, f"{name} Hermiticity defect")
+        tol.check(tol.negativity(arr), -tol.EIG_FLOOR, NotPSD, f"{name} eigenvalue negativity")
     return float(np.real(np.trace(np.asarray(a) @ np.asarray(b))))
 
 

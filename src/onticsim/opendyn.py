@@ -72,10 +72,8 @@ def _check_projector(p: np.ndarray, dim: int) -> np.ndarray:
     arr = np.asarray(p, dtype=np.complex128)
     if arr.shape != (dim, dim):
         raise NotAProjector(f"projector has shape {arr.shape}, expected ({dim}, {dim})")
-    if not (np.max(np.abs(arr - arr.conjugate().T)) <= tol.DERIVED):
-        raise NotAProjector("matrix is not Hermitian")
-    if not (np.max(np.abs(arr @ arr - arr)) <= tol.DERIVED):
-        raise NotAProjector("matrix is not idempotent")
+    tol.check(tol.hermiticity_defect(arr), tol.DERIVED, NotAProjector, "Hermiticity defect")
+    tol.check(np.max(np.abs(arr @ arr - arr)), tol.DERIVED, NotAProjector, "idempotence defect")
     return arr
 
 
@@ -94,8 +92,7 @@ def conditional_channel_given_env(
         raise SpaceMismatch("conditioning needs a channel square on one parent space")
     e_space = ch_w.in_space.subspace(split[1])
     arr = _check_projector(p_e, e_space.total_dim)
-    if not (abs(arr.trace() - 1.0) <= tol.DERIVED):
-        raise NotAProjector(f"projector has rank {arr.trace().real:.3f}, need rank 1")
+    tol.check(abs(arr.trace() - 1.0), tol.DERIVED, NotAProjector, "rank-one trace defect")
     # a projector within the derived tolerance, made exactly a unit-trace state
     rho_e = DensityMatrix(e_space, (arr + arr.conjugate().T) / (2.0 * arr.trace().real))
     return ConditionedChannel(_reduced_channel(ch_w.kraus, ch_w.in_space, rho_e, split))
@@ -195,10 +192,7 @@ def nonlinearity_witness(
     before_1 = partial_trace(rho_w_1, s_labels)
     before_2 = partial_trace(rho_w_2, s_labels)
     before = trace_distance(before_1, before_2)
-    if not (before <= tol.DERIVED):
-        raise NotAWitnessPair(
-            f"system marginals differ by {before} before evolution; not a witness pair"
-        )
+    tol.check(before, tol.DERIVED, NotAWitnessPair, "system marginal distance before evolution")
     after_1 = partial_trace(apply(ch_w, rho_w_1), s_labels)
     after_2 = partial_trace(apply(ch_w, rho_w_2), s_labels)
     return NonlinearityWitnessReport(

@@ -61,16 +61,17 @@ class HilbertSpace:
     factors: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        factors = tuple((str(label), int(dim)) for label, dim in self.factors)
+        given = tuple(self.factors)
+        factors = tuple((str(label), int(dim)) for label, dim in given)
         object.__setattr__(self, "factors", factors)
         if not factors:
             raise BadPartition("a space needs at least one factor")
         labels = [label for label, _ in factors]
         if len(set(labels)) != len(labels):
             raise LabelClash(f"duplicate factor labels in {labels}")
-        for label, dim in factors:
-            if dim < 1:
-                raise BadPartition(f"factor {label!r} has non-positive dimension {dim}")
+        for (label, dim), (_, raw) in zip(factors, given):
+            if dim < 1 or dim != raw:
+                raise BadPartition(f"factor {label!r} dimension {raw!r} is not a positive integer")
 
     @classmethod
     def of(cls, *factors: tuple[str, int]) -> "HilbertSpace":
@@ -166,8 +167,7 @@ class PureState:
                 f"amplitude vector has shape {arr.shape}, expected ({self.space.total_dim},)"
             )
         norm = np.linalg.norm(arr)
-        if not (abs(norm - 1.0) <= tol.CONSTRUCTION):
-            raise ToleranceBreach(f"state norm {norm} is not 1 within {tol.CONSTRUCTION}")
+        tol.check(abs(norm - 1.0), tol.CONSTRUCTION, ToleranceBreach, "state norm defect")
         arr = _canonical_phase(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
@@ -204,15 +204,10 @@ class DensityMatrix:
         d = self.space.total_dim
         arr = _as_complex(self.matrix, (d, d), "density matrix")
         object.__setattr__(self, "matrix", arr)
-        herm = np.max(np.abs(arr - arr.conjugate().T))
-        if not (herm <= tol.CONSTRUCTION):
-            raise ToleranceBreach(f"Hermiticity defect {herm} exceeds {tol.CONSTRUCTION}")
-        tr = arr.trace()
-        if not (abs(tr - 1.0) <= tol.CONSTRUCTION):
-            raise ToleranceBreach(f"trace {tr} is not 1 within {tol.CONSTRUCTION}")
-        lo = float(np.linalg.eigvalsh(arr)[0])
-        if not (lo >= tol.EIG_FLOOR):
-            raise ToleranceBreach(f"eigenvalue {lo} below floor {tol.EIG_FLOOR}")
+        herm = tol.hermiticity_defect(arr)
+        tol.check(herm, tol.CONSTRUCTION, ToleranceBreach, "Hermiticity defect")
+        tol.check(abs(arr.trace() - 1.0), tol.CONSTRUCTION, ToleranceBreach, "trace defect")
+        tol.check(tol.negativity(arr), -tol.EIG_FLOOR, ToleranceBreach, "eigenvalue negativity")
 
 
 def maximally_mixed(space: HilbertSpace) -> DensityMatrix:
@@ -320,17 +315,13 @@ class CorrelationOperator:
         object.__setattr__(self, "s_labels", tuple(self.s_labels))
         object.__setattr__(self, "e_labels", tuple(self.e_labels))
         _check_partition(self.space, [self.s_labels, self.e_labels])
-        herm = np.max(np.abs(arr - arr.conjugate().T))
-        if not (herm <= tol.CONSTRUCTION):
-            raise ToleranceBreach(f"Hermiticity defect {herm} exceeds {tol.CONSTRUCTION}")
+        herm = tol.hermiticity_defect(arr)
+        tol.check(herm, tol.CONSTRUCTION, ToleranceBreach, "Hermiticity defect")
         for group in (self.s_labels, self.e_labels):
             axes = sorted(self.space.axis(label) for label in group)
             reduced = _partial_trace_matrix(arr, self.space.dims, axes)
             worst = np.max(np.abs(reduced))
-            if not (worst <= tol.DERIVED):
-                raise ToleranceBreach(
-                    f"partial trace over complement of {group} leaves {worst}"
-                )
+            tol.check(worst, tol.DERIVED, ToleranceBreach, f"partial trace onto {group}")
 
 
 def correlation_operator(
@@ -370,7 +361,7 @@ def space_to_json(space: HilbertSpace) -> list[dict]:
 
 
 def space_from_json(payload: list[dict]) -> HilbertSpace:
-    return HilbertSpace(tuple((f["label"], int(f["dim"])) for f in payload))
+    return HilbertSpace(tuple((f["label"], f["dim"]) for f in payload))
 
 
 def matrix_to_json(matrix: np.ndarray) -> dict:

@@ -62,6 +62,12 @@ __all__ = [
 ENUMERATION_GUARD = 1_000_000
 
 
+def _check_times(times: tuple[float, ...]) -> None:
+    """Raise BadInterval unless every time is finite and the grid strictly increases."""
+    if not all(map(math.isfinite, times)) or any(not (b > a) for a, b in zip(times, times[1:])):
+        raise BadInterval(f"times must be finite and strictly increase, got {times}")
+
+
 @dataclass(frozen=True, eq=False)
 class OnticTrajectory:
     """One index per grid time, optionally with basis-frame snapshots."""
@@ -77,8 +83,7 @@ class OnticTrajectory:
         object.__setattr__(self, "indices", indices)
         if len(times) != len(indices):
             raise GridMismatch(f"{len(times)} times but {len(indices)} indices")
-        if any(not (b > a) for a, b in zip(times, times[1:])):
-            raise BadInterval(f"times must strictly increase, got {times}")
+        _check_times(times)
         if any(i < 0 for i in indices):
             raise GridMismatch("indices must be non-negative")
         if self.frames is not None:
@@ -86,10 +91,8 @@ class OnticTrajectory:
             if len(frames) != len(times):
                 raise GridMismatch(f"{len(frames)} frames for {len(times)} times")
             for f in frames:
-                gram = f.conjugate().T @ f
-                defect = np.max(np.abs(gram - np.eye(f.shape[1])))
-                if not (defect <= tol.DERIVED):
-                    raise ToleranceBreach(f"frame orthonormality defect {defect}")
+                defect = tol.isometry_defect(f)
+                tol.check(defect, tol.DERIVED, ToleranceBreach, "frame orthonormality defect")
             object.__setattr__(self, "frames", frames)
 
 
@@ -104,12 +107,13 @@ class MarkovKernelChain:
         times = tuple(float(t) for t in self.times)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "kernels", tuple(self.kernels))
+        if not self.kernels:
+            raise GridMismatch("a chain needs at least one kernel")
         if len(times) != len(self.kernels) + 1:
             raise GridMismatch(
                 f"{len(times)} grid times need {len(times) - 1} kernels, got {len(self.kernels)}"
             )
-        if any(not (b > a) for a, b in zip(times, times[1:])):
-            raise BadInterval(f"times must strictly increase, got {times}")
+        _check_times(times)
         for k, kern in enumerate(self.kernels):
             if any(len(c) != 1 for c in kern.column_indices):
                 raise GridMismatch(f"kernel {k} is not a single-system table")
@@ -129,6 +133,8 @@ class MarkovKernelChain:
 def kernel_from_matrix(matrix) -> ConditionalProbabilityTable:
     """Wrap a plain row-stochastic matrix as a single-system kernel."""
     arr = np.asarray(matrix, dtype=float)
+    if arr.ndim != 2 or not arr.size:
+        raise SpaceMismatch(f"kernel matrix has shape {arr.shape}, need a non-empty 2-D array")
     return ConditionalProbabilityTable(
         parent_indices=tuple(range(arr.shape[0])),
         column_indices=tuple((j,) for j in range(arr.shape[1])),
@@ -175,8 +181,7 @@ def enumerate_trajectory_measure(
     paths = ((initial_index,) + tail for tail in product(range(n_states), repeat=steps))
     measure = dict(zip(paths, p.tolist()))
     mass = math.fsum(measure.values())
-    if not (abs(mass - 1.0) <= tol.ROW_SUM):
-        raise ToleranceBreach(f"trajectory measure sums to {mass}")
+    tol.check(abs(mass - 1.0), tol.ROW_SUM, ToleranceBreach, "trajectory measure sum defect")
     return measure
 
 

@@ -227,6 +227,28 @@ def test_verify_rejects_non_finite_channel_entries(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "dim, message",
+    [(2.7, "dimension 2.7 is not a positive integer"), (math.inf, "infinity to integer")],
+)
+def test_verify_refuses_non_integer_dimensions(tmp_path, capsys, monkeypatch, dim, message):
+    """A space declaring "dim": 2.7 was read as dimension 2 and verified;
+    "dim": Infinity, which json reads as a float, ended in a traceback."""
+    monkeypatch.chdir(tmp_path)
+    space = HilbertSpace.of(("s", 2), ("e", 2))
+    payload = channel_to_json(unitary_channel(UnitaryOperator(space, CNOT)))
+    for factor in payload["in_space"] + payload["out_space"]:
+        factor["dim"] = dim
+    (tmp_path / "fractional.json").write_text(json.dumps(payload))
+    cfg = write_config(tmp_path, "channel_path = fractional.json\n")
+    assert main(["verify", "--config", cfg, "--out", "report.json"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: malformed channel JSON")
+    assert message in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+
+
 VERIFY_CAP_CASES = [(128, "d_in*d_out = 16384 > cap 4096"), (64, "malformed")]
 
 

@@ -55,6 +55,13 @@ def test_pointer_overlap_is_per_factor_product():
     assert abs(pointer_overlap(model, "environment") - c**10) < 1e-15
 
 
+@pytest.mark.parametrize("c", [math.nan, -1e-3, 1.0 + 1e-6])
+def test_pointer_overlap_refuses_values_outside_the_unit_interval(c):
+    model = default_model(overlap_fn=lambda g, t: 1.0 if t == 0.0 else c)
+    with pytest.raises(ToleranceBreach):
+        pointer_overlap(model, "apparatus")
+
+
 def test_model_validation():
     with pytest.raises(SpaceMismatch):
         default_model(subject_dim=1)
@@ -264,6 +271,9 @@ def test_error_entropy_bound_satisfied_flag():
     assert not far_below.satisfied
     with pytest.raises(NotADistribution):
         error_entropy_bound(model, -1e-3)
+    with pytest.raises(NotADistribution):
+        error_entropy_bound(model, math.nan)
+    assert not error_entropy_bound(model, -0.0).satisfied
 
 
 def test_correlational_entropy_values():

@@ -352,6 +352,16 @@ def test_table_validation():
             ),
             BadInterval,
         ),
+        (lambda: tol.check(np.nan, 1.0, ToleranceBreach, "defect"), ToleranceBreach),
+        (
+            lambda: tol.check(tol.hermiticity_defect(NAN_QUBIT), 1.0, NotPSD, "defect"),
+            NotPSD,
+        ),
+        (
+            lambda: tol.check(tol.isometry_defect(NAN_QUBIT), 1.0, NotUnitary, "defect"),
+            NotUnitary,
+        ),
+        (lambda: tol.check(tol.negativity(NAN_QUBIT), 1.0, NotPSD, "defect"), NotPSD),
     ],
     ids=[
         "density_matrix", "table", "decomposition", "psd_pairing", "pure_state", "unitary",
@@ -359,6 +369,7 @@ def test_table_validation():
         "factorization_projector", "trajectory_frames", "trajectory_times", "chain_times",
         "correlational_entropy", "measurement_gamma_a", "measurement_gamma_e",
         "measurement_dt", "measurement_overlap_fn", "repeated_interaction_step",
+        "check", "hermiticity_defect", "isometry_defect", "negativity",
     ],
 )
 def test_invariant_checks_reject_nan(build, error):

@@ -23,6 +23,7 @@ from onticsim import (
     trace_distance,
 )
 from onticsim.errors import (
+    BadPartition,
     LabelClash,
     NothingToTrace,
     SpaceMismatch,
@@ -56,6 +57,18 @@ def test_space_bookkeeping():
 def test_space_rejects_label_clash():
     with pytest.raises(LabelClash):
         HilbertSpace.of(("s", 2), ("s", 2))
+
+
+@pytest.mark.parametrize("dim", [2.5, 2.7, 0, -1, 0.5])
+def test_space_rejects_dimensions_that_are_not_positive_integers(dim):
+    with pytest.raises(BadPartition):
+        HilbertSpace.of(("s", dim))
+    with pytest.raises(BadPartition):
+        space_from_json([{"label": "e", "dim": 2}, {"label": "s", "dim": dim}])
+
+
+def test_space_accepts_integral_dimensions_of_any_numeric_type():
+    assert HilbertSpace.of(("s", 2.0), ("e", np.int64(3))).dims == (2, 3)
 
 
 def test_space_subspace_and_unknown_label():

@@ -1,0 +1,129 @@
+"""Tests for the one invariant check and the defect formulas in tolerances."""
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import onticsim
+from onticsim import (
+    CNOT,
+    ConditionalProbabilityTable,
+    DensityMatrix,
+    HilbertSpace,
+    OnticTrajectory,
+    UnitaryOperator,
+    basis_state,
+    correlational_entropy,
+    nonlinearity_witness,
+    unitary_channel,
+)
+from onticsim import tolerances as tol
+from onticsim.errors import NotADistribution, NotAWitnessPair, NotUnitary, ToleranceBreach
+
+QUBIT = HilbertSpace.of(("s", 2))
+PAIR = HilbertSpace.of(("s", 2), ("e", 2))
+SRC = Path(onticsim.__file__).parent
+
+
+def test_check_names_the_defect_and_the_bound():
+    tol.check(0.25, 0.25, ValueError, "defect")
+    with pytest.raises(ValueError, match=r"^trace defect 0\.5 exceeds 0\.25$"):
+        tol.check(0.5, 0.25, ValueError, "trace defect")
+
+
+def test_defect_formulas_on_known_matrices():
+    a = np.array([[1.0, 2.0], [0.5, -3.0]])
+    assert tol.hermiticity_defect(a) == 1.5
+    assert tol.isometry_defect(2.0 * np.eye(2)) == 3.0
+    assert tol.negativity(np.diag([-0.25, 1.0])) == 0.25
+    kraus = np.stack([np.eye(2), np.eye(2)]) / np.sqrt(2.0)
+    assert tol.isometry_defect(kraus.reshape(-1, 2)) <= 1e-15
+
+
+def _witness_pair_mismatch():
+    channel = unitary_channel(UnitaryOperator(PAIR, CNOT))
+    rho_1 = basis_state(PAIR, 0).density_matrix()
+    rho_2 = basis_state(PAIR, 2).density_matrix()
+    nonlinearity_witness(channel, rho_1, rho_2, (["s"], ["e"]))
+
+
+FAILING_GUARDS = {
+    "qcore": (lambda: DensityMatrix(QUBIT, np.eye(2)), ToleranceBreach, tol.CONSTRUCTION),
+    "channels": (lambda: UnitaryOperator(QUBIT, 2.0 * np.eye(2)), NotUnitary, tol.CONSTRUCTION),
+    "ontic": (
+        lambda: ConditionalProbabilityTable((0,), ((0,), (1,)), [[0.5, 0.4]]),
+        ToleranceBreach,
+        tol.ROW_SUM,
+    ),
+    "opendyn": (_witness_pair_mismatch, NotAWitnessPair, tol.DERIVED),
+    "measurement": (lambda: correlational_entropy([0.5, 0.6]), NotADistribution, tol.DERIVED),
+    "trajectories": (
+        lambda: OnticTrajectory((0.0,), (0,), frames=(np.ones((2, 2)),)),
+        ToleranceBreach,
+        tol.DERIVED,
+    ),
+}
+
+
+@pytest.mark.parametrize("module", sorted(FAILING_GUARDS))
+def test_failing_guard_message_names_its_bound(module):
+    build, error, bound = FAILING_GUARDS[module]
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value).endswith(f" exceeds {bound!r}")
+    assert info.traceback[-1].frame.f_globals["__name__"] == "onticsim.tolerances"
+    raising = [e for e in info.traceback if e.frame.f_globals["__name__"].startswith("onticsim.")]
+    assert raising[-2].frame.f_globals["__name__"] == f"onticsim.{module}"
+
+
+def _conjugate_transpose_operand(node):
+    """X when node is X.conjugate().T, else None."""
+    if (
+        isinstance(node, ast.Attribute)
+        and node.attr == "T"
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Attribute)
+        and node.value.func.attr == "conjugate"
+    ):
+        return node.value.func.value
+    return None
+
+
+def _same(a, b) -> bool:
+    return a is not None and b is not None and ast.dump(a) == ast.dump(b)
+
+
+def _guard_forms(path: Path) -> list[str]:
+    """Inline guard forms written in one source file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            if getattr(node.exc.func, "id", None) == "ToleranceBreach":
+                found.append("raise ToleranceBreach(...)")
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+            if _same(node.left, _conjugate_transpose_operand(node.right)):
+                found.append("a - a.conjugate().T")
+            gram = node.left
+            if isinstance(gram, ast.BinOp) and isinstance(gram.op, ast.MatMult):
+                if _same(gram.right, _conjugate_transpose_operand(gram.left)):
+                    found.append("v.conjugate().T @ v - I")
+        if (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "attr", None) == "eigvalsh"
+        ):
+            found.append("eigvalsh(a)[0]")
+    return found
+
+
+def test_defect_formulas_are_written_only_in_tolerances():
+    elsewhere = {
+        path.name: _guard_forms(path)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "tolerances.py" and _guard_forms(path)
+    }
+    assert elsewhere == {}
+    assert sorted(_guard_forms(SRC / "tolerances.py")) == [
+        "a - a.conjugate().T", "eigvalsh(a)[0]", "v.conjugate().T @ v - I"
+    ]

@@ -32,6 +32,7 @@ from onticsim import (
 from onticsim.errors import (
     BadInterval,
     GridMismatch,
+    SpaceMismatch,
     ToleranceBreach,
     TooManyTrajectories,
 )
@@ -57,6 +58,9 @@ def test_trajectory_validation():
         OnticTrajectory((0.0, 1.0), (0, -1))
     with pytest.raises(ToleranceBreach):
         OnticTrajectory((0.0, 1.0), (0, 0), frames=(np.eye(2), np.ones((2, 2))))
+    for times in [(math.nan,), (0.0, math.inf), (-math.inf, 0.0)]:
+        with pytest.raises(BadInterval):
+            OnticTrajectory(times, (0,) * len(times))
 
 
 def test_chain_validation():
@@ -69,6 +73,21 @@ def test_chain_validation():
     with pytest.raises(GridMismatch):
         MarkovKernelChain((0.0, 1.0, 2.0), (wide, fair))
     assert MarkovKernelChain((0.0, 1.0), (wide,)).state_counts == (2, 3)
+    for times in [(0.0, math.inf), (math.nan, 1.0)]:
+        with pytest.raises(BadInterval):
+            MarkovKernelChain(times, (fair,))
+    for times in [(0.0,), (math.nan,)]:
+        with pytest.raises(GridMismatch):
+            MarkovKernelChain(times, ())
+
+
+@pytest.mark.parametrize(
+    "matrix", [[0.5, 0.5], np.zeros((0, 0)), np.zeros((2, 0)), np.ones((1, 1, 1))],
+    ids=["one_dimensional", "empty", "no_columns", "three_dimensional"],
+)
+def test_kernel_from_matrix_refuses_shapes_that_are_not_tables(matrix):
+    with pytest.raises(SpaceMismatch):
+        kernel_from_matrix(matrix)
 
 
 def test_trajectory_probability_of_coin_path():
