@@ -28,7 +28,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import NotADistribution, SpaceMismatch, ToleranceBreach
 from .ontic import OnticDecomposition, ontic_decomposition
-from .qcore import DensityMatrix, PureState
+from .qcore import DensityMatrix, PureState, _integral, _memo
 
 __all__ = [
     "MeasurementModel",
@@ -70,10 +70,14 @@ class MeasurementModel:
     def __post_init__(self) -> None:
         if self.subject_dim < 2:
             raise SpaceMismatch(f"subject dimension {self.subject_dim} below 2")
-        if self.n_a < 0 or self.n_e < 0:
+        counts = (_integral(self.n_a), _integral(self.n_e))
+        if None in counts or min(counts) < 0:
             raise NotADistribution(
-                f"factor counts must be non-negative, got n_a={self.n_a}, n_e={self.n_e}"
+                "factor counts must be non-negative integers, "
+                f"got n_a={self.n_a!r}, n_e={self.n_e!r}"
             )
+        object.__setattr__(self, "n_a", counts[0])
+        object.__setattr__(self, "n_e", counts[1])
         if not (self.gamma_a >= 0 and self.gamma_e >= 0 and self.dt >= 0):
             raise NotADistribution("rates and duration must be non-negative")
         for gamma in (self.gamma_a, self.gamma_e):
@@ -96,6 +100,8 @@ def pointer_overlap(model: MeasurementModel, which: str) -> float:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementReport:
+    """Every array is read-only: later calls on the same state share the report."""
+
     rho_s: DensityMatrix
     decomposition: OnticDecomposition
     born_targets: np.ndarray
@@ -138,27 +144,47 @@ def simulate_measurement(
 
     overlap_phases, if given, is a real antisymmetric matrix of phase
     angles applied to the off-diagonal suppression factors, for record
-    overlaps that are not real positive.
+    overlaps that are not real positive.  Without it the report depends
+    only on psi, the two pointer overlaps and delta_deg, so it is computed
+    once per (state object, overlaps, delta_deg), and a repeat call with
+    the same three returns the same read-only report.  The state keeps
+    only its latest report.
     """
     d = model.subject_dim
     if psi.space.total_dim != d:
         raise SpaceMismatch(f"state dimension {psi.space.total_dim}, model wants {d}")
     c_a = pointer_overlap(model, "apparatus")
     c_e = pointer_overlap(model, "environment")
+    if overlap_phases is None:
+        # hex keeps an overlap of -0.0 apart from 0.0
+        key = (c_a.hex(), c_e.hex(), float(delta_deg).hex())
+        return _memo(psi, key, lambda: _measure(psi, c_a, c_e, None, delta_deg))
+    phases = np.asarray(overlap_phases, dtype=float)
+    if phases.shape != (d, d):
+        raise SpaceMismatch(f"overlap_phases has shape {phases.shape}, expected ({d}, {d})")
+    asym = np.max(np.abs(phases + phases.T))
+    tol.check(asym, tol.CONSTRUCTION, SpaceMismatch, "overlap_phases antisymmetry defect")
+    return _measure(psi, c_a, c_e, np.exp(1j * phases), delta_deg)
+
+
+def _measure(
+    psi: PureState,
+    c_a: float,
+    c_e: float,
+    phase_factors: np.ndarray | None,
+    delta_deg: float,
+) -> MeasurementReport:
+    d = psi.space.total_dim
     suppression = np.full((d, d), c_a * c_e, dtype=np.complex128)
     np.fill_diagonal(suppression, 1.0)
-    if overlap_phases is not None:
-        phases = np.asarray(overlap_phases, dtype=float)
-        if phases.shape != (d, d):
-            raise SpaceMismatch(f"overlap_phases has shape {phases.shape}, expected ({d}, {d})")
-        asym = np.max(np.abs(phases + phases.T))
-        tol.check(asym, tol.CONSTRUCTION, SpaceMismatch, "overlap_phases antisymmetry defect")
-        suppression = suppression * np.exp(1j * phases)
+    if phase_factors is not None:
+        suppression = suppression * phase_factors
 
     rho = np.outer(psi.amplitudes, psi.amplitudes.conjugate()) * suppression
     rho_s = DensityMatrix(psi.space, rho)
     dec = ontic_decomposition(rho_s, delta_deg)
     born = np.abs(psi.amplitudes) ** 2
+    born.setflags(write=False)
     outcome_of_entry = _assign_outcomes(dec.vectors)
     deviations = np.abs(dec.probabilities - born[list(outcome_of_entry)])
     off = rho.copy()

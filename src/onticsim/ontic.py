@@ -47,6 +47,7 @@ from .qcore import (
     _canonical_phase,
     _check_partition,
     _csv_text,
+    _memo,
     partial_trace,
 )
 
@@ -115,7 +116,16 @@ class OnticDecomposition:
 def ontic_decomposition(
     rho: DensityMatrix, delta_deg: float = tol.DEGENERACY_GAP
 ) -> OnticDecomposition:
-    """Eigendecompose a density matrix into its canonical configuration list."""
+    """Eigendecompose a density matrix into its canonical configuration list.
+
+    Computed once per (state object, delta_deg), with every check on the
+    first call; a repeat call with the same delta_deg returns the same
+    read-only decomposition.  The state keeps only its latest one.
+    """
+    return _memo(rho, float(delta_deg).hex(), lambda: _decompose(rho, delta_deg))
+
+
+def _decompose(rho: DensityMatrix, delta_deg: float) -> OnticDecomposition:
     evals, evecs = np.linalg.eigh(rho.matrix)
     probs = np.clip(evals, 0.0, 1.0)
     vecs = _canonical_phase(evecs)

@@ -51,6 +51,37 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
+# shared helpers
+# ---------------------------------------------------------------------------
+
+def _integral(raw) -> int | None:
+    """`raw` as an int when it is a finite number equal to one, else None."""
+    try:
+        value = int(raw)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return value if value == raw else None
+
+
+def _memo(owner, key, compute):
+    """`compute()` once per (owner, key); repeating the last key returns the same object.
+
+    The owner keeps one (key, result) slot in its `__dict__`, replaced when
+    the key changes, so it holds at most one result, stays out of a
+    dataclass's repr and equality and is freed with the owner.  Only frozen
+    states use it, and only for results that depend on nothing but the
+    state and the key.  A compute that raises stores nothing.
+    """
+    memo = owner.__dict__
+    slot = memo.get("_memo")
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    value = compute()
+    memo["_memo"] = (key, value)
+    return value
+
+
+# ---------------------------------------------------------------------------
 # spaces
 # ---------------------------------------------------------------------------
 
@@ -62,7 +93,7 @@ class HilbertSpace:
 
     def __post_init__(self) -> None:
         given = tuple(self.factors)
-        factors = tuple((str(label), int(dim)) for label, dim in given)
+        factors = tuple((str(label), _integral(dim)) for label, dim in given)
         object.__setattr__(self, "factors", factors)
         if not factors:
             raise BadPartition("a space needs at least one factor")
@@ -70,7 +101,7 @@ class HilbertSpace:
         if len(set(labels)) != len(labels):
             raise LabelClash(f"duplicate factor labels in {labels}")
         for (label, dim), (_, raw) in zip(factors, given):
-            if dim < 1 or dim != raw:
+            if dim is None or dim < 1:
                 raise BadPartition(f"factor {label!r} dimension {raw!r} is not a positive integer")
 
     @classmethod
@@ -155,7 +186,12 @@ def _canonical_phase(vectors: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Unit vector on a labeled space, stored with a canonical global phase."""
+    """Unit vector on a labeled space, stored with a canonical global phase.
+
+    The state is immutable, so a result derived from it alone (the
+    measurement report of `simulate_measurement`) is computed once per
+    state object and kept on it.
+    """
 
     space: HilbertSpace
     amplitudes: np.ndarray
@@ -195,6 +231,8 @@ class DensityMatrix:
 
     All three conditions are checked at construction: Hermiticity and trace
     at the construction tolerance, positivity down to the eigenvalue floor.
+    The state is immutable, so its ontic decomposition is computed once per
+    state object and delta_deg, and kept on it.
     """
 
     space: HilbertSpace

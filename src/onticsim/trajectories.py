@@ -40,7 +40,7 @@ from .errors import (
     TooManyTrajectories,
 )
 from .ontic import ConditionalProbabilityTable, _kernel_table, ontic_decomposition
-from .qcore import DensityMatrix, HilbertSpace, PureState, _csv_text
+from .qcore import DensityMatrix, HilbertSpace, PureState, _csv_text, _integral
 
 __all__ = [
     "OnticTrajectory",
@@ -242,8 +242,11 @@ def markov_chain_from_repeated_interaction(
     decomposed once: its decomposition is the column side of one kernel
     and the row side of the next.
     """
-    if not 0 < step < math.inf or steps < 1:
-        raise BadInterval(f"need finite positive step and at least one step, got {step}, {steps}")
+    count = _integral(steps)
+    if not 0 < step < math.inf or count is None or count < 1:
+        raise BadInterval(
+            f"need finite positive step and a whole number of steps >= 1, got {step}, {steps!r}"
+        )
     combined = rho_s0.space.tensor(rho_e_fresh.space)
     family = UnitaryFamily(combined, h_int)
     u_step = family.at(step)
@@ -253,11 +256,11 @@ def markov_chain_from_repeated_interaction(
     labels = rho_s0.space.labels
     kernels = []
     rho, dec = rho_s0, ontic_decomposition(rho_s0, delta_deg)
-    for _ in range(steps):
+    for _ in range(count):
         rho = apply(ch, rho)
         parent, dec = dec, ontic_decomposition(rho, delta_deg)
         kernels.append(_kernel_table(ch, parent, [(labels, dec.vectors)], [labels]))
-    times = tuple(k * step for k in range(steps + 1))
+    times = tuple(k * step for k in range(count + 1))
     return MarkovKernelChain(times, tuple(kernels))
 
 

@@ -1,5 +1,7 @@
 """Tests for the decoherence measurement model and its scaling diagnostics."""
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +22,11 @@ from onticsim import (
     simulate_measurement,
 )
 from onticsim.errors import NotADistribution, SpaceMismatch, ToleranceBreach
+from onticsim import measurement
 from onticsim.measurement import _assign_outcomes
+
+import test_golden  # the golden cases; pytest puts tests/ on sys.path
+from test_ontic import bits, count_calls
 
 SEED = 20260816
 
@@ -71,6 +77,19 @@ def test_model_validation():
         default_model(gamma_a=-0.5)
     with pytest.raises(ToleranceBreach):
         default_model(overlap_fn=lambda g, t: 0.9)
+
+
+@pytest.mark.parametrize("count", [1.5, math.inf, -math.inf, math.nan, None, "3"])
+@pytest.mark.parametrize("which", ["n_a", "n_e"])
+def test_model_refuses_factor_counts_that_are_not_integers(which, count):
+    with pytest.raises(NotADistribution):
+        default_model(**{which: count})
+
+
+def test_model_accepts_integral_counts_of_any_numeric_type():
+    model = default_model(n_a=4.0, n_e=np.int64(6))
+    assert (model.n_a, model.n_e) == (4, 6)
+    assert type(model.n_a) is int and type(model.n_e) is int
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +244,140 @@ def test_born_deviation_is_second_order_in_overlap():
         report = simulate_measurement(model, lopsided_qubit())
         assert report.max_born_deviation < c
         assert report.max_born_deviation > 0.1 * c**2
+
+
+# ---------------------------------------------------------------------------
+# one report per state object
+# ---------------------------------------------------------------------------
+
+def random_sixteen() -> PureState:
+    rng = np.random.default_rng(SEED + 3)
+    amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    return PureState(SIXTEEN, amps / np.linalg.norm(amps))
+
+
+def assert_same_bits(a, b) -> None:
+    for x, y in [
+        (a.rho_s.matrix, b.rho_s.matrix),
+        (a.decomposition.probabilities, b.decomposition.probabilities),
+        (a.decomposition.vectors, b.decomposition.vectors),
+        (a.born_targets, b.born_targets),
+        (np.array([a.max_born_deviation, a.max_offdiag, a.overlap_apparatus]),
+         np.array([b.max_born_deviation, b.max_offdiag, b.overlap_apparatus])),
+    ]:
+        assert np.array_equal(bits(x), bits(y))
+    assert a.outcome_of_entry == b.outcome_of_entry
+
+
+def test_born_check_reuses_the_measurement_of_the_same_state(monkeypatch):
+    psi = random_sixteen()
+    model = default_model(subject_dim=16, n_a=2, n_e=3, dt=0.3)
+    eigh, eigvalsh = count_calls(monkeypatch, "eigh"), count_calls(monkeypatch, "eigvalsh")
+    report = simulate_measurement(model, psi)
+    check = born_conditional_check(model, psi)
+    assert simulate_measurement(model, psi) is report
+    assert (len(eigh), len(eigvalsh)) == (1, 1)
+    fresh = PureState(SIXTEEN, psi.amplitudes)
+    again = simulate_measurement(model, fresh)
+    assert again is not report
+    assert_same_bits(report, again)
+    assert born_conditional_check(model, fresh) == check
+    assert (len(eigh), len(eigvalsh)) == (2, 2)
+
+
+def test_report_arrays_are_read_only():
+    report = simulate_measurement(default_model(), lopsided_qubit())
+    with pytest.raises(ValueError):
+        report.born_targets[0] = 0.5
+    with pytest.raises(ValueError):
+        report.rho_s.matrix[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        report.decomposition.vectors[0, 0] = 0.5
+
+
+def test_each_duration_gets_its_own_report():
+    psi = lopsided_qubit()
+    short = simulate_measurement(default_model(dt=0.25), psi)
+    # an equal model built afresh meets the same report
+    assert simulate_measurement(default_model(dt=0.25), psi) is short
+    long = simulate_measurement(default_model(dt=0.5), psi)
+    assert long is not short
+    assert long.overlap_apparatus == pytest.approx(short.overlap_apparatus**2, rel=1e-12)
+
+
+def test_signed_zero_overlaps_get_their_own_reports():
+    def vanishing(zero: float):
+        return lambda gamma, dt: 1.0 if dt == 0.0 else zero
+
+    psi = lopsided_qubit()
+    plus = simulate_measurement(default_model(overlap_fn=vanishing(0.0)), psi)
+    # an odd power keeps the sign of -0.0
+    minus = simulate_measurement(default_model(overlap_fn=vanishing(-0.0), n_a=1), psi)
+    assert minus is not plus
+    assert math.copysign(1.0, plus.overlap_apparatus) == 1.0
+    assert math.copysign(1.0, minus.overlap_apparatus) == -1.0
+
+
+def test_sweep_leaves_at_most_one_report_on_the_state(monkeypatch):
+    """Each N has its own overlaps, so a kept report per N would only pile up."""
+    made = []
+
+    def tracked(*args):
+        report = original(*args)
+        made.append(weakref.ref(report))
+        return report
+
+    original = measurement._measure
+    monkeypatch.setattr(measurement, "_measure", tracked)
+    psi = random_sixteen()
+    model = default_model(subject_dim=16, n_a=2, n_e=3, dt=0.3)
+    points = decoherence_scaling_sweep(model, psi, [0, 2, 4, 8, 16])
+    gc.collect()
+    alive = [ref() for ref in made if ref() is not None]
+    assert len(made) == len(points) == 5
+    assert len(alive) == 1
+    # the one kept is the last N's, and a repeat of that N reuses it
+    last = default_model(subject_dim=16, n_a=points[-1].n_a, n_e=points[-1].n_e, dt=0.3)
+    assert simulate_measurement(last, psi) is alive[0]
+    assert len(made) == 5
+
+
+class UnhashableOverlap:
+    """exponential_overlap as a callable object that cannot be hashed."""
+
+    __hash__ = None
+
+    def __call__(self, gamma: float, dt: float) -> float:
+        return exponential_overlap(gamma, dt)
+
+
+def test_unhashable_overlap_fn_still_measures():
+    model = default_model(overlap_fn=UnhashableOverlap())
+    with pytest.raises(TypeError):
+        hash(model)
+    psi = lopsided_qubit()
+    report = simulate_measurement(model, psi)
+    assert simulate_measurement(model, psi) is report
+    assert_same_bits(report, simulate_measurement(default_model(), lopsided_qubit()))
+
+
+def test_overlap_phases_compute_on_every_call(monkeypatch):
+    model, psi = default_model(), lopsided_qubit()
+    phases = np.array([[0.0, 0.8], [-0.8, 0.0]])
+    eigh = count_calls(monkeypatch, "eigh")
+    first = simulate_measurement(model, psi, overlap_phases=phases)
+    second = simulate_measurement(model, psi, overlap_phases=phases)
+    assert second is not first
+    assert len(eigh) == 2
+    assert_same_bits(first, second)
+    assert simulate_measurement(model, psi) is not first
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_measure_scenario_writes_the_same_bytes_twice_in_one_process(fmt, tmp_path):
+    first = test_golden.run_case("measure", fmt, tmp_path)
+    second = test_golden.run_case("measure", fmt, tmp_path)
+    assert first == second == (test_golden.GOLDEN / f"measure.{fmt}").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Tests for canonical decompositions and conditional probability tables."""
+import gc
 import itertools
 import os
 import subprocess
 import sys
+import weakref
 from functools import reduce
 from pathlib import Path
 
@@ -288,6 +290,83 @@ def test_decomposition_arrays_are_read_only_and_entries_view_them():
     assert [e.null for e in entries] == [False, False, True, True, True]
     for k, e in enumerate(entries):
         assert np.max(np.abs(e.state.amplitudes - dec.vectors[:, k])) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# one decomposition per state object
+# ---------------------------------------------------------------------------
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Record each call of np.linalg.<name> from here on."""
+    calls, original = [], getattr(np.linalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_decomposition_is_computed_once_per_state(monkeypatch):
+    rho = random_density(np.random.default_rng(SEED + 14), PAIR)
+    shown = repr(rho)
+    eigh = count_calls(monkeypatch, "eigh")
+    first = ontic_decomposition(rho)
+    assert ontic_decomposition(rho) is first
+    assert ontic_decomposition(rho, tol.DEGENERACY_GAP) is first
+    assert eigh == ["eigh"]
+    assert not first.probabilities.flags.writeable and not first.vectors.flags.writeable
+    assert repr(rho) == shown
+
+
+def test_each_degeneracy_gap_gets_its_own_decomposition():
+    rho = diagonal_density([0.4, 0.4 - 1e-6, 0.2 + 1e-6])
+    fine, coarse = ontic_decomposition(rho), ontic_decomposition(rho, 1e-3)
+    assert fine is not coarse
+    assert fine.degeneracy_groups == ()
+    assert coarse.degeneracy_groups == ((0, 1),)
+    assert ontic_decomposition(rho, 1e-3) is coarse
+    assert np.array_equal(bits(fine.vectors), bits(coarse.vectors))
+
+
+def test_a_state_keeps_only_its_latest_decomposition(monkeypatch):
+    rho = diagonal_density([0.4, 0.4 - 1e-6, 0.2 + 1e-6])
+    eigh = count_calls(monkeypatch, "eigh")
+    fine = weakref.ref(ontic_decomposition(rho))
+    coarse = ontic_decomposition(rho, 1e-3)
+    gc.collect()
+    assert fine() is None
+    # a 0-d array or numpy scalar gap is the same key as the float
+    assert ontic_decomposition(rho, np.array(1e-3)) is coarse
+    assert ontic_decomposition(rho, np.float64(1e-3)) is coarse
+    # every NaN gap is one key, so repeats neither recompute nor pile up
+    nan = ontic_decomposition(rho, float("nan"))
+    assert ontic_decomposition(rho, float("nan")) is nan
+    assert ontic_decomposition(rho, np.nan) is nan
+    assert len(eigh) == 3
+
+
+def test_equal_states_share_no_decomposition(monkeypatch):
+    m = random_density(np.random.default_rng(SEED + 15), THREE).matrix
+    a, b = DensityMatrix(THREE, m), DensityMatrix(THREE, m)
+    eigh = count_calls(monkeypatch, "eigh")
+    da, db = ontic_decomposition(a), ontic_decomposition(b)
+    assert len(eigh) == 2
+    assert da is not db
+    assert not np.shares_memory(da.vectors, db.vectors)
+    assert np.array_equal(bits(da.vectors), bits(db.vectors))
+    assert np.array_equal(bits(da.probabilities), bits(db.probabilities))
+
+
+def test_failed_decomposition_is_not_kept(monkeypatch):
+    """Every check runs on the first successful call: a breach stores nothing."""
+    rho = random_density(np.random.default_rng(SEED + 16), QUBIT)
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", lambda m: (np.array([0.2, 0.2]), np.eye(2, dtype=complex)))
+        with pytest.raises(ToleranceBreach):
+            ontic_decomposition(rho)
+    assert np.allclose(ontic_decomposition(rho).reconstruct(), rho.matrix, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

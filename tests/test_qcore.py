@@ -1,7 +1,11 @@
 """Tests for labeled spaces, states, density matrices, and factor algebra."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import onticsim
 from onticsim import (
     CorrelationOperator,
     DensityMatrix,
@@ -32,6 +36,7 @@ from onticsim.errors import (
 )
 
 SEED = 20260816
+SRC = Path(onticsim.__file__).parent
 
 
 def random_density(rng: np.random.Generator, space: HilbertSpace) -> DensityMatrix:
@@ -59,7 +64,7 @@ def test_space_rejects_label_clash():
         HilbertSpace.of(("s", 2), ("s", 2))
 
 
-@pytest.mark.parametrize("dim", [2.5, 2.7, 0, -1, 0.5])
+@pytest.mark.parametrize("dim", [2.5, 2.7, 0, -1, 0.5, np.nan, np.inf, -np.inf, None])
 def test_space_rejects_dimensions_that_are_not_positive_integers(dim):
     with pytest.raises(BadPartition):
         HilbertSpace.of(("s", dim))
@@ -329,3 +334,31 @@ def test_density_matrix_json_round_trip():
     back = density_matrix_from_json(density_matrix_to_json(rho))
     assert back.space == rho.space
     assert np.allclose(back.matrix, rho.matrix, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# one memo
+# ---------------------------------------------------------------------------
+
+def _dict_access(path: Path) -> list[int]:
+    """Lines of one source file that read or write an object's __dict__."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            found.append(node.lineno)
+        if isinstance(node, ast.Constant) and node.value == "__dict__":
+            found.append(node.lineno)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars":
+            found.append(node.lineno)
+    return found
+
+
+def test_only_qcore_memoizes():
+    """qcore._memo is the one place that keeps derived results on an object."""
+    elsewhere = {
+        path.name: _dict_access(path)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "qcore.py" and _dict_access(path)
+    }
+    assert elsewhere == {}
+    assert len(_dict_access(SRC / "qcore.py")) == 1

@@ -376,6 +376,19 @@ def test_repeated_interaction_rejects_bad_grid():
         markov_chain_from_repeated_interaction(SWAP, env, rho_s0, math.inf, 4)
     with pytest.raises(BadInterval):
         markov_chain_from_repeated_interaction(SWAP, env, rho_s0, 0.4, 0)
+    for steps in (2.5, math.inf, math.nan, None):
+        with pytest.raises(BadInterval):
+            markov_chain_from_repeated_interaction(SWAP, env, rho_s0, 0.4, steps)
+
+
+def test_repeated_interaction_accepts_an_integral_float_step_count():
+    rho_s0 = DensityMatrix(HilbertSpace.of(("s", 2)), np.diag([0.7, 0.3]).astype(complex))
+    env = basis_state(HilbertSpace.of(("e", 2)), 0).density_matrix()
+    chain = markov_chain_from_repeated_interaction(SWAP, env, rho_s0, 0.4, 3.0)
+    exact = markov_chain_from_repeated_interaction(SWAP, env, rho_s0, 0.4, 3)
+    assert len(chain.kernels) == 3
+    assert chain.times == exact.times
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(chain.kernels, exact.kernels))
 
 
 PARTIAL_SWAP_SETTINGS = [(0.4, 1.0), (0.2, 1.0), (1.0, 0.7)]
