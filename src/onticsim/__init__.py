@@ -41,7 +41,6 @@ from .errors import (
     NotAProjector,
     NotAWitnessPair,
     NothingToTrace,
-    NotPSD,
     NotUnitary,
     OnticSimError,
     SpaceMismatch,
@@ -65,17 +64,14 @@ from .measurement import (
 from .ontic import (
     ConditionalProbabilityTable,
     OnticDecomposition,
-    OnticEntry,
     bayesian_propagation_check,
     conditional_probabilities,
     ontic_decomposition,
-    psd_pairing_check,
     single_system_conditional,
     table_to_csv,
     table_to_json,
 )
 from .opendyn import (
-    ConditionedChannel,
     FactorizationCheck,
     NonlinearityWitnessReport,
     WitnessPair,
@@ -90,12 +86,10 @@ from .opendyn import (
     witness_report_to_json,
 )
 from .qcore import (
-    CorrelationOperator,
     DensityMatrix,
     HilbertSpace,
     PureState,
     basis_state,
-    correlation_operator,
     density_matrix_from_json,
     density_matrix_to_json,
     embed_operator,
@@ -114,15 +108,12 @@ from .trajectories import (
     MarkovKernelChain,
     OnticTrajectory,
     bloch_helix,
-    bloch_state,
-    closed_system_trajectory,
     enumerate_trajectory_measure,
     kernel_from_matrix,
     markov_chain_from_repeated_interaction,
     measure_to_json,
     sample_trajectories,
     sample_trajectory,
-    trajectory_probability,
     trajectory_to_csv,
 )
 

@@ -57,6 +57,7 @@ from .opendyn import (
 )
 from .qcore import DensityMatrix, HilbertSpace, PureState, _csv_text, basis_state, maximally_mixed
 from .trajectories import (
+    _MAX_STEPS,
     bloch_helix,
     enumerate_trajectory_measure,
     markov_chain_from_repeated_interaction,
@@ -106,7 +107,7 @@ class ParamSpec:
 # size caps: a config past one is refused before anything is allocated
 _MAX_DIM = 1024
 _MAX_POINTS = 10**6
-_MAX_STEPS = 10**4
+# steps: trajectories._MAX_STEPS, the chain builder's own cap
 _MAX_LIST_LENGTH = 1024
 _MAX_CHOI_DIM = 4096  # verify's d_in * d_out: past it the Choi matrix tops 256 MiB
 

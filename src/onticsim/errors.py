@@ -43,10 +43,6 @@ class NotAProjector(OnticSimError):
     """A matrix is not an orthogonal projector of the required rank."""
 
 
-class NotPSD(OnticSimError):
-    """A matrix has an eigenvalue below the admissible floor."""
-
-
 class NotADistribution(OnticSimError):
     """Probabilities are negative or do not sum to one."""
 

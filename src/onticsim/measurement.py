@@ -68,8 +68,10 @@ class MeasurementModel:
     overlap_fn: Callable[[float, float], float] = exponential_overlap
 
     def __post_init__(self) -> None:
-        if self.subject_dim < 2:
-            raise SpaceMismatch(f"subject dimension {self.subject_dim} below 2")
+        dim = _integral(self.subject_dim)
+        if dim is None or dim < 2:
+            raise SpaceMismatch(f"subject dimension {self.subject_dim!r} is not an integer >= 2")
+        object.__setattr__(self, "subject_dim", dim)
         counts = (_integral(self.n_a), _integral(self.n_e))
         if None in counts or min(counts) < 0:
             raise NotADistribution(

@@ -1,13 +1,13 @@
 """Spectral decompositions of density matrices and conditional probabilities.
 
 A density matrix's eigendecomposition is read as an exhaustive list of
-possible configurations with their probabilities.  Entries are ordered by
-descending probability; one lexsort breaks exact ties by the (re, im)
-pairs of the phase-canonical eigenvectors, amplitude by amplitude.
-Near-zero eigenvalues are kept but flagged null so tables built from two
-decompositions stay square, and near-coincident eigenvalues are reported
-as degeneracy groups because the eigenbasis inside such a group is a
-numerically arbitrary choice.
+possible configurations with their probabilities.  Configurations are
+ordered by descending probability; one lexsort breaks exact ties by the
+(re, im) pairs of the phase-canonical eigenvectors, amplitude by amplitude.
+Null configurations, with a probability below NULL_PROBABILITY, are kept
+so tables built from two decompositions stay square, and near-coincident
+eigenvalues are reported as degeneracy groups because the eigenbasis
+inside such a group is a numerically arbitrary choice.
 
 Conditional probabilities link a parent-space decomposition at one time
 to subsystem decompositions at a later time through a channel:
@@ -38,11 +38,10 @@ import numpy as np
 
 from . import tolerances as tol
 from .channels import QuantumChannel, apply
-from .errors import NotPSD, SpaceMismatch, ToleranceBreach
+from .errors import SpaceMismatch, ToleranceBreach
 from .qcore import (
     DensityMatrix,
     HilbertSpace,
-    PureState,
     _as_complex,
     _canonical_phase,
     _check_partition,
@@ -52,38 +51,22 @@ from .qcore import (
 )
 
 __all__ = [
-    "OnticEntry",
     "OnticDecomposition",
     "ConditionalProbabilityTable",
     "ontic_decomposition",
     "conditional_probabilities",
     "single_system_conditional",
     "bayesian_propagation_check",
-    "psd_pairing_check",
     "table_to_csv",
     "table_to_json",
 ]
 
 
 @dataclass(frozen=True, eq=False)
-class OnticEntry:
-    """One eigenvalue/eigenvector pair of a density matrix."""
-
-    probability: float
-    state: PureState
-    null: bool
-
-    @property
-    def projector(self) -> np.ndarray:
-        return self.state.projector()
-
-
-@dataclass(frozen=True, eq=False)
 class OnticDecomposition:
     """Complete eigensystem of a density matrix, in canonical order: read-only
     `probabilities` (n,) and phase-canonical eigenvector columns `vectors`
-    (d, n).  `entries` is a view built on demand, one OnticEntry per column;
-    its PureState re-applies the phase rule, so may differ in the last bit.
+    (d, n).
     """
 
     source_space: HilbertSpace
@@ -100,13 +83,6 @@ class OnticDecomposition:
         tol.check(abs(probs.sum() - 1.0), tol.DERIVED, ToleranceBreach, "probability sum defect")
         ortho = tol.isometry_defect(vecs)
         tol.check(ortho, tol.DERIVED, ToleranceBreach, "eigenvector orthonormality defect")
-
-    @property
-    def entries(self) -> tuple[OnticEntry, ...]:
-        return tuple(
-            OnticEntry(p, PureState(self.source_space, v), p < tol.NULL_PROBABILITY)
-            for p, v in zip(self.probabilities.tolist(), self.vectors.T)
-        )
 
     def reconstruct(self) -> np.ndarray:
         vecs = self.vectors
@@ -311,17 +287,6 @@ def bayesian_propagation_check(
     joint = table.values.reshape(len(parent.probabilities), vecs.shape[1], -1).sum(axis=2)
     chained = parent.probabilities @ joint
     return float(np.max(np.abs(direct - chained)))
-
-
-def psd_pairing_check(a: np.ndarray, b: np.ndarray) -> float:
-    """Tr[a b] for two PSD matrices; the pairing every table value reduces to."""
-    for name, m in (("first", a), ("second", b)):
-        arr = np.asarray(m, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise NotPSD(f"{name} argument is not square")
-        tol.check(tol.hermiticity_defect(arr), tol.DERIVED, NotPSD, f"{name} Hermiticity defect")
-        tol.check(tol.negativity(arr), -tol.EIG_FLOOR, NotPSD, f"{name} eigenvalue negativity")
-    return float(np.real(np.trace(np.asarray(a) @ np.asarray(b))))
 
 
 # ---------------------------------------------------------------------------

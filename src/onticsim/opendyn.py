@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tolerances as tol
-from .channels import CPTPReport, QuantumChannel, _reduced_channel, apply, verify_cptp
+from .channels import QuantumChannel, _reduced_channel, apply
 from .errors import BadPartition, NotAProjector, NotAWitnessPair, SpaceMismatch
 from .ontic import ConditionalProbabilityTable, _kernel_table, ontic_decomposition
 from .qcore import (
@@ -39,7 +39,6 @@ from .qcore import (
 )
 
 __all__ = [
-    "ConditionedChannel",
     "FactorizationCheck",
     "NonlinearityWitnessReport",
     "WitnessPair",
@@ -53,18 +52,6 @@ __all__ = [
     "witness_pair_werner",
     "witness_report_to_json",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class ConditionedChannel:
-    """System channel conditioned on an environment configuration."""
-
-    channel: QuantumChannel
-
-    @property
-    def report(self) -> CPTPReport:
-        """CPTP diagnosis of the channel, computed on demand."""
-        return verify_cptp(self.channel)
 
 
 def _check_projector(p: np.ndarray, dim: int) -> np.ndarray:
@@ -81,7 +68,7 @@ def conditional_channel_given_env(
     ch_w: QuantumChannel,
     p_e: np.ndarray,
     split: tuple[Sequence[str], Sequence[str]],
-) -> ConditionedChannel:
+) -> QuantumChannel:
     """The system map obtained by fixing the environment input configuration.
 
     The rank-one projector P_E(e) is the environment state of the reduced
@@ -95,7 +82,7 @@ def conditional_channel_given_env(
     tol.check(abs(arr.trace() - 1.0), tol.DERIVED, NotAProjector, "rank-one trace defect")
     # a projector within the derived tolerance, made exactly a unit-trace state
     rho_e = DensityMatrix(e_space, (arr + arr.conjugate().T) / (2.0 * arr.trace().real))
-    return ConditionedChannel(_reduced_channel(ch_w.kraus, ch_w.in_space, rho_e, split))
+    return _reduced_channel(ch_w.kraus, ch_w.in_space, rho_e, split)
 
 
 def parent_conditioned_probabilities(

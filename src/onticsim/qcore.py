@@ -32,10 +32,8 @@ __all__ = [
     "HilbertSpace",
     "PureState",
     "DensityMatrix",
-    "CorrelationOperator",
     "tensor",
     "partial_trace",
-    "correlation_operator",
     "trace_distance",
     "permute_factors",
     "embed_operator",
@@ -330,56 +328,6 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
         raise NothingToTrace(f"keeping all of {rho.space.labels} traces nothing")
     out = _partial_trace_matrix(rho.matrix, rho.space.dims, keep_axes)
     return DensityMatrix(rho.space.subspace(keep), out)
-
-
-@dataclass(frozen=True, eq=False)
-class CorrelationOperator:
-    """Difference between a parent state and the product of its marginals.
-
-    Hermitian and traceless by construction, and its partial trace over
-    either designated group vanishes, so it carries exactly the
-    correlations between the two groups.
-    """
-
-    space: HilbertSpace
-    s_labels: tuple[str, ...]
-    e_labels: tuple[str, ...]
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        d = self.space.total_dim
-        arr = _as_complex(self.matrix, (d, d), "correlation operator")
-        object.__setattr__(self, "matrix", arr)
-        object.__setattr__(self, "s_labels", tuple(self.s_labels))
-        object.__setattr__(self, "e_labels", tuple(self.e_labels))
-        _check_partition(self.space, [self.s_labels, self.e_labels])
-        herm = tol.hermiticity_defect(arr)
-        tol.check(herm, tol.CONSTRUCTION, ToleranceBreach, "Hermiticity defect")
-        for group in (self.s_labels, self.e_labels):
-            axes = sorted(self.space.axis(label) for label in group)
-            reduced = _partial_trace_matrix(arr, self.space.dims, axes)
-            worst = np.max(np.abs(reduced))
-            tol.check(worst, tol.DERIVED, ToleranceBreach, f"partial trace onto {group}")
-
-
-def correlation_operator(
-    rho_w: DensityMatrix, split: tuple[Sequence[str], Sequence[str]]
-) -> CorrelationOperator:
-    """Parent state minus the tensor product of its two marginals.
-
-    The result lives on the parent space with factors reordered so the
-    first group comes first; each group keeps its parent-relative order.
-    """
-    s_labels, e_labels = [list(g) for g in split]
-    _check_partition(rho_w.space, [s_labels, e_labels])
-    rho_s = partial_trace(rho_w, s_labels)
-    rho_e = partial_trace(rho_w, e_labels)
-    order = list(rho_s.space.labels) + list(rho_e.space.labels)
-    big, big_space = permute_factors(rho_w.matrix, rho_w.space, order)
-    product = np.kron(rho_s.matrix, rho_e.matrix)
-    return CorrelationOperator(
-        big_space, rho_s.space.labels, rho_e.space.labels, big - product
-    )
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

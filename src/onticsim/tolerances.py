@@ -2,7 +2,7 @@
 
 Two tiers: CONSTRUCTION guards invariants checked when an object is built
 (Hermiticity, unit trace, unit norm), DERIVED guards quantities obtained
-through a computation (vanishing partial traces, Kraus completeness,
+through a computation (marginal distances, Kraus completeness,
 eigenprojector reconstruction).  Conditional-probability rows get a
 slightly looser budget because they accumulate error from several
 eigendecompositions and a channel application.
@@ -20,8 +20,8 @@ import numpy as np
 # construction-time invariants: Hermiticity, unit trace, unit norm
 CONSTRUCTION = 1e-12
 
-# derived checks: partial traces of correlation operators, Kraus
-# completeness, decomposition reconstruction, projector idempotence
+# derived checks: marginal distances, Kraus completeness,
+# decomposition reconstruction, projector idempotence
 DERIVED = 1e-10
 
 # most negative admissible eigenvalue for density and Choi matrices
@@ -30,7 +30,7 @@ EIG_FLOOR = -1e-10
 # conditional-probability table rows must sum to one within this
 ROW_SUM = 1e-9
 
-# ontic entries with probability below this are flagged null
+# configurations with probability below this are null: kept, but carry no weight
 NULL_PROBABILITY = 1e-12
 
 # Kraus operators below this Frobenius norm are dropped

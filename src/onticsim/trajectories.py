@@ -7,18 +7,20 @@ exhaustively (small chains), sampled (trajectory k draws its uniforms
 from default_rng((seed, k)) in one random(steps) call, equal to steps
 sequential scalar draws), or generated physically by repeatedly coupling
 the system to a fresh environment factor, which is the regime where
-per-step reduced channels compose exactly.  The kernels compose only
-while the states stay diagonal in one fixed basis: otherwise ch(P_w) is
-not diagonal in the next state's eigenbasis, and the product measure
-misses the multi-time tables, the obstruction to a trajectory measure.
+per-step reduced channels compose exactly.
 
-Closed systems are the degenerate case: the single occupied
-configuration follows the unitary flow and never jumps, so the
-trajectory has constant index and carries the evolving eigenframes
-instead.  For a qubit the two configurations of a generic mixed state
-trace an antipodal double helix on the Bloch sphere; bloch_helix returns
-that curve in (theta, phi) coordinates with theta measured from +z and
-phi from +x, the rotation axis held in the x-z plane.
+Two claims about the obstruction to a trajectory measure are kept
+apart.  The first holds, and the tests pin it: the kernels compose only
+while the states stay diagonal in one fixed basis; otherwise ch(P_w) is
+not diagonal in the next state's eigenbasis, and the product measure
+misses the multi-time tables.  The second, that no measure on index
+sequences, Markov or not, reproduces those tables, is open.
+
+For a qubit the two configurations of a generic mixed state under a
+rotation trace an antipodal double helix on the Bloch sphere;
+bloch_helix returns that curve in (theta, phi) coordinates with theta
+measured from +z and phi from +x, the rotation axis held in the x-z
+plane.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tolerances as tol
-from .channels import QuantumChannel, UnitaryFamily, apply, dilation_channel
+from .channels import UnitaryFamily, apply, dilation_channel
 from .errors import (
     BadInterval,
     GridMismatch,
@@ -40,19 +42,16 @@ from .errors import (
     TooManyTrajectories,
 )
 from .ontic import ConditionalProbabilityTable, _kernel_table, ontic_decomposition
-from .qcore import DensityMatrix, HilbertSpace, PureState, _csv_text, _integral
+from .qcore import DensityMatrix, _csv_text, _integral
 
 __all__ = [
     "OnticTrajectory",
     "MarkovKernelChain",
-    "trajectory_probability",
     "enumerate_trajectory_measure",
     "sample_trajectory",
     "sample_trajectories",
     "markov_chain_from_repeated_interaction",
     "bloch_helix",
-    "bloch_state",
-    "closed_system_trajectory",
     "kernel_from_matrix",
     "trajectory_to_csv",
     "measure_to_json",
@@ -60,6 +59,9 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 1_000_000
+
+# most steps a repeated-interaction chain builds; the CLI caps its config with it
+_MAX_STEPS = 10**4
 
 
 def _check_times(times: tuple[float, ...]) -> None:
@@ -70,11 +72,10 @@ def _check_times(times: tuple[float, ...]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class OnticTrajectory:
-    """One index per grid time, optionally with basis-frame snapshots."""
+    """One configuration index per grid time."""
 
     times: tuple[float, ...]
     indices: tuple[int, ...]
-    frames: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self) -> None:
         times = tuple(float(t) for t in self.times)
@@ -86,14 +87,6 @@ class OnticTrajectory:
         _check_times(times)
         if any(i < 0 for i in indices):
             raise GridMismatch("indices must be non-negative")
-        if self.frames is not None:
-            frames = tuple(np.asarray(f, dtype=np.complex128) for f in self.frames)
-            if len(frames) != len(times):
-                raise GridMismatch(f"{len(frames)} frames for {len(times)} times")
-            for f in frames:
-                defect = tol.isometry_defect(f)
-                tol.check(defect, tol.DERIVED, ToleranceBreach, "frame orthonormality defect")
-            object.__setattr__(self, "frames", frames)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,22 +133,6 @@ def kernel_from_matrix(matrix) -> ConditionalProbabilityTable:
         column_indices=tuple((j,) for j in range(arr.shape[1])),
         values=arr,
     )
-
-
-def trajectory_probability(traj: OnticTrajectory, chain: MarkovKernelChain) -> float:
-    """Product of per-step conditional probabilities along the trajectory."""
-    if traj.times != chain.times:
-        raise GridMismatch(
-            f"trajectory grid {traj.times} does not match chain grid {chain.times}"
-        )
-    counts = chain.state_counts
-    for k, i in enumerate(traj.indices):
-        if i >= counts[k]:
-            raise GridMismatch(f"index {i} out of range at step {k} ({counts[k]} states)")
-    p = 1.0
-    for k, kern in enumerate(chain.kernels):
-        p *= float(kern.values[traj.indices[k], traj.indices[k + 1]])
-    return p
 
 
 def enumerate_trajectory_measure(
@@ -236,16 +213,19 @@ def markov_chain_from_repeated_interaction(
 
     h_int is a Hermitian generator on the system factors followed by the
     fresh environment factor.  Because every step meets an uncorrelated
-    environment, the per-step reduced channels compose exactly; the product
-    measure over the kernels reproduces the multi-time tables only while
-    the states stay diagonal in one fixed basis.  Each state is evolved and
+    environment, the per-step reduced channels compose exactly, but the
+    product measure over the kernels reproduces the multi-time tables only
+    while the states stay diagonal in one fixed basis.  Whether some other
+    measure reproduces them otherwise is open.  Each state is evolved and
     decomposed once: its decomposition is the column side of one kernel
-    and the row side of the next.
+    and the row side of the next.  More than _MAX_STEPS steps are refused
+    before anything is built.
     """
     count = _integral(steps)
-    if not 0 < step < math.inf or count is None or count < 1:
+    if not 0 < step < math.inf or count is None or not 1 <= count <= _MAX_STEPS:
         raise BadInterval(
-            f"need finite positive step and a whole number of steps >= 1, got {step}, {steps!r}"
+            f"need finite positive step and a whole number of steps in [1, {_MAX_STEPS}], "
+            f"got {step}, {steps!r}"
         )
     combined = rho_s0.space.tensor(rho_e_fresh.space)
     family = UnitaryFamily(combined, h_int)
@@ -268,14 +248,6 @@ def markov_chain_from_repeated_interaction(
 # qubit geometry
 # ---------------------------------------------------------------------------
 
-def bloch_state(theta: float, phi: float) -> np.ndarray:
-    """Amplitudes of the qubit state at Bloch angles (theta, phi)."""
-    return np.array(
-        [math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)],
-        dtype=np.complex128,
-    )
-
-
 def bloch_helix(omega: float, times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Antipodal configuration strands of a qubit rotating in the x-z plane.
 
@@ -294,49 +266,6 @@ def bloch_helix(omega: float, times: Sequence[float]) -> tuple[np.ndarray, np.nd
     strand1 = np.column_stack([theta1, phi1])
     strand2 = np.column_stack([math.pi - theta1, (phi1 + math.pi) % (2.0 * math.pi)])
     return strand1, strand2
-
-
-def _complete_frame(v: np.ndarray) -> np.ndarray:
-    """Orthonormal basis starting with v, completed from the standard basis.
-
-    Deterministic: candidate basis vectors are taken in index order and a
-    second orthogonalization pass keeps the frame orthonormal to rounding.
-    """
-    d = len(v)
-    cols = [v / np.linalg.norm(v)]
-    for j in range(d):
-        if len(cols) == d:
-            break
-        w = np.zeros(d, dtype=np.complex128)
-        w[j] = 1.0
-        for _ in range(2):
-            for c in cols:
-                w = w - c * (c.conjugate() @ w)
-        norm = np.linalg.norm(w)
-        if norm > 1e-6:
-            cols.append(w / norm)
-    return np.column_stack(cols)
-
-
-def closed_system_trajectory(
-    u_family, psi0: PureState, times: Sequence[float]
-) -> OnticTrajectory:
-    """Unitary flow of a pure state: constant index, evolving frames.
-
-    The occupied configuration at each time is u_family(t) applied to
-    psi0, placed in the first frame column; the conditional probability
-    of staying in it is exactly one, so the index never moves.
-    """
-    times = tuple(float(t) for t in times)
-    if not times:
-        raise BadInterval("need at least one time")
-    frames = []
-    for t in times:
-        u = u_family(t)
-        if u.space.total_dim != psi0.space.total_dim:
-            raise SpaceMismatch("family and state dimensions differ")
-        frames.append(_complete_frame(u.matrix @ psi0.amplitudes))
-    return OnticTrajectory(times, (0,) * len(times), tuple(frames))
 
 
 # ---------------------------------------------------------------------------

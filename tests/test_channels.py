@@ -117,7 +117,7 @@ def test_construction_runs_no_choi_eigensolve(monkeypatch):
     dilated = dilation_channel(u, random_density(rng, HilbertSpace.of(("e", 2))), SPLIT)
     composed = compose(dilated, dilated)
     env = basis_state(HilbertSpace.of(("e", 2)), 1).projector()
-    conditioned = conditional_channel_given_env(unitary_channel(u), env, SPLIT).channel
+    conditioned = conditional_channel_given_env(unitary_channel(u), env, SPLIT)
     for ch in (dilated, composed, conditioned):
         assert ch.kraus.shape[1:] == (2, 2)
 
@@ -180,10 +180,10 @@ def test_conditioning_a_unitary_is_its_dilation():
     p_e = PureState(HilbertSpace.of(("e", 3)), v / np.linalg.norm(v)).projector()
     conditioned = conditional_channel_given_env(unitary_channel(u), p_e, split)
     dilated = dilation_channel(u, DensityMatrix(HilbertSpace.of(("e", 3)), p_e), split)
-    assert channel_distance(conditioned.channel, dilated) < 1e-12
+    assert channel_distance(conditioned, dilated) < 1e-12
     # one operator per output direction of e: the rounding-level eigenvalues
     # of the rank-one P_E contribute none
-    assert len(conditioned.channel.kraus) == 3
+    assert len(conditioned.kraus) == 3
 
 
 def test_dilation_is_cptp_for_random_parents():

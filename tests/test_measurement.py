@@ -69,8 +69,10 @@ def test_pointer_overlap_refuses_values_outside_the_unit_interval(c):
 
 
 def test_model_validation():
-    with pytest.raises(SpaceMismatch):
-        default_model(subject_dim=1)
+    for dim in (1, 2.5, math.inf):
+        with pytest.raises(SpaceMismatch):
+            default_model(subject_dim=dim)
+    assert type(default_model(subject_dim=3.0).subject_dim) is int
     with pytest.raises(NotADistribution):
         default_model(n_a=-1)
     with pytest.raises(NotADistribution):

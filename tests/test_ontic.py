@@ -16,13 +16,11 @@ from onticsim import (
     CNOT,
     SWAP,
     ConditionalProbabilityTable,
-    CorrelationOperator,
     DensityMatrix,
     HilbertSpace,
     MarkovKernelChain,
     MeasurementModel,
     OnticDecomposition,
-    OnticEntry,
     OnticTrajectory,
     PureState,
     QuantumChannel,
@@ -43,7 +41,6 @@ from onticsim import (
     parent_conditioned_probabilities,
     partial_trace,
     projector_factorization_check,
-    psd_pairing_check,
     single_system_conditional,
     table_to_csv,
     table_to_json,
@@ -55,7 +52,6 @@ from onticsim.errors import (
     BadPartition,
     NotADistribution,
     NotAProjector,
-    NotPSD,
     NotUnitary,
     NothingToTrace,
     SpaceMismatch,
@@ -97,6 +93,10 @@ def three_factor_case():
     return ch, random_density(rng, THREE)
 
 
+def projector(v: np.ndarray) -> np.ndarray:
+    return np.outer(v, v.conjugate())
+
+
 def direct_table(ch, rho, splits) -> np.ndarray:
     """Tr[(P_1(i1) (x) ... (x) P_n(in)) ch(P_w)] with every projector embedded."""
     evolved = apply(ch, rho)
@@ -105,15 +105,15 @@ def direct_table(ch, rho, splits) -> np.ndarray:
         reduce(
             np.matmul,
             [
-                embed_operator(dec.entries[i].projector, dec.source_space.labels, THREE)
+                embed_operator(projector(dec.vectors[:, i]), dec.source_space.labels, THREE)
                 for dec, i in zip(decs, combo)
             ],
         )
-        for combo in itertools.product(*[range(len(dec.entries)) for dec in decs])
+        for combo in itertools.product(*[range(dec.probabilities.size) for dec in decs])
     ]
     rows = [
-        sum(k @ entry.projector @ k.conjugate().T for k in ch.kraus)
-        for entry in ontic_decomposition(rho).entries
+        sum(k @ projector(w) @ k.conjugate().T for k in ch.kraus)
+        for w in ontic_decomposition(rho).vectors.T
     ]
     return np.array([[np.trace(col @ row).real for col in columns] for row in rows])
 
@@ -126,18 +126,18 @@ def test_decomposition_sorts_by_probability():
     rho = DensityMatrix(QUBIT, np.diag([0.3, 0.7]).astype(complex))
     dec = ontic_decomposition(rho)
     assert np.allclose(dec.probabilities, [0.7, 0.3])
-    assert abs(dec.entries[0].state.amplitudes[1] - 1.0) < 1e-14
-    assert not any(e.null for e in dec.entries)
+    assert abs(dec.vectors[1, 0] - 1.0) < 1e-14
+    assert np.all(dec.probabilities >= tol.NULL_PROBABILITY)
     assert np.allclose(dec.reconstruct(), rho.matrix, atol=1e-12)
 
 
 def test_decomposition_keeps_null_configurations():
-    """Zero-probability eigenvectors stay in the list, flagged as null."""
+    """Zero-probability eigenvectors stay in the list, below NULL_PROBABILITY."""
     rho = DensityMatrix(HilbertSpace.of(("s", 3)), np.diag([0.7, 0.3, 0.0]).astype(complex))
     dec = ontic_decomposition(rho)
-    assert len(dec.entries) == 3
-    assert [e.null for e in dec.entries] == [False, False, True]
-    assert dec.entries[2].probability == 0.0
+    assert dec.vectors.shape == (3, 3)
+    assert (dec.probabilities < tol.NULL_PROBABILITY).tolist() == [False, False, True]
+    assert dec.probabilities[2] == 0.0
 
 
 def test_decomposition_reports_degeneracy_groups():
@@ -153,8 +153,7 @@ def test_decomposition_order_is_phase_independent():
     rho = random_density(rng, HilbertSpace.of(("s", 3)))
     a = ontic_decomposition(rho)
     b = ontic_decomposition(DensityMatrix(rho.space, rho.matrix.copy()))
-    for x, y in zip(a.entries, b.entries):
-        assert np.allclose(x.state.amplitudes, y.state.amplitudes, atol=1e-12)
+    assert np.allclose(a.vectors, b.vectors, atol=1e-12)
 
 
 def test_decomposition_fuzz_reconstruction_and_orthonormality():
@@ -165,7 +164,7 @@ def test_decomposition_fuzz_reconstruction_and_orthonormality():
         assert np.allclose(dec.reconstruct(), rho.matrix, atol=1e-10)
         probs = dec.probabilities
         assert np.all(probs[:-1] >= probs[1:] - 1e-12)
-        vecs = np.column_stack([e.state.amplitudes for e in dec.entries])
+        vecs = dec.vectors
         assert np.max(np.abs(vecs.conjugate().T @ vecs - np.eye(4))) < 1e-10
 
 
@@ -280,16 +279,15 @@ def test_pure_state_and_decomposition_share_the_phase_rule():
 
 
 def test_decomposition_arrays_are_read_only_and_entries_view_them():
+    """Column k of `vectors` is the configuration of probability k; the
+    null ones, below NULL_PROBABILITY, are the trailing columns."""
     rho = low_rank_density(np.random.default_rng(SEED + 13), 5, 2)
     dec = ontic_decomposition(rho)
     assert not dec.probabilities.flags.writeable
     assert not dec.vectors.flags.writeable
-    entries = dec.entries
-    assert all(isinstance(e, OnticEntry) for e in entries)
-    assert [e.probability for e in entries] == dec.probabilities.tolist()
-    assert [e.null for e in entries] == [False, False, True, True, True]
-    for k, e in enumerate(entries):
-        assert np.max(np.abs(e.state.amplitudes - dec.vectors[:, k])) <= 1e-15
+    assert (dec.probabilities < tol.NULL_PROBABILITY).tolist() == [False, False, True, True, True]
+    for k, v in enumerate(dec.vectors.T):
+        assert abs(np.vdot(v, rho.matrix @ v) - dec.probabilities[k]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +392,10 @@ def test_table_validation():
             lambda: OnticDecomposition(QUBIT, np.array([np.nan, np.nan]), np.eye(2), ()),
             ToleranceBreach,
         ),
-        (lambda: psd_pairing_check(NAN_QUBIT, np.eye(2)), NotPSD),
         (lambda: PureState(QUBIT, [np.nan, 0.0]), ToleranceBreach),
         (lambda: UnitaryOperator(QUBIT, NAN_QUBIT), NotUnitary),
         (lambda: UnitaryFamily(QUBIT, NAN_QUBIT), ToleranceBreach),
         (lambda: QuantumChannel(QUBIT, QUBIT, (NAN_QUBIT,)), ToleranceBreach),
-        (lambda: CorrelationOperator(PAIR, ("s",), ("e",), NAN_PAIR), ToleranceBreach),
         (
             lambda: conditional_channel_given_env(
                 unitary_channel(UnitaryOperator(PAIR, CNOT)), NAN_QUBIT, (["s"], ["e"])
@@ -407,7 +403,6 @@ def test_table_validation():
             NotAProjector,
         ),
         (lambda: projector_factorization_check(NAN_PAIR, PAIR, (["s"], ["e"])), NotAProjector),
-        (lambda: OnticTrajectory((0.0,), (0,), frames=(NAN_QUBIT,)), ToleranceBreach),
         (lambda: OnticTrajectory((0.0, np.nan, 1.0), (0, 0, 0)), BadInterval),
         (
             lambda: MarkovKernelChain((0.0, np.nan, 1.0), (kernel_from_matrix([[1.0]]),) * 2),
@@ -417,6 +412,7 @@ def test_table_validation():
         (lambda: MeasurementModel(2, 1, 1, np.nan, 1.0, 0.1), NotADistribution),
         (lambda: MeasurementModel(2, 1, 1, 1.0, np.nan, 0.1), NotADistribution),
         (lambda: MeasurementModel(2, 1, 1, 1.0, 1.0, np.nan), NotADistribution),
+        (lambda: MeasurementModel(np.nan, 1, 1, 1.0, 1.0, 0.1), SpaceMismatch),
         (
             lambda: MeasurementModel(2, 1, 1, 1.0, 1.0, 0.1, overlap_fn=lambda g, t: np.nan),
             ToleranceBreach,
@@ -433,21 +429,25 @@ def test_table_validation():
         ),
         (lambda: tol.check(np.nan, 1.0, ToleranceBreach, "defect"), ToleranceBreach),
         (
-            lambda: tol.check(tol.hermiticity_defect(NAN_QUBIT), 1.0, NotPSD, "defect"),
-            NotPSD,
+            lambda: tol.check(tol.hermiticity_defect(NAN_QUBIT), 1.0, ToleranceBreach, "defect"),
+            ToleranceBreach,
         ),
         (
             lambda: tol.check(tol.isometry_defect(NAN_QUBIT), 1.0, NotUnitary, "defect"),
             NotUnitary,
         ),
-        (lambda: tol.check(tol.negativity(NAN_QUBIT), 1.0, NotPSD, "defect"), NotPSD),
+        (
+            lambda: tol.check(tol.negativity(NAN_QUBIT), 1.0, ToleranceBreach, "defect"),
+            ToleranceBreach,
+        ),
     ],
     ids=[
-        "density_matrix", "table", "decomposition", "psd_pairing", "pure_state", "unitary",
-        "unitary_family", "kraus_channel", "correlation_operator", "conditioning_projector",
-        "factorization_projector", "trajectory_frames", "trajectory_times", "chain_times",
+        "density_matrix", "table", "decomposition", "pure_state", "unitary",
+        "unitary_family", "kraus_channel", "conditioning_projector",
+        "factorization_projector", "trajectory_times", "chain_times",
         "correlational_entropy", "measurement_gamma_a", "measurement_gamma_e",
-        "measurement_dt", "measurement_overlap_fn", "repeated_interaction_step",
+        "measurement_dt", "measurement_subject_dim", "measurement_overlap_fn",
+        "repeated_interaction_step",
         "check", "hermiticity_defect", "isometry_defect", "negativity",
     ],
 )
@@ -608,27 +608,6 @@ def test_bayesian_propagation_fuzz():
         ch = unitary_channel(UnitaryOperator(PAIR, u))
         rho = random_density(rng, PAIR)
         assert bayesian_propagation_check(ch, rho, (["s"], ["e"])) < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# PSD pairing
-# ---------------------------------------------------------------------------
-
-def test_psd_pairing_is_nonnegative_fuzz():
-    rng = np.random.default_rng(SEED + 6)
-    for _ in range(25):
-        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        a = g @ g.conjugate().T
-        h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        b = h @ h.conjugate().T
-        assert psd_pairing_check(a, b) >= -1e-12
-
-
-def test_psd_pairing_rejects_non_psd_inputs():
-    with pytest.raises(NotPSD):
-        psd_pairing_check(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
-    with pytest.raises(NotPSD):
-        psd_pairing_check(np.diag([1.0, -0.5]), np.eye(2))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from onticsim import (
     projector_factorization_check,
     tensor,
     unitary_channel,
+    verify_cptp,
     werner_state,
     witness_pair_bell_vs_product,
     witness_pair_werner,
@@ -64,8 +65,8 @@ def test_conditioning_identity_channel_gives_identity():
     ch = unitary_channel(UnitaryOperator(PAIR, np.eye(4)))
     conditioned = conditional_channel_given_env(ch, env_projector(0), SPLIT)
     ident = unitary_channel(UnitaryOperator(QUBIT, np.eye(2)))
-    assert channel_distance(conditioned.channel, ident) < 1e-14
-    assert conditioned.report.trace_preserving
+    assert channel_distance(conditioned, ident) < 1e-14
+    assert verify_cptp(conditioned).trace_preserving
 
 
 def test_conditioning_factorized_channel_recovers_system_factor():
@@ -77,7 +78,7 @@ def test_conditioning_factorized_channel_recovers_system_factor():
         direct = unitary_channel(UnitaryOperator(QUBIT, u_s))
         for e in (0, 1):
             conditioned = conditional_channel_given_env(ch, env_projector(e), SPLIT)
-            assert channel_distance(conditioned.channel, direct) < 1e-12
+            assert channel_distance(conditioned, direct) < 1e-12
 
 
 def test_conditioning_cnot_on_control_dephases():
@@ -88,9 +89,10 @@ def test_conditioning_cnot_on_control_dephases():
     )
     for e in (0, 1):
         conditioned = conditional_channel_given_env(ch, env_projector(e), SPLIT)
-        assert channel_distance(conditioned.channel, dephase) < 1e-14
-        assert conditioned.report.trace_preserving
-        assert conditioned.report.completely_positive
+        assert channel_distance(conditioned, dephase) < 1e-14
+        report = verify_cptp(conditioned)
+        assert report.trace_preserving
+        assert report.completely_positive
 
 
 def test_conditioning_cnot_on_target_flips_per_configuration():
@@ -102,8 +104,8 @@ def test_conditioning_cnot_on_target_flips_per_configuration():
     flip = unitary_channel(UnitaryOperator(QUBIT, PAULI_X))
     got0 = conditional_channel_given_env(ch, env_projector(0), SPLIT)
     got1 = conditional_channel_given_env(ch, env_projector(1), SPLIT)
-    assert channel_distance(got0.channel, ident) < 1e-14
-    assert channel_distance(got1.channel, flip) < 1e-14
+    assert channel_distance(got0, ident) < 1e-14
+    assert channel_distance(got1, flip) < 1e-14
 
 
 def test_conditioned_channels_are_cptp_fuzz():
@@ -114,8 +116,10 @@ def test_conditioned_channels_are_cptp_fuzz():
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         v /= np.linalg.norm(v)
         conditioned = conditional_channel_given_env(ch, np.outer(v, v.conjugate()), SPLIT)
-        assert conditioned.report.trace_preserving
-        assert conditioned.report.completely_positive
+        assert isinstance(conditioned, QuantumChannel)
+        report = verify_cptp(conditioned)
+        assert report.trace_preserving
+        assert report.completely_positive
 
 
 def test_conditioning_validates_inputs():
@@ -162,17 +166,16 @@ def test_parent_conditioned_agrees_with_conditioned_channel_route():
         table = parent_conditioned_probabilities(ch, rho, ["s"])
         parent = ontic_decomposition(rho)
         evolved_s = ontic_decomposition(partial_trace(apply(ch, rho), ["s"]))
-        for r, entry in enumerate(parent.entries):
-            amps = entry.state.amplitudes.reshape(2, 2)
+        for r, w in enumerate(parent.vectors.T):
+            amps = w.reshape(2, 2)
             weights = np.sum(np.abs(amps) ** 2, axis=0)
             e_index = int(np.argmax(weights))
             s_vec = amps[:, e_index] / np.linalg.norm(amps[:, e_index])
             conditioned = conditional_channel_given_env(ch, env_projector(e_index), SPLIT)
-            out = conditioned.channel.kraus[0] @ np.outer(s_vec, s_vec.conjugate()) @ conditioned.channel.kraus[0].conjugate().T
-            for k in conditioned.channel.kraus[1:]:
-                out = out + k @ np.outer(s_vec, s_vec.conjugate()) @ k.conjugate().T
-            for c, col in enumerate(evolved_s.entries):
-                direct = float(np.real(np.vdot(col.state.amplitudes, out @ col.state.amplitudes)))
+            proj = np.outer(s_vec, s_vec.conjugate())
+            out = sum(k @ proj @ k.conjugate().T for k in conditioned.kraus)
+            for c, v in enumerate(evolved_s.vectors.T):
+                direct = float(np.real(np.vdot(v, out @ v)))
                 assert abs(table.values[r, c] - direct) < 1e-10
 
 

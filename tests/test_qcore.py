@@ -7,12 +7,10 @@ import pytest
 
 import onticsim
 from onticsim import (
-    CorrelationOperator,
     DensityMatrix,
     HilbertSpace,
     PureState,
     basis_state,
-    correlation_operator,
     density_matrix_from_json,
     density_matrix_to_json,
     embed_operator,
@@ -248,37 +246,6 @@ def test_embed_operator_acts_on_named_factor():
     assert np.allclose(on_b, np.kron(np.eye(2), x))
     on_a = embed_operator(x, ["a"], space)
     assert np.allclose(on_a, np.kron(x, np.eye(2)))
-
-
-# ---------------------------------------------------------------------------
-# correlation operator
-# ---------------------------------------------------------------------------
-
-def test_correlation_operator_vanishes_on_products():
-    rng = np.random.default_rng(SEED + 4)
-    a = random_density(rng, HilbertSpace.of(("s", 2)))
-    b = random_density(rng, HilbertSpace.of(("e", 2)))
-    corr = correlation_operator(tensor(a, b), (["s"], ["e"]))
-    assert np.max(np.abs(corr.matrix)) < 1e-12
-
-
-def test_correlation_operator_partial_traces_vanish():
-    rng = np.random.default_rng(SEED + 5)
-    for _ in range(20):
-        rho = random_density(rng, HilbertSpace.of(("s", 2), ("e", 3)))
-        corr = correlation_operator(rho, (["s"], ["e"]))
-        assert isinstance(corr, CorrelationOperator)
-        d_s, d_e = 2, 3
-        block = corr.matrix.reshape(d_s, d_e, d_s, d_e)
-        assert np.max(np.abs(np.trace(block, axis1=1, axis2=3))) < 1e-10
-        assert np.max(np.abs(np.trace(block, axis1=0, axis2=2))) < 1e-10
-
-
-def test_correlation_operator_detects_entanglement():
-    space = HilbertSpace.of(("s", 2), ("e", 2))
-    bell = PureState(space, np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2))
-    corr = correlation_operator(bell.density_matrix(), (["s"], ["e"]))
-    assert np.max(np.abs(corr.matrix)) > 0.2
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ from onticsim import (
     ConditionalProbabilityTable,
     DensityMatrix,
     HilbertSpace,
-    OnticTrajectory,
+    MarkovKernelChain,
     UnitaryOperator,
     basis_state,
     correlational_entropy,
+    enumerate_trajectory_measure,
+    kernel_from_matrix,
     nonlinearity_witness,
     unitary_channel,
 )
@@ -48,6 +50,12 @@ def _witness_pair_mismatch():
     nonlinearity_witness(channel, rho_1, rho_2, (["s"], ["e"]))
 
 
+def _trajectory_mass_excess():
+    # each row sums to 1 + 8e-10, within ROW_SUM; two steps carry 1 + 1.6e-9
+    kernel = kernel_from_matrix([[0.5 + 4e-10] * 2] * 2)
+    enumerate_trajectory_measure(MarkovKernelChain((0.0, 1.0, 2.0), (kernel,) * 2), 2, 0)
+
+
 FAILING_GUARDS = {
     "qcore": (lambda: DensityMatrix(QUBIT, np.eye(2)), ToleranceBreach, tol.CONSTRUCTION),
     "channels": (lambda: UnitaryOperator(QUBIT, 2.0 * np.eye(2)), NotUnitary, tol.CONSTRUCTION),
@@ -58,11 +66,7 @@ FAILING_GUARDS = {
     ),
     "opendyn": (_witness_pair_mismatch, NotAWitnessPair, tol.DERIVED),
     "measurement": (lambda: correlational_entropy([0.5, 0.6]), NotADistribution, tol.DERIVED),
-    "trajectories": (
-        lambda: OnticTrajectory((0.0,), (0,), frames=(np.ones((2, 2)),)),
-        ToleranceBreach,
-        tol.DERIVED,
-    ),
+    "trajectories": (_trajectory_mass_excess, ToleranceBreach, tol.ROW_SUM),
 }
 
 

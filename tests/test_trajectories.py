@@ -15,8 +15,6 @@ from onticsim import (
     apply,
     basis_state,
     bloch_helix,
-    bloch_state,
-    closed_system_trajectory,
     compose,
     dilation_channel,
     enumerate_trajectory_measure,
@@ -26,16 +24,10 @@ from onticsim import (
     sample_trajectories,
     sample_trajectory,
     single_system_conditional,
-    trajectory_probability,
     trajectory_to_csv,
 )
-from onticsim.errors import (
-    BadInterval,
-    GridMismatch,
-    SpaceMismatch,
-    ToleranceBreach,
-    TooManyTrajectories,
-)
+from onticsim import trajectories
+from onticsim.errors import BadInterval, GridMismatch, SpaceMismatch, TooManyTrajectories
 
 SEED = 20260816
 
@@ -56,8 +48,6 @@ def test_trajectory_validation():
         OnticTrajectory((0.0, 1.0), (0, 1, 0))
     with pytest.raises(GridMismatch):
         OnticTrajectory((0.0, 1.0), (0, -1))
-    with pytest.raises(ToleranceBreach):
-        OnticTrajectory((0.0, 1.0), (0, 0), frames=(np.eye(2), np.ones((2, 2))))
     for times in [(math.nan,), (0.0, math.inf), (-math.inf, 0.0)]:
         with pytest.raises(BadInterval):
             OnticTrajectory(times, (0,) * len(times))
@@ -91,17 +81,7 @@ def test_kernel_from_matrix_refuses_shapes_that_are_not_tables(matrix):
 
 
 def test_trajectory_probability_of_coin_path():
-    chain = coin_chain(3)
-    traj = OnticTrajectory(chain.times, (0, 1, 0, 1))
-    assert trajectory_probability(traj, chain) == 0.125
-
-
-def test_trajectory_probability_rejects_wrong_grid():
-    chain = coin_chain(3)
-    with pytest.raises(GridMismatch):
-        trajectory_probability(OnticTrajectory((0.0, 1.0), (0, 1)), chain)
-    with pytest.raises(GridMismatch):
-        trajectory_probability(OnticTrajectory(chain.times, (0, 1, 0, 2)), chain)
+    assert enumerate_trajectory_measure(coin_chain(3), 2, 0)[0, 1, 0, 1] == 0.125
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +110,9 @@ def test_enumeration_matches_trajectory_probability():
     chain = MarkovKernelChain((0.0, 1.0, 2.0, 3.0), kernels)
     measure = enumerate_trajectory_measure(chain, 2, 1)
     for path, p in measure.items():
-        traj = OnticTrajectory(chain.times, path)
-        assert abs(trajectory_probability(traj, chain) - p) < 1e-15
+        steps = zip(chain.kernels, path, path[1:])
+        product = math.prod(float(kern.values[i, j]) for kern, i, j in steps)
+        assert abs(product - p) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +362,26 @@ def test_repeated_interaction_rejects_bad_grid():
             markov_chain_from_repeated_interaction(SWAP, env, rho_s0, 0.4, steps)
 
 
+class Built(Exception):
+    """Raised in place of building the dilation."""
+
+
+def test_repeated_interaction_caps_steps_before_building(monkeypatch):
+    """10**9 steps is refused at once; the cap itself still reaches the build."""
+    rho_s0 = DensityMatrix(HilbertSpace.of(("s", 2)), np.diag([0.7, 0.3]).astype(complex))
+    env = basis_state(HilbertSpace.of(("e", 2)), 0).density_matrix()
+
+    def refuse(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(trajectories, "UnitaryFamily", refuse)
+    for steps in (10**9, 10**4 + 1):
+        with pytest.raises(BadInterval):
+            markov_chain_from_repeated_interaction(SWAP, env, rho_s0, 0.4, steps)
+    with pytest.raises(Built):
+        markov_chain_from_repeated_interaction(SWAP, env, rho_s0, 0.4, 10**4)
+
+
 def test_repeated_interaction_accepts_an_integral_float_step_count():
     rho_s0 = DensityMatrix(HilbertSpace.of(("s", 2)), np.diag([0.7, 0.3]).astype(complex))
     env = basis_state(HilbertSpace.of(("e", 2)), 0).density_matrix()
@@ -440,10 +441,9 @@ def test_kernel_product_misses_the_multi_time_table_for_coherent_states(step, ra
 # qubit geometry
 # ---------------------------------------------------------------------------
 
-def test_bloch_state_poles_and_equator():
-    assert np.allclose(bloch_state(0.0, 0.0), [1.0, 0.0])
-    assert np.allclose(bloch_state(math.pi, 0.0), [0.0, 1.0], atol=1e-15)
-    assert np.allclose(bloch_state(math.pi / 2, 0.0), np.array([1.0, 1.0]) / math.sqrt(2))
+def bloch_amplitudes(theta, phi):
+    """The qubit state at Bloch angles (theta, phi)."""
+    return np.array([math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2)])
 
 
 def test_bloch_helix_frozen_quarter_turns():
@@ -460,26 +460,8 @@ def test_bloch_helix_strands_stay_orthogonal():
     times = np.sort(rng.uniform(0.0, 20.0, size=40))
     s1, s2 = bloch_helix(rng.uniform(0.5, 3.0), times)
     for (t1, p1), (t2, p2) in zip(s1, s2):
-        inner = np.vdot(bloch_state(t1, p1), bloch_state(t2, p2))
+        inner = np.vdot(bloch_amplitudes(t1, p1), bloch_amplitudes(t2, p2))
         assert abs(inner) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# closed-system trajectories
-# ---------------------------------------------------------------------------
-
-def test_closed_system_trajectory_never_jumps():
-    space = HilbertSpace.of(("s", 2))
-    family = UnitaryFamily(space, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    psi0 = basis_state(space, 0)
-    times = (0.0, 0.3, 0.9, 2.0)
-    traj = closed_system_trajectory(family, psi0, times)
-    assert traj.indices == (0, 0, 0, 0)
-    assert traj.frames is not None
-    for t, frame in zip(times, traj.frames):
-        evolved = family.at(t).matrix @ psi0.amplitudes
-        overlap = abs(np.vdot(frame[:, 0], evolved))
-        assert abs(overlap - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
