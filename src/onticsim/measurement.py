@@ -121,9 +121,15 @@ def _assign_outcomes(vectors: np.ndarray) -> tuple[int, ...]:
     outcome index (a stable sort of the flattened overlaps); for a
     decohered state this is just the argmax, but it stays well defined for
     null entries whose eigenvectors are arbitrary within the null space.
+    When the per-entry argmaxes are pairwise distinct they are the greedy
+    result (each entry's first pair in that order is its argmax, and no
+    other entry claims it), so the sort runs only when two collide.
     """
     overlaps = np.abs(vectors.T)
     n, d = overlaps.shape
+    best = overlaps.argmax(axis=1).tolist()
+    if len(set(best)) == n:
+        return tuple(best)
     outcome = [-1] * n
     used: set[int] = set()
     for flat in np.argsort(-overlaps, axis=None, kind="stable").tolist():
@@ -160,7 +166,7 @@ def simulate_measurement(
     if overlap_phases is None:
         # hex keeps an overlap of -0.0 apart from 0.0
         key = (c_a.hex(), c_e.hex(), float(delta_deg).hex())
-        return _memo(psi, key, lambda: _measure(psi, c_a, c_e, None, delta_deg))
+        return _memo(psi, "report", key, lambda: _measure(psi, c_a, c_e, None, delta_deg))
     phases = np.asarray(overlap_phases, dtype=float)
     if phases.shape != (d, d):
         raise SpaceMismatch(f"overlap_phases has shape {phases.shape}, expected ({d}, {d})")

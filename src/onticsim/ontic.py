@@ -2,8 +2,9 @@
 
 A density matrix's eigendecomposition is read as an exhaustive list of
 possible configurations with their probabilities.  Configurations are
-ordered by descending probability; one lexsort breaks exact ties by the
-(re, im) pairs of the phase-canonical eigenvectors, amplitude by amplitude.
+ordered by descending probability; exact ties, and only they, are broken
+by one lexsort on the (re, im) pairs of the phase-canonical eigenvectors,
+amplitude by amplitude.
 Null configurations, with a probability below NULL_PROBABILITY, are kept
 so tables built from two decompositions stay square, and near-coincident
 eigenvalues are reported as degeneracy groups because the eigenbasis
@@ -98,18 +99,22 @@ def ontic_decomposition(
     first call; a repeat call with the same delta_deg returns the same
     read-only decomposition.  The state keeps only its latest one.
     """
-    return _memo(rho, float(delta_deg).hex(), lambda: _decompose(rho, delta_deg))
+    return _memo(rho, "decomposition", float(delta_deg).hex(), lambda: _decompose(rho, delta_deg))
 
 
 def _decompose(rho: DensityMatrix, delta_deg: float) -> OnticDecomposition:
     evals, evecs = np.linalg.eigh(rho.matrix)
     probs = np.clip(evals, 0.0, 1.0)
     vecs = _canonical_phase(evecs)
-    # rows re_0, im_0, re_1, im_1, ...: the lexicographic tie-break keys
-    keys = np.stack([vecs.real, vecs.imag], axis=1).reshape(-1, probs.size)
-    order = np.lexsort((*keys[::-1], -probs))
+    order = np.argsort(-probs, kind="stable")
+    ranked = probs[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        # rows re_0, im_0, re_1, im_1, ...: the lexicographic tie-break keys
+        keys = np.stack([vecs.real, vecs.imag], axis=1).reshape(-1, probs.size)
+        order = np.lexsort((*keys[::-1], -probs))
+        ranked = probs[order]
     # take keeps the stack C-ordered, as every matrix here is; [:, order] would not
-    probs, vecs = probs[order], vecs.take(order, axis=1)
+    probs, vecs = ranked, vecs.take(order, axis=1)
 
     groups: list[tuple[int, ...]] = []
     start = 0
@@ -212,22 +217,36 @@ def _conditional_core(
     splits: Sequence[Sequence[str]],
     delta_deg: float,
 ):
+    """(table, parent, reduced_states, reduced_decs), validated on every call
+    and computed once per (state, channel object, splits, delta_deg)."""
     if rho_w_t.space != ch_w.in_space:
         raise SpaceMismatch(
             f"state on {rho_w_t.space.labels}, channel takes {ch_w.in_space.labels}"
         )
-    split_labels = [tuple(g) for g in splits]
+    split_labels = tuple(tuple(g) for g in splits)
     _check_partition(rho_w_t.space, split_labels)
     _check_partition(ch_w.out_space, split_labels)
+    # the channel is compared by identity: QuantumChannel has eq=False
+    key = (ch_w, split_labels, float(delta_deg).hex())
+    return _memo(
+        rho_w_t, "table", key, lambda: _evolve_and_tabulate(ch_w, rho_w_t, split_labels, delta_deg)
+    )
 
+
+def _evolve_and_tabulate(
+    ch_w: QuantumChannel,
+    rho_w_t: DensityMatrix,
+    split_labels: tuple[tuple[str, ...], ...],
+    delta_deg: float,
+):
     parent = ontic_decomposition(rho_w_t, delta_deg)
     evolved = apply(ch_w, rho_w_t)
 
-    reduced_states = [
+    reduced_states = tuple(
         partial_trace(evolved, g) if len(g) < len(evolved.space.factors) else evolved
         for g in split_labels
-    ]
-    reduced_decs = [ontic_decomposition(r, delta_deg) for r in reduced_states]
+    )
+    reduced_decs = tuple(ontic_decomposition(r, delta_deg) for r in reduced_states)
 
     table = _kernel_table(
         ch_w,
@@ -250,6 +269,11 @@ def conditional_probabilities(
     projected onto the eigenconfigurations of each subsystem's reduced
     state at t'.  Null parent configurations get rows too: they are valid
     conditioning events of probability zero.
+
+    The arguments are validated on every call.  The evolution, the
+    decompositions and the table are computed once per (state object,
+    channel object, splits, delta_deg) and kept on the state, which holds
+    only its latest table; a repeat call returns the same read-only table.
     """
     table, _, _, _ = _conditional_core(ch_w, rho_w_t, splits, delta_deg)
     return table
@@ -277,7 +301,9 @@ def bayesian_propagation_check(
     eigenvector on the first subsystem's reduced state after the channel.
     Chained route: sum the conditional table against the parent
     probabilities and marginalize the other subsystems.  The two must
-    agree for any trace-preserving channel.
+    agree for any trace-preserving channel.  After `conditional_probabilities`
+    on the same state, channel object, splits and delta_deg, it reuses that
+    call's evolved state, reduced decompositions and table.
     """
     table, parent, reduced_states, reduced_decs = _conditional_core(
         ch_w, rho_w_t, splits, delta_deg

@@ -61,21 +61,25 @@ def _integral(raw) -> int | None:
     return value if value == raw else None
 
 
-def _memo(owner, key, compute):
-    """`compute()` once per (owner, key); repeating the last key returns the same object.
+def _memo(owner, kind, key, compute):
+    """`compute()` once per (owner, kind, key); repeating a kind's last key returns the same object.
 
-    The owner keeps one (key, result) slot in its `__dict__`, replaced when
-    the key changes, so it holds at most one result, stays out of a
-    dataclass's repr and equality and is freed with the owner.  Only frozen
-    states use it, and only for results that depend on nothing but the
-    state and the key.  A compute that raises stores nothing.
+    The owner keeps one (key, result) slot per kind in its `__dict__`,
+    replaced when that kind's key changes, so it holds at most one result
+    of each kind, stays out of a dataclass's repr and equality and is freed
+    with the owner.  The kinds are "decomposition" and "table" on a
+    `DensityMatrix` and "report" on a `PureState`; each is written once, at
+    its call site.  Only frozen states use it, and only for results that
+    depend on nothing but the state and the key.  A compute that raises
+    stores nothing.
     """
     memo = owner.__dict__
-    slot = memo.get("_memo")
+    name = "_memo_" + kind
+    slot = memo.get(name)
     if slot is not None and slot[0] == key:
         return slot[1]
     value = compute()
-    memo["_memo"] = (key, value)
+    memo[name] = (key, value)
     return value
 
 
@@ -229,8 +233,12 @@ class DensityMatrix:
 
     All three conditions are checked at construction: Hermiticity and trace
     at the construction tolerance, positivity down to the eigenvalue floor.
+    Positivity is first certified by one Cholesky factorization
+    (`tolerances.psd_certified`); only a matrix it cannot certify pays the
+    eigensolve, which gives the verdict and the refusal message.
     The state is immutable, so its ontic decomposition is computed once per
-    state object and delta_deg, and kept on it.
+    state object and delta_deg, and its conditional table core once per
+    channel object, splits and delta_deg; each is kept on it.
     """
 
     space: HilbertSpace
@@ -243,7 +251,8 @@ class DensityMatrix:
         herm = tol.hermiticity_defect(arr)
         tol.check(herm, tol.CONSTRUCTION, ToleranceBreach, "Hermiticity defect")
         tol.check(abs(arr.trace() - 1.0), tol.CONSTRUCTION, ToleranceBreach, "trace defect")
-        tol.check(tol.negativity(arr), -tol.EIG_FLOOR, ToleranceBreach, "eigenvalue negativity")
+        if not tol.psd_certified(arr):
+            tol.check(tol.negativity(arr), -tol.EIG_FLOOR, ToleranceBreach, "eigenvalue negativity")
 
 
 def maximally_mixed(space: HilbertSpace) -> DensityMatrix:

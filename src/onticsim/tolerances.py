@@ -13,7 +13,15 @@ several guards share are each written once, here: `hermiticity_defect`,
 `isometry_defect` (unitarity, orthonormal columns, Kraus completeness)
 and `negativity`, so a lower eigenvalue floor reads
 check(negativity(a), -EIG_FLOOR, ...).
+
+`psd_certified` is a cheaper sufficient test for that floor: one Cholesky
+factorization whose success proves every eigenvalue exceeds EIG_FLOOR / 2,
+so a caller runs the eigensolve of `negativity` only when the certificate
+fails, and every verdict and refusal message stays what the eigensolve
+alone would give.
 """
+
+import math
 
 import numpy as np
 
@@ -47,6 +55,41 @@ def check(defect, bound: float, error: type[Exception], what: str) -> None:
     """Raise error unless defect <= bound; a NaN defect always fails."""
     if not (defect <= bound):
         raise error(f"{what} {defect} exceeds {bound}")
+
+
+# safety factor on the rounding margin of psd_certified: covers complex
+# arithmetic and the underflow term of the real-arithmetic bound
+_CHOLESKY_SAFETY = 4.0
+_EPS = float(np.finfo(float).eps)
+
+
+def psd_certified(a: np.ndarray) -> bool:
+    """True only if the Hermitian matrix a has no eigenvalue at or below EIG_FLOOR / 2.
+
+    Cholesky runs on a copy of a whose diagonal is raised by
+    -EIG_FLOOR / 2 - margin, with margin = (d + 2) eps (tr a + d |EIG_FLOOR|)
+    times a safety factor.  After Rump, "Verification of positive
+    definiteness", BIT 46 (2006): a floating-point Cholesky that completes
+    on B - margin I proves B positive definite, here B = a - EIG_FLOOR / 2 I.
+    So True means lambda_min(a) > EIG_FLOOR / 2, which the eigenvalue floor
+    admits; False proves nothing.  Like eigvalsh, it reads the lower
+    triangle.  NaN or infinite input returns False.
+    """
+    d = len(a)
+    shifted = np.array(a, dtype=np.complex128)
+    # sums of short lists: a numpy reduction costs more than a d = 2 Cholesky
+    diagonal = shifted.flat[:: d + 1]
+    trace = abs(sum(diagonal.real.tolist()))
+    if not math.isfinite(trace):
+        return False
+    margin = _CHOLESKY_SAFETY * (d + 2) * _EPS * (trace + d * abs(EIG_FLOOR))
+    shifted.flat[:: d + 1] = diagonal + (-EIG_FLOOR / 2 - margin)
+    try:
+        low = np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    # a NaN or inf anywhere in the lower triangle reaches the factor's diagonal
+    return math.isfinite(sum(low.flat[:: d + 1].real.tolist()))
 
 
 def hermiticity_defect(a: np.ndarray) -> float:

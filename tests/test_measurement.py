@@ -183,6 +183,10 @@ OUTCOME_CASES = {
     "decohered_d5": lambda: decohered_vectors(5, 2),
     "decohered_d128": lambda: decohered_vectors(128, 3),
     "coherent_d128": lambda: decohered_vectors(128, 0),
+    # every entry's argmax is its own outcome: the argmax shortcut answers
+    "argmax_bijective_d128": lambda: decohered_vectors(128, 100),
+    # c = 1 leaves a pure state: its null-space eigenvectors' argmaxes collide
+    "pure_c1_d16": lambda: decohered_vectors(16, 0),
 }
 
 
@@ -190,6 +194,16 @@ OUTCOME_CASES = {
 def test_outcome_matching_equals_pair_sort(build):
     vectors = build()
     assert _assign_outcomes(vectors) == reference_assign_outcomes(vectors)
+
+
+def test_outcome_cases_take_both_paths():
+    """The shortcut (argmaxes pairwise distinct) and the greedy pass both run."""
+    def bijective(name):
+        best = np.abs(OUTCOME_CASES[name]().T).argmax(axis=1)
+        return len(set(best.tolist())) == best.size
+
+    assert bijective("argmax_bijective_d128")
+    assert not bijective("pure_c1_d16")
 
 
 def test_born_check_takes_each_quadratic_form_on_a_contiguous_vector():
@@ -275,16 +289,18 @@ def test_born_check_reuses_the_measurement_of_the_same_state(monkeypatch):
     psi = random_sixteen()
     model = default_model(subject_dim=16, n_a=2, n_e=3, dt=0.3)
     eigh, eigvalsh = count_calls(monkeypatch, "eigh"), count_calls(monkeypatch, "eigvalsh")
+    cholesky = count_calls(monkeypatch, "cholesky")
     report = simulate_measurement(model, psi)
     check = born_conditional_check(model, psi)
     assert simulate_measurement(model, psi) is report
-    assert (len(eigh), len(eigvalsh)) == (1, 1)
+    # the subject's state is admitted by its Cholesky certificate, without eigvalsh
+    assert (len(eigh), len(eigvalsh), len(cholesky)) == (1, 0, 1)
     fresh = PureState(SIXTEEN, psi.amplitudes)
     again = simulate_measurement(model, fresh)
     assert again is not report
     assert_same_bits(report, again)
     assert born_conditional_check(model, fresh) == check
-    assert (len(eigh), len(eigvalsh)) == (2, 2)
+    assert (len(eigh), len(eigvalsh), len(cholesky)) == (2, 0, 2)
 
 
 def test_report_arrays_are_read_only():

@@ -58,6 +58,7 @@ from onticsim.errors import (
     ToleranceBreach,
     UnknownSubsystem,
 )
+from onticsim.ontic import _conditional_core
 from onticsim.qcore import _canonical_phase
 
 SEED = 20260816
@@ -105,7 +106,7 @@ def direct_table(ch, rho, splits) -> np.ndarray:
         reduce(
             np.matmul,
             [
-                embed_operator(projector(dec.vectors[:, i]), dec.source_space.labels, THREE)
+                embed_operator(projector(dec.vectors[:, i]), dec.source_space.labels, ch.out_space)
                 for dec, i in zip(decs, combo)
             ],
         )
@@ -265,6 +266,42 @@ def test_decomposition_tie_break_reads_re_then_im_amplitude_by_amplitude(monkeyp
     assert_matches_reference(rho)
     second = ontic_decomposition(rho).vectors[1]
     assert np.all(np.diff(second.real) >= 0.0)
+
+
+def full_lexsort_decomposition(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The order with every key on every call: -p first, then (re, im) pairs."""
+    evals, evecs = np.linalg.eigh(rho.matrix)
+    probs = np.clip(evals, 0.0, 1.0)
+    vecs = _canonical_phase(evecs)
+    keys = np.stack([vecs.real, vecs.imag], axis=1).reshape(-1, probs.size)
+    order = np.lexsort((*keys[::-1], -probs))
+    return probs[order], vecs.take(order, axis=1)
+
+
+def has_exact_tie(rho: DensityMatrix) -> bool:
+    probs = np.sort(np.clip(np.linalg.eigh(rho.matrix)[0], 0.0, 1.0))
+    return bool((probs[1:] == probs[:-1]).any())
+
+
+def test_tie_only_lexsort_gives_the_full_lexsort_order():
+    """The lexsort runs only on an exact tie; without one, the stable
+    argsort on -p gives the same order."""
+    rng = np.random.default_rng(SEED + 17)
+    tied = [build() for build in TIED.values()]
+    for d, rank in itertools.product((4, 16, 48), (1, 2)):
+        # the first rank-deficient draw with two eigenvalues clipped to 0.0
+        draws = (low_rank_density(rng, d, rank) for _ in range(100))
+        tied.append(next(rho for rho in draws if has_exact_tie(rho)))
+    tie_free = [
+        random_density(rng, HilbertSpace.of(("s", d))) for d in (2, 3, 8, 48) for _ in range(3)
+    ]
+    assert all(has_exact_tie(rho) for rho in tied)
+    assert not any(has_exact_tie(rho) for rho in tie_free)
+    for rho in tied + tie_free:
+        dec = ontic_decomposition(rho)
+        probs, vecs = full_lexsort_decomposition(rho)
+        assert np.array_equal(bits(dec.probabilities), bits(probs))
+        assert np.array_equal(bits(dec.vectors), bits(vecs))
 
 
 def test_pure_state_and_decomposition_share_the_phase_rule():
@@ -608,6 +645,104 @@ def test_bayesian_propagation_fuzz():
         ch = unitary_channel(UnitaryOperator(PAIR, u))
         rho = random_density(rng, PAIR)
         assert bayesian_propagation_check(ch, rho, (["s"], ["e"])) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# one table core per (state, channel object, splits, delta_deg)
+# ---------------------------------------------------------------------------
+
+SPLITS = (("s",), ("e",))
+
+
+def table_case():
+    """A random full-rank state on s(2) e(3) and a channel on it dilated
+    from a Haar unitary with a mixed ancilla f(2); the dilation inputs come
+    back too, so a test can build an equal channel as a new object."""
+    rng = np.random.default_rng(SEED + 18)
+    space = HilbertSpace.of(("s", 2), ("e", 3))
+    ancilla = random_density(rng, HilbertSpace.of(("f", 2)))
+    u = UnitaryOperator(space.tensor(HilbertSpace.of(("f", 2))), haar_unitary(rng, 12))
+
+    def channel():
+        return dilation_channel(u, ancilla, (["s", "e"], ["f"]))
+
+    return channel, random_density(rng, space)
+
+
+def test_table_op_evolves_once_and_solves_no_eigenvalue_check(monkeypatch):
+    """The table, its Bayesian check and the system table on one (channel, state):
+    the parent and the two reduced states of the first call are reused, and
+    parent_conditioned_probabilities adds one evolution and one reduced state."""
+    channel, rho = table_case()
+    ch = channel()
+    eigh, eigvalsh = count_calls(monkeypatch, "eigh"), count_calls(monkeypatch, "eigvalsh")
+    cholesky = count_calls(monkeypatch, "cholesky")
+    table = conditional_probabilities(ch, rho, SPLITS)
+    gap = bayesian_propagation_check(ch, rho, SPLITS)
+    system = parent_conditioned_probabilities(ch, rho, ["s"])
+    assert (len(eigh), len(eigvalsh), len(cholesky)) == (4, 0, 5)
+    monkeypatch.undo()
+    fresh = DensityMatrix(rho.space, rho.matrix)
+    again = conditional_probabilities(ch, fresh, SPLITS)
+    assert again is not table
+    assert np.array_equal(bits(again.values), bits(table.values))
+    assert bayesian_propagation_check(ch, DensityMatrix(rho.space, rho.matrix), SPLITS) == gap
+    system_again = parent_conditioned_probabilities(ch, fresh, ["s"])
+    assert np.array_equal(bits(system_again.values), bits(system.values))
+
+
+def test_repeat_table_call_returns_the_same_table(monkeypatch):
+    channel, rho = table_case()
+    ch = channel()
+    table = conditional_probabilities(ch, rho, SPLITS)
+    eigh = count_calls(monkeypatch, "eigh")
+    assert conditional_probabilities(ch, rho, [["s"], ["e"]]) is table
+    assert conditional_probabilities(ch, rho, SPLITS, tol.DEGENERACY_GAP) is table
+    with pytest.raises(ValueError):
+        table.values[0, 0] = 0.5
+    assert eigh == []
+
+
+GAP = tol.DEGENERACY_GAP
+TABLE_KEY_CHANGES = {
+    "new_channel_object": lambda ch, channel: (channel(), SPLITS, GAP),
+    "new_split_order": lambda ch, channel: (ch, SPLITS[::-1], GAP),
+    "new_delta_deg": lambda ch, channel: (ch, SPLITS, 1e-3),
+}
+
+
+@pytest.mark.parametrize("change", TABLE_KEY_CHANGES.values(), ids=TABLE_KEY_CHANGES.keys())
+def test_each_table_key_change_recomputes(monkeypatch, change):
+    channel, rho = table_case()
+    ch = channel()
+    table = conditional_probabilities(ch, rho, SPLITS)
+    ch_2, splits_2, delta_2 = change(ch, channel)
+    eigh = count_calls(monkeypatch, "eigh")
+    other = conditional_probabilities(ch_2, rho, splits_2, delta_2)
+    assert other is not table
+    # a new channel or split order is evolved again; a new gap also re-decomposes the parent
+    assert len(eigh) == (3 if delta_2 != GAP else 2)
+    assert np.max(np.abs(other.values - direct_table(ch_2, rho, splits_2))) <= 1e-12
+
+
+def test_a_state_keeps_only_its_latest_table():
+    channel, rho = table_case()
+    ch = channel()
+    first = weakref.ref(conditional_probabilities(ch, rho, SPLITS))
+    latest = conditional_probabilities(ch, rho, SPLITS[::-1])
+    gc.collect()
+    assert first() is None
+    assert conditional_probabilities(ch, rho, SPLITS[::-1]) is latest
+
+
+def test_table_core_shares_only_read_only_results():
+    channel, rho = table_case()
+    table, parent, reduced_states, reduced_decs = _conditional_core(
+        channel(), rho, SPLITS, tol.DEGENERACY_GAP
+    )
+    assert isinstance(reduced_states, tuple) and isinstance(reduced_decs, tuple)
+    assert parent is ontic_decomposition(rho)
+    assert not table.values.flags.writeable
 
 
 # ---------------------------------------------------------------------------

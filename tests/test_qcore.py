@@ -329,3 +329,21 @@ def test_only_qcore_memoizes():
     }
     assert elsewhere == {}
     assert len(_dict_access(SRC / "qcore.py")) == 1
+
+
+def _memo_kinds(path: Path) -> list:
+    """The kind argument of each _memo call in one source file: its string
+    literal, or None where it is not one."""
+    kinds = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_memo":
+            kind = node.args[1] if len(node.args) > 1 else None
+            literal = isinstance(kind, ast.Constant) and isinstance(kind.value, str)
+            kinds.append(kind.value if literal else None)
+    return kinds
+
+
+def test_each_memo_call_names_its_own_kind():
+    """One slot per kind: two call sites sharing a kind would evict each other."""
+    kinds = [kind for path in sorted(SRC.glob("*.py")) for kind in _memo_kinds(path)]
+    assert sorted(kinds) == ["decomposition", "report", "table"]

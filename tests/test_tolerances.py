@@ -118,6 +118,8 @@ def _guard_forms(path: Path) -> list[str]:
             and getattr(node.value.func, "attr", None) == "eigvalsh"
         ):
             found.append("eigvalsh(a)[0]")
+        if isinstance(node, ast.Attribute) and node.attr == "cholesky":
+            found.append("cholesky")
     return found
 
 
@@ -129,5 +131,70 @@ def test_defect_formulas_are_written_only_in_tolerances():
     }
     assert elsewhere == {}
     assert sorted(_guard_forms(SRC / "tolerances.py")) == [
-        "a - a.conjugate().T", "eigvalsh(a)[0]", "v.conjugate().T @ v - I"
+        "a - a.conjugate().T", "cholesky", "eigvalsh(a)[0]", "v.conjugate().T @ v - I"
     ]
+
+
+# ---------------------------------------------------------------------------
+# the Cholesky certificate
+# ---------------------------------------------------------------------------
+
+def spectrum_density(lam_min: float, d: int = 8, seed: int = 0) -> np.ndarray:
+    """U diag U^dag with unit trace and smallest eigenvalue lam_min."""
+    rng = np.random.default_rng(seed)
+    rest = rng.uniform(0.5, 1.5, size=d - 1)
+    evals = np.concatenate([[lam_min], (1.0 - lam_min) * rest / rest.sum()])
+    u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    return (u * evals) @ u.conjugate().T
+
+
+LAMBDA_MIN = [0.0, 1e-12, -1e-12, -4e-11, -6e-11, -9.9e-11, -1.01e-10, -1e-9]
+
+
+@pytest.mark.parametrize("lam_min", LAMBDA_MIN)
+def test_density_matrix_verdict_is_the_eigenvalue_floor(lam_min):
+    """Accepted exactly when -eigvalsh reads at most -EIG_FLOOR, and refused
+    with the eigenvalue-floor message, whether or not the certificate holds."""
+    a = spectrum_density(lam_min)
+    negativity = -float(np.linalg.eigvalsh(a)[0])
+    assert abs(negativity + lam_min) <= 1e-15
+    if negativity <= -tol.EIG_FLOOR:
+        assert np.array_equal(DensityMatrix(HilbertSpace.of(("s", 8)), a).matrix, a)
+    else:
+        with pytest.raises(ToleranceBreach) as info:
+            DensityMatrix(HilbertSpace.of(("s", 8)), a)
+        assert str(info.value) == f"eigenvalue negativity {negativity} exceeds {-tol.EIG_FLOOR}"
+    # the certificate proves lambda_min > EIG_FLOOR / 2 and holds well inside it
+    assert tol.psd_certified(a) == (lam_min >= -4e-11)
+
+
+def test_certificate_implies_half_the_eigenvalue_floor():
+    """Near the certificate's edge, every certified matrix reads at least
+    EIG_FLOOR / 2 under eigvalsh; some on each side are certified and not."""
+    verdicts = set()
+    for seed, d in enumerate([2, 3, 5, 8, 16, 32, 64] * 12):
+        lam_min = np.random.default_rng(seed).uniform(-7e-11, -3e-11)
+        a = spectrum_density(lam_min, d, seed)
+        certified = tol.psd_certified(a)
+        verdicts.add(certified)
+        if certified:
+            assert np.linalg.eigvalsh(a)[0] >= tol.EIG_FLOOR / 2
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_certificate_refuses_non_finite_matrices(bad):
+    assert not tol.psd_certified(np.full((3, 3), bad, dtype=complex))
+    lower = np.eye(3, dtype=complex) / 3
+    lower[2, 0] = bad
+    assert not tol.psd_certified(lower)
+    diagonal = np.eye(3, dtype=complex) / 3
+    diagonal[1, 1] = bad
+    assert not tol.psd_certified(diagonal)
+
+
+def test_certificate_reads_the_lower_triangle_as_eigvalsh_does():
+    a = spectrum_density(0.0, 4)
+    a[np.triu_indices(4, 1)] = np.nan
+    assert tol.psd_certified(a)
+    assert np.linalg.eigvalsh(a)[0] >= tol.EIG_FLOOR / 2
