@@ -207,11 +207,15 @@ def dilation_channel(
     return _reduced_channel(u_w.matrix[None], u_w.space, rho_e0, split)
 
 
+def _apply_kraus(kraus: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """sum_k K_k X K_k^dag for a (k, d_out, d_in) Kraus stack, on a raw array."""
+    return (kraus @ matrix @ kraus.conjugate().transpose(0, 2, 1)).sum(axis=0)
+
+
 def apply(ch: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     if rho.space != ch.in_space:
         raise SpaceMismatch(f"state on {rho.space.labels}, channel takes {ch.in_space.labels}")
-    terms = ch.kraus @ rho.matrix @ ch.kraus.conjugate().transpose(0, 2, 1)
-    return DensityMatrix(ch.out_space, terms.sum(axis=0))
+    return DensityMatrix(ch.out_space, _apply_kraus(ch.kraus, rho.matrix))
 
 
 def compose(later: QuantumChannel, earlier: QuantumChannel) -> QuantumChannel:

@@ -8,7 +8,10 @@ amplitude by amplitude.
 Null configurations, with a probability below NULL_PROBABILITY, are kept
 so tables built from two decompositions stay square, and near-coincident
 eigenvalues are reported as degeneracy groups because the eigenbasis
-inside such a group is a numerically arbitrary choice.
+inside such a group is a numerically arbitrary choice.  The eigensolve,
+phase rule, order and checks are written for a stack of density matrices
+(one stacked eigh, each check once over the stack); a single state is a
+stack of one, and a trajectory chain decomposes all its states together.
 
 Conditional probabilities link a parent-space decomposition at one time
 to subsystem decompositions at a later time through a channel:
@@ -21,7 +24,9 @@ and |c> is the product of one subsystem eigenvector per factor group.
 One kernel computes every table in this vector form and builds the
 table object around it, for the subsystem tables here, the system table
 in opendyn and each step of a trajectory chain, so no per-configuration
-projector is ever formed or stored.
+projector is ever formed or stored.  It takes the parent eigenvectors and
+each group's eigenvectors as plain arrays, not decompositions, so a chain
+feeds it slices of its stacked eigensolve.
 
 Each row is a probability distribution whenever the channel is trace
 preserving and the subsystem eigenvectors are complete, which the table
@@ -81,9 +86,7 @@ class OnticDecomposition:
         vecs = _as_complex(self.vectors, (self.source_space.total_dim, probs.size), "vectors")
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "vectors", vecs)
-        tol.check(abs(probs.sum() - 1.0), tol.DERIVED, ToleranceBreach, "probability sum defect")
-        ortho = tol.isometry_defect(vecs)
-        tol.check(ortho, tol.DERIVED, ToleranceBreach, "eigenvector orthonormality defect")
+        _check_spectra(probs[None], vecs[None])
 
     def reconstruct(self) -> np.ndarray:
         vecs = self.vectors
@@ -103,19 +106,8 @@ def ontic_decomposition(
 
 
 def _decompose(rho: DensityMatrix, delta_deg: float) -> OnticDecomposition:
-    evals, evecs = np.linalg.eigh(rho.matrix)
-    probs = np.clip(evals, 0.0, 1.0)
-    vecs = _canonical_phase(evecs)
-    order = np.argsort(-probs, kind="stable")
-    ranked = probs[order]
-    if (ranked[1:] == ranked[:-1]).any():
-        # rows re_0, im_0, re_1, im_1, ...: the lexicographic tie-break keys
-        keys = np.stack([vecs.real, vecs.imag], axis=1).reshape(-1, probs.size)
-        order = np.lexsort((*keys[::-1], -probs))
-        ranked = probs[order]
-    # take keeps the stack C-ordered, as every matrix here is; [:, order] would not
-    probs, vecs = ranked, vecs.take(order, axis=1)
-
+    stacked_probs, stacked_vecs = _spectra(rho.matrix[None])
+    probs, vecs = stacked_probs[0], stacked_vecs[0]
     groups: list[tuple[int, ...]] = []
     start = 0
     for k in range(1, probs.size + 1):
@@ -123,11 +115,57 @@ def _decompose(rho: DensityMatrix, delta_deg: float) -> OnticDecomposition:
             if k - start > 1:
                 groups.append(tuple(range(start, k)))
             start = k
-
-    dec = OnticDecomposition(rho.space, probs, vecs, tuple(groups))
-    drift = np.max(np.abs(dec.reconstruct() - rho.matrix))
-    tol.check(drift, tol.DERIVED, ToleranceBreach, "reconstruction drift")
+    probs.setflags(write=False)
+    vecs.setflags(write=False)
+    # _spectra has run every check of __post_init__: set the fields without it
+    dec = object.__new__(OnticDecomposition)
+    fields = ("source_space", "probabilities", "vectors", "degeneracy_groups")
+    for name, value in zip(fields, (rho.space, probs, vecs, tuple(groups))):
+        object.__setattr__(dec, name, value)
     return dec
+
+
+def _spectra(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical eigensystems of an (n, d, d) stack of density matrices, by one
+    stacked eigh: probabilities (n, d) clipped to [0, 1] and phase-canonical
+    eigenvector columns (n, d, d), each matrix's in configuration order.
+    Checked, each check once over the stack: the probability sum and
+    orthonormality of `OnticDecomposition`, then the reconstruction drift."""
+    evals, evecs = np.linalg.eigh(matrices)
+    count, d = matrices.shape[:2]
+    probs = np.clip(evals, 0.0, 1.0).reshape(count, d)
+    # every eigenvector of the stack as one column of a (d, n d) matrix
+    columns = _canonical_phase(evecs.reshape(count, d, d).transpose(1, 0, 2).reshape(d, -1))
+    # a chain's stack holds every state it evolves: keep few copies of it alive
+    del evecs
+    offsets = d * np.arange(count)[:, None]
+    order = np.argsort(-probs, axis=1, kind="stable")
+    ranked = probs.take(order + offsets)
+    for k in np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1)):
+        tied = columns[:, k * d : (k + 1) * d]
+        # rows re_0, im_0, re_1, im_1, ...: the lexicographic tie-break keys
+        keys = np.stack([tied.real, tied.imag], axis=1).reshape(-1, d)
+        order[k] = np.lexsort((*keys[::-1], -probs[k]))
+        ranked[k] = probs[k, order[k]]
+    ordered = columns.take((order + offsets).ravel(), axis=1).reshape(d, count, d)
+    del columns
+    # C-ordered matrices, as every matrix here is: products with them round alike
+    vecs = np.ascontiguousarray(ordered.transpose(1, 0, 2))
+    del ordered
+    _check_spectra(ranked, vecs)
+    rebuilt = (vecs * ranked[:, None, :]) @ vecs.conjugate().swapaxes(1, 2)
+    drift = float(np.max(np.abs(rebuilt - matrices)))
+    tol.check(drift, tol.DERIVED, ToleranceBreach, "reconstruction drift")
+    return ranked, vecs
+
+
+def _check_spectra(probs: np.ndarray, vecs: np.ndarray) -> None:
+    """Probability sum and orthonormality of an (n, m) and (n, d, m) stack of
+    eigensystems, each once for the whole stack."""
+    total = float(np.abs(probs.sum(axis=1) - 1.0).max())
+    tol.check(total, tol.DERIVED, ToleranceBreach, "probability sum defect")
+    ortho = tol.isometry_defect(vecs)
+    tol.check(ortho, tol.DERIVED, ToleranceBreach, "eigenvector orthonormality defect")
 
 
 # ---------------------------------------------------------------------------
@@ -173,24 +211,25 @@ class ConditionalProbabilityTable:
 
 def _kernel_table(
     ch: QuantumChannel,
-    parent: OnticDecomposition,
+    parents: np.ndarray,
     groups: Sequence[tuple[Sequence[str], np.ndarray | None]],
     splits: Sequence[Sequence[str]],
 ) -> ConditionalProbabilityTable:
     """The table values[w, c] = sum_k |<c| K_k |w>|^2 over the parent eigenvectors |w>.
 
-    `groups` partitions the channel's output factors into (labels, basis)
-    pairs; a basis holds a group's eigenvectors as columns, on the group's
-    factors in the order its labels list them.  Each |c> takes one column per
-    group, enumerated in itertools.product order.  A group whose basis is
-    None is summed out, which marginalizes it.  K_k W is computed once,
-    its output factors are moved into group order by one transpose, and
-    each group axis is contracted with V_g^dag.  `splits` is stored on the
-    table as given.
+    `parents` holds the parent eigenvectors as columns, on the channel's
+    input space.  `groups` partitions the channel's output factors into
+    (labels, basis) pairs; a basis holds a group's eigenvectors as columns,
+    on the group's factors in the order its labels list them.  Each |c>
+    takes one column per group, enumerated in itertools.product order.  A
+    group whose basis is None is summed out, which marginalizes it.  K_k W
+    is computed once, its output factors are moved into group order by one
+    transpose, and each group axis is contracted with V_g^dag.  `splits` is
+    stored on the table as given.
     """
     out = ch.out_space
     order = [1 + out.axis(label) for labels, _ in groups for label in labels]
-    amp = ch.kraus @ parent.vectors
+    amp = ch.kraus @ parents
     n_k, _, n_w = amp.shape
     amp = amp.reshape(n_k, *out.dims, n_w).transpose(0, *order, len(order) + 1)
     shape = [n_k]
@@ -250,7 +289,7 @@ def _evolve_and_tabulate(
 
     table = _kernel_table(
         ch_w,
-        parent,
+        parent.vectors,
         [(dec.source_space.labels, dec.vectors) for dec in reduced_decs],
         split_labels,
     )

@@ -107,7 +107,7 @@ def parent_conditioned_probabilities(
 
     rest = [l for l in evolved.space.labels if l not in s_labels]
     return _kernel_table(
-        ch_w, parent, [(reduced.space.labels, dec_s.vectors), (rest, None)], [s_labels]
+        ch_w, parent.vectors, [(reduced.space.labels, dec_s.vectors), (rest, None)], [s_labels]
     )
 
 

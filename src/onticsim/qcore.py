@@ -231,14 +231,12 @@ def basis_state(space: HilbertSpace, index: int) -> PureState:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix on a labeled space.
 
-    All three conditions are checked at construction: Hermiticity and trace
-    at the construction tolerance, positivity down to the eigenvalue floor.
-    Positivity is first certified by one Cholesky factorization
-    (`tolerances.psd_certified`); only a matrix it cannot certify pays the
-    eigensolve, which gives the verdict and the refusal message.
-    The state is immutable, so its ontic decomposition is computed once per
-    state object and delta_deg, and its conditional table core once per
-    channel object, splits and delta_deg; each is kept on it.
+    All three conditions are checked at construction, by `_admit`:
+    Hermiticity and trace at the construction tolerance, positivity down to
+    the eigenvalue floor.  The state is immutable, so its ontic
+    decomposition is computed once per state object and delta_deg, and its
+    conditional table core once per channel object, splits and delta_deg;
+    each is kept on it.
     """
 
     space: HilbertSpace
@@ -248,11 +246,25 @@ class DensityMatrix:
         d = self.space.total_dim
         arr = _as_complex(self.matrix, (d, d), "density matrix")
         object.__setattr__(self, "matrix", arr)
-        herm = tol.hermiticity_defect(arr)
-        tol.check(herm, tol.CONSTRUCTION, ToleranceBreach, "Hermiticity defect")
-        tol.check(abs(arr.trace() - 1.0), tol.CONSTRUCTION, ToleranceBreach, "trace defect")
-        if not tol.psd_certified(arr):
-            tol.check(tol.negativity(arr), -tol.EIG_FLOOR, ToleranceBreach, "eigenvalue negativity")
+        _admit(arr[None])
+
+
+def _admit(matrices: np.ndarray) -> None:
+    """The density-matrix checks over an (n, d, d) stack, each once for the
+    whole stack: Hermiticity, trace, then positivity.
+
+    Positivity is first certified by one stacked Cholesky factorization
+    (`tolerances.psd_certified`); only a stack it cannot certify pays the
+    eigensolve, which gives the verdict and the refusal message.  A stack
+    passes exactly when each of its matrices would; a refusal names the
+    largest defect.
+    """
+    herm = tol.hermiticity_defect(matrices)
+    tol.check(herm, tol.CONSTRUCTION, ToleranceBreach, "Hermiticity defect")
+    trace = float(np.abs(matrices.trace(axis1=1, axis2=2) - 1.0).max())
+    tol.check(trace, tol.CONSTRUCTION, ToleranceBreach, "trace defect")
+    if not tol.psd_certified(matrices):
+        tol.check(tol.negativity(matrices), -tol.EIG_FLOOR, ToleranceBreach, "eigenvalue negativity")
 
 
 def maximally_mixed(space: HilbertSpace) -> DensityMatrix:

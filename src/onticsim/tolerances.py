@@ -18,7 +18,10 @@ check(negativity(a), -EIG_FLOOR, ...).
 factorization whose success proves every eigenvalue exceeds EIG_FLOOR / 2,
 so a caller runs the eigensolve of `negativity` only when the certificate
 fails, and every verdict and refusal message stays what the eigensolve
-alone would give.
+alone would give.  `hermiticity_defect`, `isometry_defect`, `negativity`
+and `psd_certified` also take a stack of matrices and give one verdict for
+all of them: the largest defect, or True only if every matrix is certified,
+so a stack passes exactly when each of its matrices would.
 """
 
 import math
@@ -64,44 +67,54 @@ _EPS = float(np.finfo(float).eps)
 
 
 def psd_certified(a: np.ndarray) -> bool:
-    """True only if the Hermitian matrix a has no eigenvalue at or below EIG_FLOOR / 2.
+    """True only if no eigenvalue of the Hermitian matrix a, or of any matrix
+    in an (n, d, d) stack a, is at or below EIG_FLOOR / 2.
 
-    Cholesky runs on a copy of a whose diagonal is raised by
-    -EIG_FLOOR / 2 - margin, with margin = (d + 2) eps (tr a + d |EIG_FLOOR|)
-    times a safety factor.  After Rump, "Verification of positive
+    One Cholesky factorization, stacked, runs on a copy of a whose every
+    diagonal is raised by -EIG_FLOOR / 2 - margin, with margin =
+    (d + 2) eps (t + d |EIG_FLOOR|) times a safety factor, t being the
+    largest |tr| in the stack.  After Rump, "Verification of positive
     definiteness", BIT 46 (2006): a floating-point Cholesky that completes
-    on B - margin I proves B positive definite, here B = a - EIG_FLOOR / 2 I.
-    So True means lambda_min(a) > EIG_FLOOR / 2, which the eigenvalue floor
-    admits; False proves nothing.  Like eigvalsh, it reads the lower
-    triangle.  NaN or infinite input returns False.
+    on B - margin I proves B positive definite, here B = a - EIG_FLOOR / 2 I,
+    and a margin above the one a matrix's own trace asks for only makes the
+    test stricter.  So True means lambda_min > EIG_FLOOR / 2 for every
+    matrix, which the eigenvalue floor admits; False proves nothing, for any
+    of them.  Like eigvalsh, it reads the lower triangle.  NaN or infinite
+    input returns False.
     """
-    d = len(a)
-    shifted = np.array(a, dtype=np.complex128)
+    # C order, whatever the layout of a, so the reshape below is a view
+    shifted = np.array(a, dtype=np.complex128, order="C")
+    d = shifted.shape[-1]
+    # a view with one row per matrix and its diagonal in every (d + 1)-th column
+    diagonals = shifted.reshape(-1, d * d)[:, :: d + 1]
     # sums of short lists: a numpy reduction costs more than a d = 2 Cholesky
-    diagonal = shifted.flat[:: d + 1]
-    trace = abs(sum(diagonal.real.tolist()))
+    trace = max(abs(sum(row)) for row in diagonals.real.tolist())
     if not math.isfinite(trace):
         return False
     margin = _CHOLESKY_SAFETY * (d + 2) * _EPS * (trace + d * abs(EIG_FLOOR))
-    shifted.flat[:: d + 1] = diagonal + (-EIG_FLOOR / 2 - margin)
+    diagonals += -EIG_FLOOR / 2 - margin
     try:
         low = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
-    # a NaN or inf anywhere in the lower triangle reaches the factor's diagonal
-    return math.isfinite(sum(low.flat[:: d + 1].real.tolist()))
+    # a NaN or inf anywhere in a lower triangle reaches that factor's diagonal
+    return math.isfinite(sum(low.reshape(-1, d * d)[:, :: d + 1].real.ravel().tolist()))
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
-    """max |A - A^dag|."""
-    return float(np.max(np.abs(a - a.conjugate().T)))
+    """max |A - A^dag| of a matrix, or the largest over an (n, d, d) stack."""
+    # matrix index in the middle, (d, n, d): reversing all axes transposes each matrix
+    b = a.reshape(-1, *a.shape[-2:]).swapaxes(0, 1)
+    return float(np.max(np.abs(b - b.conjugate().T)))
 
 
 def isometry_defect(v: np.ndarray) -> float:
-    """max |V^dag V - I|; for a Kraus stack pass kraus.reshape(-1, d_in)."""
-    return float(np.max(np.abs(v.conjugate().T @ v - np.eye(v.shape[1]))))
+    """max |V^dag V - I| of a matrix, or the largest over an (n, d, m) stack;
+    for a Kraus stack pass kraus.reshape(-1, d_in)."""
+    return float(np.max(np.abs(v.conjugate().swapaxes(-1, -2) @ v - np.eye(v.shape[-1]))))
 
 
 def negativity(a: np.ndarray) -> float:
-    """Minus the smallest eigenvalue of a Hermitian matrix."""
-    return -float(np.linalg.eigvalsh(a)[0])
+    """Minus the smallest eigenvalue of a Hermitian matrix, or the largest such
+    over an (n, d, d) stack."""
+    return -float(np.min(np.linalg.eigvalsh(a)[..., 0]))

@@ -7,7 +7,9 @@ exhaustively (small chains), sampled (trajectory k draws its uniforms
 from default_rng((seed, k)) in one random(steps) call, equal to steps
 sequential scalar draws), or generated physically by repeatedly coupling
 the system to a fresh environment factor, which is the regime where
-per-step reduced channels compose exactly.
+per-step reduced channels compose exactly.  That builder makes one
+stacked pass: it evolves every state first, then admits and decomposes
+the whole stack at once, and only the kernel contraction runs per step.
 
 Two claims about the obstruction to a trajectory measure are kept
 apart.  The first holds, and the tests pin it: the kernels compose only
@@ -26,6 +28,7 @@ plane.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -33,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tolerances as tol
-from .channels import UnitaryFamily, apply, dilation_channel
+from .channels import UnitaryFamily, _apply_kraus, dilation_channel
 from .errors import (
     BadInterval,
     GridMismatch,
@@ -41,8 +44,8 @@ from .errors import (
     ToleranceBreach,
     TooManyTrajectories,
 )
-from .ontic import ConditionalProbabilityTable, _kernel_table, ontic_decomposition
-from .qcore import DensityMatrix, _csv_text, _integral
+from .ontic import ConditionalProbabilityTable, _kernel_table, _spectra
+from .qcore import DensityMatrix, _admit, _csv_text, _integral
 
 __all__ = [
     "OnticTrajectory",
@@ -66,7 +69,8 @@ _MAX_STEPS = 10**4
 
 def _check_times(times: tuple[float, ...]) -> None:
     """Raise BadInterval unless every time is finite and the grid strictly increases."""
-    if not all(map(math.isfinite, times)) or any(not (b > a) for a, b in zip(times, times[1:])):
+    # map keeps the loops in C: a sampler builds one grid per trajectory
+    if not all(map(math.isfinite, times)) or not all(map(operator.lt, times, times[1:])):
         raise BadInterval(f"times must be finite and strictly increase, got {times}")
 
 
@@ -78,14 +82,14 @@ class OnticTrajectory:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        times = tuple(float(t) for t in self.times)
-        indices = tuple(int(i) for i in self.indices)
+        times = tuple(map(float, self.times))
+        indices = tuple(map(int, self.indices))
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "indices", indices)
         if len(times) != len(indices):
             raise GridMismatch(f"{len(times)} times but {len(indices)} indices")
         _check_times(times)
-        if any(i < 0 for i in indices):
+        if indices and min(indices) < 0:
             raise GridMismatch("indices must be non-negative")
 
 
@@ -97,7 +101,7 @@ class MarkovKernelChain:
     kernels: tuple[ConditionalProbabilityTable, ...]
 
     def __post_init__(self) -> None:
-        times = tuple(float(t) for t in self.times)
+        times = tuple(map(float, self.times))
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "kernels", tuple(self.kernels))
         if not self.kernels:
@@ -155,7 +159,7 @@ def enumerate_trajectory_measure(
     p = chain.kernels[0].values[initial_index]
     for kern in chain.kernels[1:]:
         p = (p[:, None] * kern.values[np.arange(p.size) % n_states]).ravel()
-    paths = ((initial_index,) + tail for tail in product(range(n_states), repeat=steps))
+    paths = product((initial_index,), *[range(n_states)] * steps)
     measure = dict(zip(paths, p.tolist()))
     mass = math.fsum(measure.values())
     tol.check(abs(mass - 1.0), tol.ROW_SUM, ToleranceBreach, "trajectory measure sum defect")
@@ -216,10 +220,17 @@ def markov_chain_from_repeated_interaction(
     environment, the per-step reduced channels compose exactly, but the
     product measure over the kernels reproduces the multi-time tables only
     while the states stay diagonal in one fixed basis.  Whether some other
-    measure reproduces them otherwise is open.  Each state is evolved and
-    decomposed once: its decomposition is the column side of one kernel
-    and the row side of the next.  More than _MAX_STEPS steps are refused
-    before anything is built.
+    measure reproduces them otherwise is open.
+
+    The build is one stacked pass.  All steps + 1 states are evolved first,
+    as raw arrays, by the Kraus product of `channels.apply`.  The evolved
+    states are then admitted together, each `DensityMatrix` check run once
+    over the whole stack, and every state is decomposed by one stacked
+    eigh, each `OnticDecomposition` check run once over the stack.  State
+    k's eigenvectors are the row side of kernel k and the column side of
+    kernel k - 1.  delta_deg only groups near-degenerate configurations,
+    which no kernel reads.  More than _MAX_STEPS steps are refused before
+    anything is built.
     """
     count = _integral(steps)
     if not 0 < step < math.inf or count is None or not 1 <= count <= _MAX_STEPS:
@@ -233,15 +244,19 @@ def markov_chain_from_repeated_interaction(
     ch = dilation_channel(
         u_step, rho_e_fresh, (list(rho_s0.space.labels), list(rho_e_fresh.space.labels))
     )
+    states = np.empty((count + 1, *rho_s0.matrix.shape), dtype=np.complex128)
+    states[0] = rho_s0.matrix
+    for k in range(count):
+        states[k + 1] = _apply_kraus(ch.kraus, states[k])
+    _admit(states[1:])
+    vecs = _spectra(states)[1]
+    del states
     labels = rho_s0.space.labels
-    kernels = []
-    rho, dec = rho_s0, ontic_decomposition(rho_s0, delta_deg)
-    for _ in range(count):
-        rho = apply(ch, rho)
-        parent, dec = dec, ontic_decomposition(rho, delta_deg)
-        kernels.append(_kernel_table(ch, parent, [(labels, dec.vectors)], [labels]))
+    kernels = tuple(
+        _kernel_table(ch, vecs[k], [(labels, vecs[k + 1])], [labels]) for k in range(count)
+    )
     times = tuple(k * step for k in range(count + 1))
-    return MarkovKernelChain(times, tuple(kernels))
+    return MarkovKernelChain(times, kernels)
 
 
 # ---------------------------------------------------------------------------

@@ -82,15 +82,25 @@ def test_failing_guard_message_names_its_bound(module):
 
 
 def _conjugate_transpose_operand(node):
-    """X when node is X.conjugate().T, else None."""
-    if (
-        isinstance(node, ast.Attribute)
-        and node.attr == "T"
-        and isinstance(node.value, ast.Call)
-        and isinstance(node.value.func, ast.Attribute)
-        and node.value.func.attr == "conjugate"
+    """X when node is X.conjugate().T or, the per-matrix form for a stack,
+    X.conjugate().swapaxes(-1, -2); else None."""
+    if isinstance(node, ast.Attribute) and node.attr == "T":
+        conjugated = node.value
+    elif (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "swapaxes"
+        and [ast.unparse(arg) for arg in node.args] == ["-1", "-2"]
     ):
-        return node.value.func.value
+        conjugated = node.func.value
+    else:
+        return None
+    if (
+        isinstance(conjugated, ast.Call)
+        and isinstance(conjugated.func, ast.Attribute)
+        and conjugated.func.attr == "conjugate"
+    ):
+        return conjugated.func.value
     return None
 
 
@@ -193,8 +203,91 @@ def test_certificate_refuses_non_finite_matrices(bad):
     assert not tol.psd_certified(diagonal)
 
 
+def test_certificate_does_not_depend_on_memory_layout():
+    """A Fortran-ordered matrix, and a stack read through a transpose, are
+    certified as their C-ordered copies are, down to lambda_min = -4e-11."""
+    a = spectrum_density(-4e-11)
+    fortran = np.asfortranarray(a)
+    assert not fortran.flags.c_contiguous
+    assert tol.psd_certified(a) and tol.psd_certified(fortran)
+    assert np.array_equal(DensityMatrix(HilbertSpace.of(("s", 8)), fortran).matrix, a)
+    # each slice of the transposed view is the conjugate of a density: same spectrum
+    stack = np.stack([spectrum_density(-4e-11, 8, seed) for seed in range(3)])
+    transposed = stack.transpose(0, 2, 1)
+    assert not transposed.flags.c_contiguous
+    assert tol.psd_certified(np.ascontiguousarray(transposed))
+    assert tol.psd_certified(transposed)
+
+
 def test_certificate_reads_the_lower_triangle_as_eigvalsh_does():
     a = spectrum_density(0.0, 4)
     a[np.triu_indices(4, 1)] = np.nan
     assert tol.psd_certified(a)
     assert np.linalg.eigvalsh(a)[0] >= tol.EIG_FLOOR / 2
+
+
+# ---------------------------------------------------------------------------
+# stacks of matrices
+# ---------------------------------------------------------------------------
+
+def passes(defect, a, bound) -> bool:
+    """The verdict of check(defect(a), bound); an eigensolve that does not
+    converge, as on some NaN input, is a failure too."""
+    try:
+        tol.check(defect(a), bound, ToleranceBreach, "defect")
+    except (ToleranceBreach, np.linalg.LinAlgError):
+        return False
+    return True
+
+
+def spoiled_stack(flaw: str, where: int) -> np.ndarray:
+    """Five unit-trace 3 x 3 densities; the one at `where` carries the flaw."""
+    stack = np.stack([spectrum_density(0.05, 3, seed) for seed in range(5)])
+    if flaw == "non_hermitian":
+        stack[where, 2, 0] += 1e-9
+    elif flaw == "negative":
+        stack[where] = spectrum_density(-1e-9, 3, 7)
+    elif flaw == "nan":
+        stack[where, 1, 0] = np.nan
+    return stack
+
+
+@pytest.mark.parametrize("where", [0, 2, 4])
+@pytest.mark.parametrize("flaw", ["none", "non_hermitian", "negative", "nan"])
+def test_a_stack_gets_the_slice_by_slice_verdict(flaw, where):
+    """One flawed or NaN matrix fails the whole stack; a clean stack passes,
+    and a finite stacked defect is the largest one of its matrices."""
+    stack = spoiled_stack(flaw, where)
+    for defect, bound, fails in [
+        (tol.hermiticity_defect, tol.CONSTRUCTION, ("non_hermitian", "nan")),
+        (tol.negativity, -tol.EIG_FLOOR, ("negative", "nan")),
+    ]:
+        verdict = passes(defect, stack, bound)
+        assert verdict == all(passes(defect, a, bound) for a in stack)
+        assert verdict == (flaw not in fails)
+        if flaw != "nan":
+            assert defect(stack) == max(defect(a) for a in stack)
+    certified = [tol.psd_certified(a) for a in stack]
+    assert tol.psd_certified(stack) == all(certified)
+    assert all(certified) == (flaw in ("none", "non_hermitian"))
+
+
+@pytest.mark.parametrize("where", [0, 2, 4])
+@pytest.mark.parametrize("flaw", ["none", "stretched", "nan"])
+def test_a_stack_of_isometries_gets_the_slice_by_slice_verdict(flaw, where):
+    stack = np.linalg.eigh(spoiled_stack("none", 0))[1]
+    if flaw == "stretched":
+        stack[where, :, 1] *= 1.0 + 1e-9
+    elif flaw == "nan":
+        stack[where, 0, 2] = np.nan
+    verdict = passes(tol.isometry_defect, stack, tol.DERIVED)
+    assert verdict == all(passes(tol.isometry_defect, v, tol.DERIVED) for v in stack)
+    assert verdict == (flaw == "none")
+    if flaw != "nan":
+        assert tol.isometry_defect(stack) == max(tol.isometry_defect(v) for v in stack)
+
+
+def test_a_stack_of_one_reads_as_its_matrix():
+    a = spectrum_density(-6e-11, 4)
+    for defect in (tol.hermiticity_defect, tol.isometry_defect, tol.negativity, tol.psd_certified):
+        assert defect(a[None]) == defect(a)

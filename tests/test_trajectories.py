@@ -1,5 +1,6 @@
 """Tests for kernel chains, trajectory measures, sampling, and qubit strands."""
 import math
+from collections import Counter
 from functools import reduce
 
 import numpy as np
@@ -20,12 +21,14 @@ from onticsim import (
     enumerate_trajectory_measure,
     kernel_from_matrix,
     markov_chain_from_repeated_interaction,
+    maximally_mixed,
     measure_to_json,
     sample_trajectories,
     sample_trajectory,
     single_system_conditional,
     trajectory_to_csv,
 )
+from onticsim import tolerances as tol
 from onticsim import trajectories
 from onticsim.errors import BadInterval, GridMismatch, SpaceMismatch, TooManyTrajectories
 
@@ -320,32 +323,91 @@ def random_mixed(rng, space):
     return DensityMatrix(space, m / np.trace(m))
 
 
+def random_generator(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return 0.5 * (g + g.conjugate().T)
+
+
 def chain_cases():
+    """(h_int, rho_e, rho_s0, step, certified); certified=False runs the build
+    with the Cholesky certificate refusing every stack, so each state is
+    admitted by the eigvalsh fallback."""
     system, env_space = HilbertSpace.of(("s", 2)), HilbertSpace.of(("e", 2))
     # the command line's partial-swap chain at its default config
-    yield (
+    partial_swap = (
         SWAP,
         basis_state(env_space, 0).density_matrix(),
         DensityMatrix(system, np.diag([0.7, 0.3]).astype(complex)),
         0.4,
     )
+    yield (*partial_swap, True)
     rng = np.random.default_rng(SEED + 15)
     for _ in range(5):
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = 0.5 * (g + g.conjugate().T)
-        yield h, random_mixed(rng, env_space), random_mixed(rng, system), rng.uniform(0.2, 0.5)
+        h = random_generator(rng, 4)
+        rho_e, rho_s0 = random_mixed(rng, env_space), random_mixed(rng, system)
+        yield h, rho_e, rho_s0, rng.uniform(0.2, 0.5), True
+    # an exact tie: only the first state's decomposition takes the lexsort
+    h = random_generator(rng, 4)
+    yield h, random_mixed(rng, env_space), maximally_mixed(system), rng.uniform(0.2, 0.5), True
+    # a two-factor system, one kernel over both factors
+    pair = HilbertSpace.of(("s1", 2), ("s2", 2))
+    h = random_generator(rng, 8)
+    yield h, random_mixed(rng, env_space), random_mixed(rng, pair), rng.uniform(0.2, 0.5), True
+    yield (*partial_swap, False)
+    h = random_generator(rng, 4)
+    yield h, random_mixed(rng, env_space), random_mixed(rng, system), rng.uniform(0.2, 0.5), False
 
 
-def test_chain_kernels_match_the_per_step_conditional_bit_for_bit():
-    for h, rho_e, rho_s0, step in chain_cases():
-        chain = markov_chain_from_repeated_interaction(h, rho_e, rho_s0, step, 32)
-        reference = chain_kernels_reference(h, rho_e, rho_s0, step, 32)
+def test_chain_kernels_match_the_per_step_conditional_bit_for_bit(monkeypatch):
+    fallbacks = []
+
+    def refuse(a):
+        fallbacks.append(len(a))
+        return False
+
+    for h, rho_e, rho_s0, step, certified in chain_cases():
+        with monkeypatch.context() as patch:
+            if not certified:
+                patch.setattr(tol, "psd_certified", refuse)
+            chain = markov_chain_from_repeated_interaction(h, rho_e, rho_s0, step, 32)
+            reference = chain_kernels_reference(h, rho_e, rho_s0, step, 32)
         assert len(chain.kernels) == len(reference)
         for kern, ref in zip(chain.kernels, reference):
             assert kern.parent_indices == ref.parent_indices
             assert kern.column_indices == ref.column_indices
-            assert kern.splits == ref.splits == (("s",),)
+            assert kern.splits == ref.splits == (rho_s0.space.labels,)
             assert _bits(kern.values.ravel()) == _bits(ref.values.ravel())
+    # the stacked build asked once for its 32 evolved states
+    assert fallbacks.count(32) == 2
+
+
+def test_chain_build_is_one_stacked_pass(monkeypatch):
+    """However many steps: three eigh (the generator, the environment, the
+    state stack), one Cholesky (the stack's admission) and no eigvalsh."""
+    calls = Counter()
+
+    def counted(name):
+        solver = getattr(np.linalg, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return solver(*args, **kwargs)
+
+        return count
+
+    rng = np.random.default_rng(SEED + 16)
+    h = random_generator(rng, 4)
+    rho_e = random_mixed(rng, HilbertSpace.of(("e", 2)))
+    rho_s0 = random_mixed(rng, HilbertSpace.of(("s", 2)))
+    for name in ("eigh", "eigvalsh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    for steps in (32, 64):
+        calls.clear()
+        chain = markov_chain_from_repeated_interaction(h, rho_e, rho_s0, 0.3, steps)
+        assert len(chain.kernels) == steps
+        assert calls["eigh"] <= 3
+        assert calls["cholesky"] <= 1
+        assert calls["eigvalsh"] == 0
 
 
 def test_repeated_interaction_rejects_bad_grid():
