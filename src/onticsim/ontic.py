@@ -22,11 +22,11 @@ to subsystem decompositions at a later time through a channel:
 where |w> is a parent eigenvector, K_k are the channel's Kraus operators
 and |c> is the product of one subsystem eigenvector per factor group.
 One kernel computes every table in this vector form and builds the
-table object around it, for the subsystem tables here, the system table
-in opendyn and each step of a trajectory chain, so no per-configuration
-projector is ever formed or stored.  It takes the parent eigenvectors and
-each group's eigenvectors as plain arrays, not decompositions, so a chain
-feeds it slices of its stacked eigensolve.
+table object around it, for the subsystem tables here (opendyn's system
+table is a marginal of one) and each step of a trajectory chain, so no
+per-configuration projector is ever formed or stored.  It takes the parent
+eigenvectors and each group's eigenvectors as plain arrays, not
+decompositions, so a chain feeds it slices of its stacked eigensolve.
 
 Each row is a probability distribution whenever the channel is trace
 preserving and the subsystem eigenvectors are complete, which the table
@@ -212,7 +212,7 @@ class ConditionalProbabilityTable:
 def _kernel_table(
     ch: QuantumChannel,
     parents: np.ndarray,
-    groups: Sequence[tuple[Sequence[str], np.ndarray | None]],
+    groups: Sequence[tuple[Sequence[str], np.ndarray]],
     splits: Sequence[Sequence[str]],
 ) -> ConditionalProbabilityTable:
     """The table values[w, c] = sum_k |<c| K_k |w>|^2 over the parent eigenvectors |w>.
@@ -221,11 +221,10 @@ def _kernel_table(
     input space.  `groups` partitions the channel's output factors into
     (labels, basis) pairs; a basis holds a group's eigenvectors as columns,
     on the group's factors in the order its labels list them.  Each |c>
-    takes one column per group, enumerated in itertools.product order.  A
-    group whose basis is None is summed out, which marginalizes it.  K_k W
-    is computed once, its output factors are moved into group order by one
-    transpose, and each group axis is contracted with V_g^dag.  `splits` is
-    stored on the table as given.
+    takes one column per group, enumerated in itertools.product order.
+    K_k W is computed once, its output factors are moved into group order
+    by one transpose, and each group axis is contracted with V_g^dag.
+    `splits` is stored on the table as given.
     """
     out = ch.out_space
     order = [1 + out.axis(label) for labels, _ in groups for label in labels]
@@ -235,17 +234,13 @@ def _kernel_table(
     shape = [n_k]
     for labels, basis in groups:
         d_g = math.prod(out.dim_of(label) for label in labels)
-        amp = amp.reshape(math.prod(shape), d_g, -1)
-        if basis is not None:
-            amp = basis.conjugate().T @ amp
+        amp = basis.conjugate().T @ amp.reshape(math.prod(shape), d_g, -1)
         shape.append(amp.shape[1])
     probs = (amp.real ** 2 + amp.imag ** 2).reshape(*shape, n_w)
-    kept = [n for n, (_, basis) in zip(shape[1:], groups) if basis is not None]
-    summed = (0, *(1 + g for g, (_, basis) in enumerate(groups) if basis is None))
     return ConditionalProbabilityTable(
         parent_indices=tuple(range(n_w)),
-        column_indices=tuple(itertools.product(*map(range, kept))),
-        values=probs.sum(axis=summed).reshape(-1, n_w).T,
+        column_indices=tuple(itertools.product(*map(range, shape[1:]))),
+        values=probs.sum(axis=0).reshape(-1, n_w).T,
         splits=splits,
     )
 
@@ -263,7 +258,6 @@ def _conditional_core(
             f"state on {rho_w_t.space.labels}, channel takes {ch_w.in_space.labels}"
         )
     split_labels = tuple(tuple(g) for g in splits)
-    _check_partition(rho_w_t.space, split_labels)
     _check_partition(ch_w.out_space, split_labels)
     # the channel is compared by identity: QuantumChannel has eq=False
     key = (ch_w, split_labels, float(delta_deg).hex())
@@ -349,9 +343,13 @@ def bayesian_propagation_check(
     )
     vecs = reduced_decs[0].vectors
     direct = np.real(np.sum(vecs.conjugate() * (reduced_states[0].matrix @ vecs), axis=0))
-    joint = table.values.reshape(len(parent.probabilities), vecs.shape[1], -1).sum(axis=2)
-    chained = parent.probabilities @ joint
+    chained = parent.probabilities @ _first_group_marginal(table, vecs.shape[1])
     return float(np.max(np.abs(direct - chained)))
+
+
+def _first_group_marginal(table: ConditionalProbabilityTable, n_first: int) -> np.ndarray:
+    """A joint table's values with every group after the first summed out."""
+    return table.values.reshape(len(table.parent_indices), n_first, -1).sum(axis=2)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ nonlinearity_witness measures exactly that gap, and the shipped witness
 pairs (a maximally entangled state against the uncorrelated state with
 the same marginals, and Werner-family pairs) make it large under an
 entangling gate and exactly zero under factorized channels.
+
+parent_conditioned_probabilities evolves and decomposes nothing itself: it
+sums the channel's other output factors out of ontic's memoized joint table.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ import numpy as np
 
 from . import tolerances as tol
 from .channels import QuantumChannel, _reduced_channel, apply
-from .errors import BadPartition, NotAProjector, NotAWitnessPair, SpaceMismatch
-from .ontic import ConditionalProbabilityTable, _kernel_table, ontic_decomposition
+from .errors import NotAProjector, NotAWitnessPair, NothingToTrace, SpaceMismatch
+from .ontic import ConditionalProbabilityTable, _conditional_core, _first_group_marginal
 from .qcore import (
     DensityMatrix,
     HilbertSpace,
@@ -97,18 +100,15 @@ def parent_conditioned_probabilities(
     full parent decomposition, columns the system's reduced decomposition
     after the channel, with the remaining factors summed out.
     """
-    s_labels = list(s_split)
-    if len(set(s_labels)) != len(s_labels):
-        raise BadPartition(f"labels repeated in the system split: {s_labels}")
-    parent = ontic_decomposition(rho_w_t, delta_deg)
-    evolved = apply(ch_w, rho_w_t)
-    reduced = partial_trace(evolved, s_labels)
-    dec_s = ontic_decomposition(reduced, delta_deg)
-
-    rest = [l for l in evolved.space.labels if l not in s_labels]
-    return _kernel_table(
-        ch_w, parent.vectors, [(reduced.space.labels, dec_s.vectors), (rest, None)], [s_labels]
-    )
+    s_labels, out = tuple(s_split), ch_w.out_space
+    if out.subspace(s_labels) == out:
+        raise NothingToTrace(f"the system split {list(s_labels)} leaves no factor to sum out")
+    rest = tuple(l for l in out.labels if l not in s_labels)
+    # a repeated label fails the core's partition check with BadPartition
+    table, _, _, reduced_decs = _conditional_core(ch_w, rho_w_t, [s_labels, rest], delta_deg)
+    values = _first_group_marginal(table, reduced_decs[0].probabilities.size)
+    columns = tuple((i,) for i in range(values.shape[1]))
+    return ConditionalProbabilityTable(table.parent_indices, columns, values, [s_labels])
 
 
 @dataclass(frozen=True)

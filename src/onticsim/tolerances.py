@@ -116,5 +116,6 @@ def isometry_defect(v: np.ndarray) -> float:
 
 def negativity(a: np.ndarray) -> float:
     """Minus the smallest eigenvalue of a Hermitian matrix, or the largest such
-    over an (n, d, d) stack."""
-    return -float(np.min(np.linalg.eigvalsh(a)[..., 0]))
+    over an (n, d, d) stack; NaN if any entry is not finite."""
+    lowest = -float(np.min(np.linalg.eigvalsh(a)[..., 0]))
+    return lowest if np.isfinite(a).all() else math.nan

@@ -1,4 +1,5 @@
 """Tests for canonical decompositions and conditional probability tables."""
+import ast
 import gc
 import itertools
 import os
@@ -62,12 +63,15 @@ from onticsim.ontic import _conditional_core
 from onticsim.qcore import _canonical_phase
 
 SEED = 20260816
+SRC = Path(onticsim.__file__).parent
 
 QUBIT = HilbertSpace.of(("s", 2))
 PAIR = HilbertSpace.of(("s", 2), ("e", 2))
 THREE = HilbertSpace.of(("a", 2), ("b", 3), ("c", 2))
 NAN_QUBIT = np.full((2, 2), np.nan, dtype=complex)
 NAN_PAIR = np.full((4, 4), np.nan, dtype=complex)
+# eigvalsh reads this one as the finite spectrum [0, -0]
+NAN_DIAGONAL = np.diag([0.5, np.nan]).astype(complex)
 
 
 def random_density(rng: np.random.Generator, space: HilbertSpace) -> DensityMatrix:
@@ -477,6 +481,10 @@ def test_table_validation():
             lambda: tol.check(tol.negativity(NAN_QUBIT), 1.0, ToleranceBreach, "defect"),
             ToleranceBreach,
         ),
+        (
+            lambda: tol.check(tol.negativity(NAN_DIAGONAL), 1.0, ToleranceBreach, "defect"),
+            ToleranceBreach,
+        ),
     ],
     ids=[
         "density_matrix", "table", "decomposition", "pure_state", "unitary",
@@ -486,6 +494,7 @@ def test_table_validation():
         "measurement_dt", "measurement_subject_dim", "measurement_overlap_fn",
         "repeated_interaction_step",
         "check", "hermiticity_defect", "isometry_defect", "negativity",
+        "negativity_diagonal_nan",
     ],
 )
 def test_invariant_checks_reject_nan(build, error):
@@ -596,6 +605,22 @@ def test_parent_conditioned_keeps_the_callers_split_order():
     assert np.max(np.abs(table.values - direct_table(ch, rho, [["b", "a"]]))) <= 1e-12
 
 
+def test_label_changing_channel_tables_match_direct_formula():
+    """A channel from a(2) b(2) to s(2) e(3): the splits name output factors
+    only, so neither table asks the input space for them."""
+    rng = np.random.default_rng(SEED + 21)
+    isometry = haar_unitary(rng, 12)[:, :4]
+    out = HilbertSpace.of(("s", 2), ("e", 3))
+    ch = QuantumChannel(HilbertSpace.of(("a", 2), ("b", 2)), out, isometry.reshape(2, 6, 4))
+    rho = random_density(rng, ch.in_space)
+    system = parent_conditioned_probabilities(ch, rho, ["s"])
+    assert system.values.shape == (4, 2)
+    assert np.max(np.abs(system.values - direct_table(ch, rho, [["s"]]))) <= 1e-12
+    joint = conditional_probabilities(ch, rho, [["s"], ["e"]])
+    assert joint.values.shape == (4, 6)
+    assert np.max(np.abs(joint.values - direct_table(ch, rho, [["s"], ["e"]]))) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "split, error",
     [
@@ -672,7 +697,7 @@ def table_case():
 def test_table_op_evolves_once_and_solves_no_eigenvalue_check(monkeypatch):
     """The table, its Bayesian check and the system table on one (channel, state):
     the parent and the two reduced states of the first call are reused, and
-    parent_conditioned_probabilities adds one evolution and one reduced state."""
+    parent_conditioned_probabilities adds no evolution and no reduced state."""
     channel, rho = table_case()
     ch = channel()
     eigh, eigvalsh = count_calls(monkeypatch, "eigh"), count_calls(monkeypatch, "eigvalsh")
@@ -680,7 +705,7 @@ def test_table_op_evolves_once_and_solves_no_eigenvalue_check(monkeypatch):
     table = conditional_probabilities(ch, rho, SPLITS)
     gap = bayesian_propagation_check(ch, rho, SPLITS)
     system = parent_conditioned_probabilities(ch, rho, ["s"])
-    assert (len(eigh), len(eigvalsh), len(cholesky)) == (4, 0, 5)
+    assert (len(eigh), len(eigvalsh), len(cholesky)) == (3, 0, 3)
     monkeypatch.undo()
     fresh = DensityMatrix(rho.space, rho.matrix)
     again = conditional_probabilities(ch, fresh, SPLITS)
@@ -743,6 +768,35 @@ def test_table_core_shares_only_read_only_results():
     assert isinstance(reduced_states, tuple) and isinstance(reduced_decs, tuple)
     assert parent is ontic_decomposition(rho)
     assert not table.values.flags.writeable
+
+
+def _callers(name: str) -> set:
+    """(module, top-level function) of each call to `name` in the package."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                if isinstance(node, ast.Call) and name in (
+                    getattr(func, "id", None), getattr(func, "attr", None)
+                ):
+                    found.add((path.stem, getattr(top, "name", None)))
+    return found
+
+
+def test_one_table_core():
+    """Every computed table goes through one kernel, and every state's table
+    through one memoized core: no second evolve, trace, decompose, tabulate path."""
+    assert _callers("_kernel_table") == {
+        ("ontic", "_evolve_and_tabulate"),
+        ("trajectories", "markov_chain_from_repeated_interaction"),
+    }
+    assert _callers("_conditional_core") == {
+        ("ontic", "conditional_probabilities"),
+        ("ontic", "single_system_conditional"),
+        ("ontic", "bayesian_propagation_check"),
+        ("opendyn", "parent_conditioned_probabilities"),
+    }
 
 
 # ---------------------------------------------------------------------------
