@@ -147,39 +147,134 @@ def enumerate_trajectory_measure(
     Exhaustive: n_states ** len(kernels) sequences, guarded at one million.
     """
     counts = chain.state_counts
-    if any(c != n_states for c in counts):
-        raise GridMismatch(f"chain carries {counts} states, expected all {n_states}")
-    if not 0 <= initial_index < n_states:
-        raise GridMismatch(f"initial index {initial_index} out of range")
+    n = _integral(n_states)
+    if n is None or any(c != n for c in counts):
+        raise GridMismatch(f"chain carries {counts} states, expected all {n_states!r}")
+    start = _initial_index(chain, initial_index)
     steps = len(chain.kernels)
-    total = n_states**steps
+    total = n**steps
     if total > ENUMERATION_GUARD:
         raise TooManyTrajectories(f"{total} trajectories exceed guard {ENUMERATION_GUARD}")
-    # In lexicographic order path m ends in m % n_states; children append a row.
-    p = chain.kernels[0].values[initial_index]
+    # In lexicographic order path m ends in m % n; children append a row.
+    p = chain.kernels[0].values[start]
     for kern in chain.kernels[1:]:
-        p = (p[:, None] * kern.values[np.arange(p.size) % n_states]).ravel()
-    paths = product((initial_index,), *[range(n_states)] * steps)
+        p = (p[:, None] * kern.values[np.arange(p.size) % n]).ravel()
+    paths = product((start,), *[range(n)] * steps)
     measure = dict(zip(paths, p.tolist()))
     mass = math.fsum(measure.values())
     tol.check(abs(mass - 1.0), tol.ROW_SUM, ToleranceBreach, "trajectory measure sum defect")
     return measure
 
 
-def _sample(chain: MarkovKernelChain, initial_index: int, seeds: list) -> list[OnticTrajectory]:
+def _initial_index(chain: MarkovKernelChain, raw) -> int:
+    index = _integral(raw)
+    if index is None or not 0 <= index < chain.state_counts[0]:
+        raise GridMismatch(f"initial index {raw!r} out of range")
+    return index
+
+
+def _generator_uniforms(seeds: list, steps: int) -> np.ndarray:
+    """Row r is default_rng(seeds[r]).random(steps): the reference, one generator per stream."""
+    return np.reshape([np.random.default_rng(s).random(steps) for s in seeds], (len(seeds), steps))
+
+
+# numpy's SeedSequence hash and mix constants, and PCG64's 128-bit multiplier
+_MASK32 = 0xFFFFFFFF
+_MASK128 = 2**128 - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_BLOCK_CELLS = 2**14  # (stream, step) cells generated at once: each temporary is 128 KiB
+
+
+def _hashmix(v, consts: list[int], n: int):
+    """SeedSequence's n-th hash of the uint32 words v."""
+    v = (v ^ consts[n]) * consts[n + 1]
+    return v ^ v >> 16
+
+
+def _mul_mod_2_128(hi, lo, table):
+    """(hi, lo) times the table's (hi, lo) modulo 2**128, in uint64 halves."""
+    t_hi, t_lo = table
+    a0, a1, b0, b1 = lo & _MASK32, lo >> 32, t_lo & _MASK32, t_lo >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    high = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)  # lo * t_lo >> 64
+    return high + lo * t_hi + hi * t_lo, lo * t_lo
+
+
+def _uniforms(seed, count: int, steps: int) -> np.ndarray:
+    """Row k is default_rng((seed, k)).random(steps), for k < count, bit for bit.
+
+    An integer seed in [0, 2**96) and k < 2**32 fill at most the 4-word
+    entropy pool of SeedSequence, so all rows are generated together, in
+    blocks of streams: the pool's hashmix and mix steps, generate_state,
+    PCG64's seeding, the LCG jumped ahead to every step at once, then the
+    XSL-RR output and random()'s 53-bit double.  Any other seed takes one
+    generator per stream.
+    """
+    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**96 or count > 2**32:
+        return _generator_uniforms([(seed, k) for k in range(count)], steps)
+    seed = int(seed)
+    # the entropy of (seed, k): seed's 32-bit words, then k's one word; the pool's
+    # missing words hash as 0, the same as the zeros padded on below
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hash_a = [_INIT_A * pow(_MULT_A, n, 2**32) & _MASK32 for n in range(17)]
+    hash_b = [_INIT_B * pow(_MULT_B, n, 2**32) & _MASK32 for n in range(9)]
+    mixes = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+    # Output j reads the state A_(j+1) x + C_(j+2) inc, where x and inc come from
+    # generate_state, A_m = MULT**m and C_m = 1 + MULT + ... + MULT**(m-1).
+    powers, sums = [1], [0]
+    for _ in range(steps + 2):
+        sums.append(sums[-1] + powers[-1] & _MASK128)
+        powers.append(powers[-1] * _PCG_MULT & _MASK128)
+    jump_x, jump_inc = (
+        np.array([divmod(v, 2**64) for v in table], np.uint64).T
+        for table in (powers[2 : steps + 2], sums[3 : steps + 3])
+    )
+    out = np.empty((count, steps))
+    block = max(1, _BLOCK_CELLS // steps)
+    for first in range(0, count, block):
+        k = np.arange(first, min(first + block, count), dtype=np.uint32)
+        pool = [np.full_like(k, w) for w in words] + [k]
+        pool += [np.zeros_like(k)] * (4 - len(pool))
+        pool = [_hashmix(v, hash_a, n) for n, v in enumerate(pool)]
+        for n, (src, dst) in enumerate(mixes, 4):
+            v = pool[dst] * _MIX_L - _hashmix(pool[src], hash_a, n) * _MIX_R
+            pool[dst] = v ^ v >> 16
+        state = [_hashmix(pool[n % 4], hash_b, n).astype(np.uint64) for n in range(8)]
+        x_hi, x_lo, q_hi, q_lo = (state[n] | state[n + 1] << 32 for n in range(0, 8, 2))
+        inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
+        hi1, lo1 = _mul_mod_2_128(x_hi[:, None], x_lo[:, None], jump_x)
+        hi2, lo2 = _mul_mod_2_128(inc_hi[:, None], inc_lo[:, None], jump_inc)
+        lo = lo1 + lo2
+        hi = hi1 + hi2 + (lo < lo1)
+        rot = hi >> 58
+        v = hi ^ lo
+        v = v >> rot | v << (64 - rot & 63)
+        out[first : first + len(k)] = (v >> 11) * 2.0**-53
+    return out
+
+
+def _sample(chain: MarkovKernelChain, initial_index: int, u: np.ndarray) -> list[OnticTrajectory]:
     # One pass per step over all paths.  Table rows are clipped non-negative, so
     # each CDF row is nondecreasing and the count is searchsorted(side="right").
-    if not 0 <= initial_index < chain.state_counts[0]:
-        raise GridMismatch(f"initial index {initial_index} out of range")
     steps = len(chain.kernels)
-    u = np.reshape([np.random.default_rng(s).random(steps) for s in seeds], (len(seeds), steps))
-    idx = np.full((len(seeds), steps + 1), initial_index)
+    idx = np.full((len(u), steps + 1), initial_index)
     for k, kern in enumerate(chain.kernels):
         cdf = np.cumsum(kern.values, axis=1)
         rows = cdf[idx[:, k]]
         drawn = np.count_nonzero(rows <= u[:, k, None] * rows[:, -1:], axis=1)
         idx[:, k + 1] = np.minimum(drawn, cdf.shape[1] - 1)
-    return [OnticTrajectory(chain.times, path) for path in idx.tolist()]
+    # The chain's grid is already checked and every index is a non-negative
+    # count, so the trajectories skip OnticTrajectory's per-path checks.
+    trajs, times = [], chain.times
+    for path in zip(*idx.T.tolist()):
+        traj = object.__new__(OnticTrajectory)
+        object.__setattr__(traj, "times", times)
+        object.__setattr__(traj, "indices", path)
+        trajs.append(traj)
+    return trajs
 
 
 def sample_trajectory(
@@ -191,7 +286,8 @@ def sample_trajectory(
     (seed, trajectory_id) tuples to give concurrent draws independent,
     reproducible streams.
     """
-    return _sample(chain, initial_index, [rng_seed])[0]
+    start = _initial_index(chain, initial_index)
+    return _sample(chain, start, _generator_uniforms([rng_seed], len(chain.kernels)))[0]
 
 
 def sample_trajectories(
@@ -202,7 +298,11 @@ def sample_trajectories(
     Stream k draws its uniforms in one default_rng((seed, k)).random(steps)
     call, equal to steps sequential scalar draws.
     """
-    return _sample(chain, initial_index, [(seed, k) for k in range(count)])
+    start = _initial_index(chain, initial_index)
+    n = _integral(count)
+    if n is None or n < 0:
+        raise GridMismatch(f"count must be a non-negative whole number, got {count!r}")
+    return _sample(chain, start, _uniforms(seed, n, len(chain.kernels)))
 
 
 def markov_chain_from_repeated_interaction(

@@ -1,4 +1,5 @@
 """Tests for kernel chains, trajectory measures, sampling, and qubit strands."""
+import dataclasses
 import math
 from collections import Counter
 from functools import reduce
@@ -169,9 +170,9 @@ def _draw_reference(rng, row):
     return int(min(np.searchsorted(cdf, u, side="right"), len(row) - 1))
 
 
-def sample_reference(chain, initial_index, rng_seed):
+def sample_reference(chain, initial_index, rng_seed, make_rng=np.random.default_rng):
     """One scalar draw per step from the path's own generator."""
-    rng = np.random.default_rng(rng_seed)
+    rng = make_rng(rng_seed)
     indices = [initial_index]
     for kern in chain.kernels:
         indices.append(_draw_reference(rng, kern.values[indices[-1]]))
@@ -247,7 +248,7 @@ def test_sampler_matches_scalar_reference_on_a_plain_int_seed():
 
 
 class TieStream:
-    """Stands in for default_rng with uniforms that land exactly on CDF entries.
+    """Stands in for a default_rng stream with uniforms that land exactly on CDF entries.
 
     1.0 is outside random()'s range; it drives the clamp to the last index.
     """
@@ -264,15 +265,22 @@ class TieStream:
         return out[0] if size is None else np.array(out)
 
 
+def tie_uniforms(seed, count, steps):
+    """Stands in for the sampler's stream helper: row k is stream (seed, k) of TieStream."""
+    return np.reshape([TieStream((seed, k)).random(steps) for k in range(count)], (count, steps))
+
+
 def test_sampler_matches_scalar_reference_on_ties(monkeypatch):
-    monkeypatch.setattr(np.random, "default_rng", TieStream)
+    monkeypatch.setattr(trajectories, "_uniforms", tie_uniforms)
     dyadic = kernel_from_matrix(
         [[0.0, 0.25, 0.5, 0.25], [0.25, 0.0, 0.75, 0.0], [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
     )
     chain = MarkovKernelChain(tuple(range(7)), (dyadic,) * 6)
     for initial_index in range(4):
         paths = [t.indices for t in sample_trajectories(chain, initial_index, SEED, 36)]
-        assert paths == [sample_reference(chain, initial_index, (SEED, k)) for k in range(36)]
+        assert paths == [
+            sample_reference(chain, initial_index, (SEED, k), TieStream) for k in range(36)
+        ]
 
 
 @pytest.mark.parametrize("initial_index", [0, 1, 2])
@@ -286,6 +294,131 @@ def test_enumeration_matches_dict_growth_bit_for_bit(initial_index):
         reference = enumerate_reference(chain, n, initial_index)
         assert list(measure) == list(reference)
         assert _bits(measure.values()) == _bits(reference.values())
+
+
+# ---------------------------------------------------------------------------
+# vectorized sampler streams and argument checks
+# ---------------------------------------------------------------------------
+
+def generator_rows(seed, count, steps):
+    return np.reshape(
+        [np.random.default_rng((seed, k)).random(steps) for k in range(count)], (count, steps)
+    )
+
+
+def test_streams_equal_default_rng_bit_for_bit_at_scale():
+    """100 600 (seed, k) streams; k passes 2**16 and several blocks on the first seed."""
+    rng = np.random.default_rng(SEED + 18)
+    seeds = [2**64 - 1, 0, 1, 2**32 - 1, 2**32, 2**96 - 1]
+    seeds += [int(rng.integers(2**63)), int.from_bytes(rng.bytes(12), "little")]
+    counts = [65_600] + [5_000] * 7
+    for seed, count, steps in zip(seeds, counts, [2, 1, 3, 33, 8, 5, 17, 4]):
+        got = trajectories._uniforms(seed, count, steps)
+        want = generator_rows(seed, count, steps)
+        assert got.shape == (count, steps)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), seed
+
+
+def test_seeds_outside_the_pool_take_the_reference_streams():
+    chain = ragged_chain(np.random.default_rng(SEED + 19))
+    for seed in (2**96, 2**96 + 12345, np.int64(SEED), True):
+        got = trajectories._uniforms(seed, 6, 4)
+        assert np.array_equal(got.view(np.uint64), generator_rows(seed, 6, 4).view(np.uint64))
+        paths = [t.indices for t in sample_trajectories(chain, 1, seed, 6)]
+        assert paths == [sample_reference(chain, 1, (seed, k)) for k in range(6)]
+    assert [t.indices for t in sample_trajectories(chain, 0, True, 9)] == [
+        t.indices for t in sample_trajectories(chain, 0, 1, 9)
+    ]
+    for seed, error in ((-1, ValueError), (2.5, TypeError)):
+        with pytest.raises(error) as ours:
+            sample_trajectories(chain, 0, seed, 3)
+        with pytest.raises(error) as numpys:
+            np.random.default_rng((seed, 0))
+        assert str(ours.value) == str(numpys.value)
+
+
+def test_in_pool_sampling_constructs_no_generator(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        make = getattr(np.random, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return make(*args, **kwargs)
+
+        return count
+
+    for name in ("default_rng", "SeedSequence"):
+        monkeypatch.setattr(np.random, name, counted(name))
+    chain = coin_chain(32)
+    for seed in (0, SEED, 2**64 - 1, 2**96 - 1):
+        assert len(sample_trajectories(chain, 0, seed, 200)) == 200
+    assert not calls
+    sample_trajectories(chain, 0, 2**96, 3)
+    assert calls["default_rng"] == 3
+
+
+def test_sampled_trajectories_equal_checked_ones():
+    chain = ragged_chain(np.random.default_rng(SEED + 20))
+    sampled = sample_trajectories(chain, 1, SEED, 40) + [sample_trajectory(chain, 0, SEED)]
+    for traj in sampled:
+        checked = OnticTrajectory(chain.times, traj.indices)
+        assert type(traj) is OnticTrajectory
+        assert traj.times is chain.times
+        assert vars(traj) == vars(checked)
+        for got, want in ((traj.times, checked.times), (traj.indices, checked.indices)):
+            assert type(got) is tuple
+            assert [type(v) for v in got] == [type(v) for v in want]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            traj.indices = ()
+
+
+@pytest.mark.parametrize("count", [-3, 2.5, float("nan"), "3", None])
+def test_sampler_refuses_a_count_that_is_not_a_non_negative_whole_number(count):
+    with pytest.raises(GridMismatch):
+        sample_trajectories(coin_chain(2), 0, SEED, count)
+
+
+def test_sampler_accepts_a_zero_or_numpy_count():
+    chain = coin_chain(3)
+    assert sample_trajectories(chain, 0, SEED, 0) == []
+    paths = [t.indices for t in sample_trajectories(chain, 0, SEED, np.int64(7))]
+    assert paths == [t.indices for t in sample_trajectories(chain, 0, SEED, 7)]
+
+
+@pytest.mark.parametrize("index", [0.5, float("nan"), -1, 2, "0", None])
+def test_sampler_and_enumerator_refuse_a_bad_initial_index(index):
+    chain = coin_chain(2)
+    with pytest.raises(GridMismatch):
+        sample_trajectory(chain, index, SEED)
+    with pytest.raises(GridMismatch):
+        sample_trajectories(chain, index, SEED, 3)
+    with pytest.raises(GridMismatch):
+        enumerate_trajectory_measure(chain, 2, index)
+
+
+def test_sampler_and_enumerator_accept_a_numpy_initial_index():
+    chain = coin_chain(3)
+    one = np.int64(1)
+    assert sample_trajectory(chain, one, SEED).indices == sample_trajectory(chain, 1, SEED).indices
+    assert [t.indices for t in sample_trajectories(chain, one, SEED, 5)] == [
+        t.indices for t in sample_trajectories(chain, 1, SEED, 5)
+    ]
+    assert enumerate_trajectory_measure(chain, 2, one) == enumerate_trajectory_measure(chain, 2, 1)
+
+
+@pytest.mark.parametrize("n_states", [2.5, float("nan"), 3, "2", None])
+def test_enumerator_refuses_a_bad_state_count(n_states):
+    with pytest.raises(GridMismatch):
+        enumerate_trajectory_measure(coin_chain(2), n_states, 0)
+
+
+def test_enumerator_reads_an_integral_state_count():
+    chain = coin_chain(3)
+    measure = enumerate_trajectory_measure(chain, 2, 0)
+    for n_states in (2.0, np.int64(2)):
+        assert enumerate_trajectory_measure(chain, n_states, 0) == measure
 
 
 # ---------------------------------------------------------------------------
