@@ -146,17 +146,15 @@ def simulate_measurement(
     model: MeasurementModel,
     psi: PureState,
     overlap_phases: np.ndarray | None = None,
-    delta_deg: float = tol.DEGENERACY_GAP,
 ) -> MeasurementReport:
     """Subject's reduced state after the interaction, with Born diagnostics.
 
     overlap_phases, if given, is a real antisymmetric matrix of phase
     angles applied to the off-diagonal suppression factors, for record
     overlaps that are not real positive.  Without it the report depends
-    only on psi, the two pointer overlaps and delta_deg, so it is computed
-    once per (state object, overlaps, delta_deg), and a repeat call with
-    the same three returns the same read-only report.  The state keeps
-    only its latest report.
+    only on psi and the two pointer overlaps, so it is computed once per
+    (state object, overlaps), and a repeat call with the same ones returns
+    the same read-only report.  The state keeps only its latest report.
     """
     d = model.subject_dim
     if psi.space.total_dim != d:
@@ -165,14 +163,14 @@ def simulate_measurement(
     c_e = pointer_overlap(model, "environment")
     if overlap_phases is None:
         # hex keeps an overlap of -0.0 apart from 0.0
-        key = (c_a.hex(), c_e.hex(), float(delta_deg).hex())
-        return _memo(psi, "report", key, lambda: _measure(psi, c_a, c_e, None, delta_deg))
+        key = (c_a.hex(), c_e.hex())
+        return _memo(psi, "report", key, lambda: _measure(psi, c_a, c_e, None))
     phases = np.asarray(overlap_phases, dtype=float)
     if phases.shape != (d, d):
         raise SpaceMismatch(f"overlap_phases has shape {phases.shape}, expected ({d}, {d})")
     asym = np.max(np.abs(phases + phases.T))
     tol.check(asym, tol.CONSTRUCTION, SpaceMismatch, "overlap_phases antisymmetry defect")
-    return _measure(psi, c_a, c_e, np.exp(1j * phases), delta_deg)
+    return _measure(psi, c_a, c_e, np.exp(1j * phases))
 
 
 def _measure(
@@ -180,7 +178,6 @@ def _measure(
     c_a: float,
     c_e: float,
     phase_factors: np.ndarray | None,
-    delta_deg: float,
 ) -> MeasurementReport:
     d = psi.space.total_dim
     suppression = np.full((d, d), c_a * c_e, dtype=np.complex128)
@@ -190,7 +187,7 @@ def _measure(
 
     rho = np.outer(psi.amplitudes, psi.amplitudes.conjugate()) * suppression
     rho_s = DensityMatrix(psi.space, rho)
-    dec = ontic_decomposition(rho_s, delta_deg)
+    dec = ontic_decomposition(rho_s)
     born = np.abs(psi.amplitudes) ** 2
     born.setflags(write=False)
     outcome_of_entry = _assign_outcomes(dec.vectors)
@@ -209,18 +206,14 @@ def _measure(
     )
 
 
-def born_conditional_check(
-    model: MeasurementModel,
-    psi: PureState,
-    delta_deg: float = tol.DEGENERACY_GAP,
-) -> float:
+def born_conditional_check(model: MeasurementModel, psi: PureState) -> float:
     """Largest gap between conditioned outcome probabilities and Born weights.
 
     Computes <s|rho_s|s> for each post-interaction configuration directly
     as a quadratic form, independently of the eigenvalues the simulation
     reports, and compares against the Born weight of the matched outcome.
     """
-    report = simulate_measurement(model, psi, delta_deg=delta_deg)
+    report = simulate_measurement(model, psi)
     worst = 0.0
     # contiguous rows: a strided column can take another BLAS path (last bits)
     for s, v in enumerate(report.decomposition.vectors.T.copy()):
@@ -285,20 +278,19 @@ class BoundReport:
     satisfied: bool
 
 
-def error_entropy_bound(
-    model: MeasurementModel, observed_deviation: float, slack: float = 10.0
-) -> BoundReport:
+def error_entropy_bound(model: MeasurementModel, observed_deviation: float) -> BoundReport:
     """Entropy floor on the Born deviation from the apparatus records.
 
     Each of the N_A apparatus factors contributes ln 2 of record entropy,
     so the deviation cannot be pushed below exp(-N_A ln 2).  The check
-    passes when the observed deviation is no further than the slack
-    factor below that floor.
+    passes when the observed deviation is no further than a factor of
+    tol.ENTROPY_SLACK below that floor.
     """
     tol.check(-observed_deviation, 0.0, NotADistribution, "Born deviation negativity")
     s_max = model.n_a * math.log(2.0)
     bound = math.exp(-s_max)
-    return BoundReport(s_max=s_max, bound=bound, satisfied=observed_deviation >= bound / slack)
+    satisfied = observed_deviation >= bound / tol.ENTROPY_SLACK
+    return BoundReport(s_max=s_max, bound=bound, satisfied=satisfied)
 
 
 def correlational_entropy(probs) -> float:

@@ -6,9 +6,9 @@ ordered by descending probability; exact ties, and only they, are broken
 by one lexsort on the (re, im) pairs of the phase-canonical eigenvectors,
 amplitude by amplitude.
 Null configurations, with a probability below NULL_PROBABILITY, are kept
-so tables built from two decompositions stay square, and near-coincident
-eigenvalues are reported as degeneracy groups because the eigenbasis
-inside such a group is a numerically arbitrary choice.  The eigensolve,
+so tables built from two decompositions stay square.  Inside a degenerate
+eigenspace the eigenbasis is a numerically arbitrary choice, so a table
+indexed by these eigenvectors is not continuous in rho there.  The eigensolve,
 phase rule, order and checks are written for a stack of density matrices
 (one stacked eigh, each check once over the stack); a single state is a
 stack of one, and a trajectory chain decomposes all its states together.
@@ -78,7 +78,6 @@ class OnticDecomposition:
     source_space: HilbertSpace
     probabilities: np.ndarray
     vectors: np.ndarray
-    degeneracy_groups: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         probs = np.array(self.probabilities, dtype=float)
@@ -93,34 +92,23 @@ class OnticDecomposition:
         return (vecs * self.probabilities) @ vecs.conjugate().T
 
 
-def ontic_decomposition(
-    rho: DensityMatrix, delta_deg: float = tol.DEGENERACY_GAP
-) -> OnticDecomposition:
+def ontic_decomposition(rho: DensityMatrix) -> OnticDecomposition:
     """Eigendecompose a density matrix into its canonical configuration list.
 
-    Computed once per (state object, delta_deg), with every check on the
-    first call; a repeat call with the same delta_deg returns the same
-    read-only decomposition.  The state keeps only its latest one.
+    Computed once per state object, with every check on the first call; a
+    repeat call returns the same read-only decomposition.
     """
-    return _memo(rho, "decomposition", float(delta_deg).hex(), lambda: _decompose(rho, delta_deg))
+    return _memo(rho, "decomposition", None, lambda: _decompose(rho))
 
 
-def _decompose(rho: DensityMatrix, delta_deg: float) -> OnticDecomposition:
+def _decompose(rho: DensityMatrix) -> OnticDecomposition:
     stacked_probs, stacked_vecs = _spectra(rho.matrix[None])
     probs, vecs = stacked_probs[0], stacked_vecs[0]
-    groups: list[tuple[int, ...]] = []
-    start = 0
-    for k in range(1, probs.size + 1):
-        if k == probs.size or probs[start] - probs[k] >= delta_deg:
-            if k - start > 1:
-                groups.append(tuple(range(start, k)))
-            start = k
     probs.setflags(write=False)
     vecs.setflags(write=False)
     # _spectra has run every check of __post_init__: set the fields without it
     dec = object.__new__(OnticDecomposition)
-    fields = ("source_space", "probabilities", "vectors", "degeneracy_groups")
-    for name, value in zip(fields, (rho.space, probs, vecs, tuple(groups))):
+    for name, value in zip(("source_space", "probabilities", "vectors"), (rho.space, probs, vecs)):
         object.__setattr__(dec, name, value)
     return dec
 
@@ -249,10 +237,9 @@ def _conditional_core(
     ch_w: QuantumChannel,
     rho_w_t: DensityMatrix,
     splits: Sequence[Sequence[str]],
-    delta_deg: float,
 ):
     """(table, parent, reduced_states, reduced_decs), validated on every call
-    and computed once per (state, channel object, splits, delta_deg)."""
+    and computed once per (state, channel object, splits)."""
     if rho_w_t.space != ch_w.in_space:
         raise SpaceMismatch(
             f"state on {rho_w_t.space.labels}, channel takes {ch_w.in_space.labels}"
@@ -260,26 +247,23 @@ def _conditional_core(
     split_labels = tuple(tuple(g) for g in splits)
     _check_partition(ch_w.out_space, split_labels)
     # the channel is compared by identity: QuantumChannel has eq=False
-    key = (ch_w, split_labels, float(delta_deg).hex())
-    return _memo(
-        rho_w_t, "table", key, lambda: _evolve_and_tabulate(ch_w, rho_w_t, split_labels, delta_deg)
-    )
+    key = (ch_w, split_labels)
+    return _memo(rho_w_t, "table", key, lambda: _evolve_and_tabulate(ch_w, rho_w_t, split_labels))
 
 
 def _evolve_and_tabulate(
     ch_w: QuantumChannel,
     rho_w_t: DensityMatrix,
     split_labels: tuple[tuple[str, ...], ...],
-    delta_deg: float,
 ):
-    parent = ontic_decomposition(rho_w_t, delta_deg)
+    parent = ontic_decomposition(rho_w_t)
     evolved = apply(ch_w, rho_w_t)
 
     reduced_states = tuple(
         partial_trace(evolved, g) if len(g) < len(evolved.space.factors) else evolved
         for g in split_labels
     )
-    reduced_decs = tuple(ontic_decomposition(r, delta_deg) for r in reduced_states)
+    reduced_decs = tuple(map(ontic_decomposition, reduced_states))
 
     table = _kernel_table(
         ch_w,
@@ -294,7 +278,6 @@ def conditional_probabilities(
     ch_w: QuantumChannel,
     rho_w_t: DensityMatrix,
     splits: Sequence[Sequence[str]],
-    delta_deg: float = tol.DEGENERACY_GAP,
 ) -> ConditionalProbabilityTable:
     """Joint subsystem configuration probabilities conditioned on the parent.
 
@@ -305,20 +288,18 @@ def conditional_probabilities(
 
     The arguments are validated on every call.  The evolution, the
     decompositions and the table are computed once per (state object,
-    channel object, splits, delta_deg) and kept on the state, which holds
-    only its latest table; a repeat call returns the same read-only table.
+    channel object, splits) and kept on the state, which holds only its
+    latest table; a repeat call returns the same read-only table.
     """
-    table, _, _, _ = _conditional_core(ch_w, rho_w_t, splits, delta_deg)
+    table, _, _, _ = _conditional_core(ch_w, rho_w_t, splits)
     return table
 
 
 def single_system_conditional(
-    ch: QuantumChannel,
-    rho_t: DensityMatrix,
-    delta_deg: float = tol.DEGENERACY_GAP,
+    ch: QuantumChannel, rho_t: DensityMatrix
 ) -> ConditionalProbabilityTable:
     """Conditional table for the undivided system, linking t to t'."""
-    table, _, _, _ = _conditional_core(ch, rho_t, [list(rho_t.space.labels)], delta_deg)
+    table, _, _, _ = _conditional_core(ch, rho_t, [list(rho_t.space.labels)])
     return table
 
 
@@ -326,7 +307,6 @@ def bayesian_propagation_check(
     ch_w: QuantumChannel,
     rho_w_t: DensityMatrix,
     splits: Sequence[Sequence[str]],
-    delta_deg: float = tol.DEGENERACY_GAP,
 ) -> float:
     """Largest gap between direct and chained first-subsystem probabilities.
 
@@ -335,12 +315,10 @@ def bayesian_propagation_check(
     Chained route: sum the conditional table against the parent
     probabilities and marginalize the other subsystems.  The two must
     agree for any trace-preserving channel.  After `conditional_probabilities`
-    on the same state, channel object, splits and delta_deg, it reuses that
-    call's evolved state, reduced decompositions and table.
+    on the same state, channel object and splits, it reuses that call's
+    evolved state, reduced decompositions and table.
     """
-    table, parent, reduced_states, reduced_decs = _conditional_core(
-        ch_w, rho_w_t, splits, delta_deg
-    )
+    table, parent, reduced_states, reduced_decs = _conditional_core(ch_w, rho_w_t, splits)
     vecs = reduced_decs[0].vectors
     direct = np.real(np.sum(vecs.conjugate() * (reduced_states[0].matrix @ vecs), axis=0))
     chained = parent.probabilities @ _first_group_marginal(table, vecs.shape[1])

@@ -92,7 +92,6 @@ def parent_conditioned_probabilities(
     ch_w: QuantumChannel,
     rho_w_t: DensityMatrix,
     s_split: Sequence[str],
-    delta_deg: float = tol.DEGENERACY_GAP,
 ) -> ConditionalProbabilityTable:
     """System configurations at t' conditioned on parent configurations at t.
 
@@ -105,7 +104,7 @@ def parent_conditioned_probabilities(
         raise NothingToTrace(f"the system split {list(s_labels)} leaves no factor to sum out")
     rest = tuple(l for l in out.labels if l not in s_labels)
     # a repeated label fails the core's partition check with BadPartition
-    table, _, _, reduced_decs = _conditional_core(ch_w, rho_w_t, [s_labels, rest], delta_deg)
+    table, _, _, reduced_decs = _conditional_core(ch_w, rho_w_t, [s_labels, rest])
     values = _first_group_marginal(table, reduced_decs[0].probabilities.size)
     columns = tuple((i,) for i in range(values.shape[1]))
     return ConditionalProbabilityTable(table.parent_indices, columns, values, [s_labels])
@@ -121,7 +120,6 @@ def projector_factorization_check(
     p_w: np.ndarray,
     space: HilbertSpace,
     split: tuple[Sequence[str], Sequence[str]],
-    threshold: float = 1e-8,
 ) -> FactorizationCheck:
     """Whether a parent projector splits as P_S (x) P_E across the groups.
 
@@ -129,7 +127,8 @@ def projector_factorization_check(
     projector the reduced matrix is the factor projector scaled by the
     other factor's rank, so thresholding its spectrum at half the top
     eigenvalue recovers the factor exactly.  The defect is the Frobenius
-    distance to the best candidate product.
+    distance to the best candidate product, factorizable within
+    tol.FACTORIZATION_DEFECT.
     """
     s_labels, e_labels = [list(g) for g in split]
     _check_partition(space, [s_labels, e_labels])
@@ -152,7 +151,7 @@ def projector_factorization_check(
     product = np.kron(p_s, p_e)
     product, _ = permute_factors(product, s_space.tensor(e_space), space.labels)
     defect = float(np.linalg.norm(arr - product))
-    return FactorizationCheck(factorizable=defect <= threshold, defect=defect)
+    return FactorizationCheck(factorizable=defect <= tol.FACTORIZATION_DEFECT, defect=defect)
 
 
 @dataclass(frozen=True, eq=False)

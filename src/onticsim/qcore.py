@@ -234,9 +234,8 @@ class DensityMatrix:
     All three conditions are checked at construction, by `_admit`:
     Hermiticity and trace at the construction tolerance, positivity down to
     the eigenvalue floor.  The state is immutable, so its ontic
-    decomposition is computed once per state object and delta_deg, and its
-    conditional table core once per channel object, splits and delta_deg;
-    each is kept on it.
+    decomposition is computed once per state object, and its conditional
+    table core once per channel object and splits; each is kept on it.
     """
 
     space: HilbertSpace

@@ -50,8 +50,11 @@ KRAUS_PRUNE = 1e-12
 # smallest amplitude magnitude usable as the global-phase pivot
 PHASE_PIVOT = 1e-10
 
-# default spacing below which neighbouring eigenvalues count as degenerate
-DEGENERACY_GAP = 1e-8
+# a projector factorizes when its Frobenius distance to a product is within this
+FACTORIZATION_DEFECT = 1e-8
+
+# an observed Born deviation may sit this factor below the record-entropy floor
+ENTROPY_SLACK = 10.0
 
 
 def check(defect, bound: float, error: type[Exception], what: str) -> None:

@@ -28,6 +28,7 @@ plane.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from itertools import product
@@ -67,11 +68,16 @@ ENUMERATION_GUARD = 1_000_000
 _MAX_STEPS = 10**4
 
 
-def _check_times(times: tuple[float, ...]) -> None:
-    """Raise BadInterval unless every time is finite and the grid strictly increases."""
-    # map keeps the loops in C: a sampler builds one grid per trajectory
+def _grid(raw) -> tuple[float, ...]:
+    """`raw` as a tuple of floats; BadInterval unless every time is a finite
+    real number and the grid strictly increases."""
+    raw = tuple(raw)
+    if not all(isinstance(t, numbers.Real) for t in raw):
+        raise BadInterval(f"times must be real numbers, got {raw!r}")
+    times = tuple(map(float, raw))
     if not all(map(math.isfinite, times)) or not all(map(operator.lt, times, times[1:])):
         raise BadInterval(f"times must be finite and strictly increase, got {times}")
+    return times
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,15 +88,14 @@ class OnticTrajectory:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        times = tuple(map(float, self.times))
-        indices = tuple(map(int, self.indices))
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "indices", indices)
+        times = _grid(self.times)
+        indices = tuple(map(_integral, self.indices))
         if len(times) != len(indices):
             raise GridMismatch(f"{len(times)} times but {len(indices)} indices")
-        _check_times(times)
-        if indices and min(indices) < 0:
-            raise GridMismatch("indices must be non-negative")
+        if any(i is None or i < 0 for i in indices):
+            raise GridMismatch(f"indices must be non-negative whole numbers, got {self.indices!r}")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "indices", indices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,16 +106,15 @@ class MarkovKernelChain:
     kernels: tuple[ConditionalProbabilityTable, ...]
 
     def __post_init__(self) -> None:
-        times = tuple(map(float, self.times))
-        object.__setattr__(self, "times", times)
         object.__setattr__(self, "kernels", tuple(self.kernels))
         if not self.kernels:
             raise GridMismatch("a chain needs at least one kernel")
+        times = _grid(self.times)
+        object.__setattr__(self, "times", times)
         if len(times) != len(self.kernels) + 1:
             raise GridMismatch(
                 f"{len(times)} grid times need {len(times) - 1} kernels, got {len(self.kernels)}"
             )
-        _check_times(times)
         for k, kern in enumerate(self.kernels):
             if any(len(c) != 1 for c in kern.column_indices):
                 raise GridMismatch(f"kernel {k} is not a single-system table")
@@ -311,7 +315,6 @@ def markov_chain_from_repeated_interaction(
     rho_s0: DensityMatrix,
     step: float,
     steps: int,
-    delta_deg: float = tol.DEGENERACY_GAP,
 ) -> MarkovKernelChain:
     """Kernel chain from coupling the system to a fresh environment each step.
 
@@ -328,9 +331,8 @@ def markov_chain_from_repeated_interaction(
     over the whole stack, and every state is decomposed by one stacked
     eigh, each `OnticDecomposition` check run once over the stack.  State
     k's eigenvectors are the row side of kernel k and the column side of
-    kernel k - 1.  delta_deg only groups near-degenerate configurations,
-    which no kernel reads.  More than _MAX_STEPS steps are refused before
-    anything is built.
+    kernel k - 1.  More than _MAX_STEPS steps are refused before anything
+    is built.
     """
     count = _integral(steps)
     if not 0 < step < math.inf or count is None or not 1 <= count <= _MAX_STEPS:

@@ -145,13 +145,6 @@ def test_decomposition_keeps_null_configurations():
     assert dec.probabilities[2] == 0.0
 
 
-def test_decomposition_reports_degeneracy_groups():
-    dec = ontic_decomposition(maximally_mixed(QUBIT))
-    assert dec.degeneracy_groups == ((0, 1),)
-    pure = basis_state(QUBIT, 0).density_matrix()
-    assert ontic_decomposition(pure).degeneracy_groups == ()
-
-
 def test_decomposition_order_is_phase_independent():
     """Rebuilding the same state from rotated eigenvectors keeps the order."""
     rng = np.random.default_rng(SEED)
@@ -353,37 +346,9 @@ def test_decomposition_is_computed_once_per_state(monkeypatch):
     eigh = count_calls(monkeypatch, "eigh")
     first = ontic_decomposition(rho)
     assert ontic_decomposition(rho) is first
-    assert ontic_decomposition(rho, tol.DEGENERACY_GAP) is first
     assert eigh == ["eigh"]
     assert not first.probabilities.flags.writeable and not first.vectors.flags.writeable
     assert repr(rho) == shown
-
-
-def test_each_degeneracy_gap_gets_its_own_decomposition():
-    rho = diagonal_density([0.4, 0.4 - 1e-6, 0.2 + 1e-6])
-    fine, coarse = ontic_decomposition(rho), ontic_decomposition(rho, 1e-3)
-    assert fine is not coarse
-    assert fine.degeneracy_groups == ()
-    assert coarse.degeneracy_groups == ((0, 1),)
-    assert ontic_decomposition(rho, 1e-3) is coarse
-    assert np.array_equal(bits(fine.vectors), bits(coarse.vectors))
-
-
-def test_a_state_keeps_only_its_latest_decomposition(monkeypatch):
-    rho = diagonal_density([0.4, 0.4 - 1e-6, 0.2 + 1e-6])
-    eigh = count_calls(monkeypatch, "eigh")
-    fine = weakref.ref(ontic_decomposition(rho))
-    coarse = ontic_decomposition(rho, 1e-3)
-    gc.collect()
-    assert fine() is None
-    # a 0-d array or numpy scalar gap is the same key as the float
-    assert ontic_decomposition(rho, np.array(1e-3)) is coarse
-    assert ontic_decomposition(rho, np.float64(1e-3)) is coarse
-    # every NaN gap is one key, so repeats neither recompute nor pile up
-    nan = ontic_decomposition(rho, float("nan"))
-    assert ontic_decomposition(rho, float("nan")) is nan
-    assert ontic_decomposition(rho, np.nan) is nan
-    assert len(eigh) == 3
 
 
 def test_equal_states_share_no_decomposition(monkeypatch):
@@ -430,7 +395,7 @@ def test_table_validation():
             ToleranceBreach,
         ),
         (
-            lambda: OnticDecomposition(QUBIT, np.array([np.nan, np.nan]), np.eye(2), ()),
+            lambda: OnticDecomposition(QUBIT, np.array([np.nan, np.nan]), np.eye(2)),
             ToleranceBreach,
         ),
         (lambda: PureState(QUBIT, [np.nan, 0.0]), ToleranceBreach),
@@ -673,7 +638,7 @@ def test_bayesian_propagation_fuzz():
 
 
 # ---------------------------------------------------------------------------
-# one table core per (state, channel object, splits, delta_deg)
+# one table core per (state, channel object, splits)
 # ---------------------------------------------------------------------------
 
 SPLITS = (("s",), ("e",))
@@ -722,17 +687,14 @@ def test_repeat_table_call_returns_the_same_table(monkeypatch):
     table = conditional_probabilities(ch, rho, SPLITS)
     eigh = count_calls(monkeypatch, "eigh")
     assert conditional_probabilities(ch, rho, [["s"], ["e"]]) is table
-    assert conditional_probabilities(ch, rho, SPLITS, tol.DEGENERACY_GAP) is table
     with pytest.raises(ValueError):
         table.values[0, 0] = 0.5
     assert eigh == []
 
 
-GAP = tol.DEGENERACY_GAP
 TABLE_KEY_CHANGES = {
-    "new_channel_object": lambda ch, channel: (channel(), SPLITS, GAP),
-    "new_split_order": lambda ch, channel: (ch, SPLITS[::-1], GAP),
-    "new_delta_deg": lambda ch, channel: (ch, SPLITS, 1e-3),
+    "new_channel_object": lambda ch, channel: (channel(), SPLITS),
+    "new_split_order": lambda ch, channel: (ch, SPLITS[::-1]),
 }
 
 
@@ -741,12 +703,12 @@ def test_each_table_key_change_recomputes(monkeypatch, change):
     channel, rho = table_case()
     ch = channel()
     table = conditional_probabilities(ch, rho, SPLITS)
-    ch_2, splits_2, delta_2 = change(ch, channel)
+    ch_2, splits_2 = change(ch, channel)
     eigh = count_calls(monkeypatch, "eigh")
-    other = conditional_probabilities(ch_2, rho, splits_2, delta_2)
+    other = conditional_probabilities(ch_2, rho, splits_2)
     assert other is not table
-    # a new channel or split order is evolved again; a new gap also re-decomposes the parent
-    assert len(eigh) == (3 if delta_2 != GAP else 2)
+    # evolved and tabulated again; the parent keeps its decomposition
+    assert len(eigh) == 2
     assert np.max(np.abs(other.values - direct_table(ch_2, rho, splits_2))) <= 1e-12
 
 
@@ -762,9 +724,7 @@ def test_a_state_keeps_only_its_latest_table():
 
 def test_table_core_shares_only_read_only_results():
     channel, rho = table_case()
-    table, parent, reduced_states, reduced_decs = _conditional_core(
-        channel(), rho, SPLITS, tol.DEGENERACY_GAP
-    )
+    table, parent, reduced_states, reduced_decs = _conditional_core(channel(), rho, SPLITS)
     assert isinstance(reduced_states, tuple) and isinstance(reduced_decs, tuple)
     assert parent is ontic_decomposition(rho)
     assert not table.values.flags.writeable

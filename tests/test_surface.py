@@ -1,5 +1,7 @@
-"""The package surface: each module's __all__ and the package re-exports agree."""
+"""The package surface: each module's __all__ and the package re-exports agree,
+and no public callable grows an option without this file saying so."""
 import importlib
+import inspect
 import pkgutil
 import types
 
@@ -9,11 +11,33 @@ from onticsim import errors
 # the command-line runner is an entry point, not part of the library namespace
 NOT_REEXPORTED = {"cli"}
 
+# module.name -> the parameters that have defaults, for every public callable that has any
+PUBLIC_DEFAULTS = {
+    "channels.QuantumChannel": ("validate",),
+    "channels.channel_from_json": ("validate",),
+    "channels.entangling_cnot_family": ("s_label", "e_label"),
+    "channels.factorized_family": ("s_label", "e_label"),
+    "channels.swap_refactorizing_family": ("s_label", "e_label"),
+    "cli.ScenarioConfig": ("params", "seed", "output_path", "format"),
+    "cli.main": ("argv",),
+    "cli.parse_config": ("scenario",),
+    "measurement.MeasurementModel": ("overlap_fn",),
+    "measurement.simulate_measurement": ("overlap_phases",),
+    "ontic.ConditionalProbabilityTable": ("splits",),
+    "opendyn.bell_state": ("s_label", "e_label"),
+    "opendyn.werner_state": ("s_label", "e_label"),
+    "opendyn.witness_pair_bell_vs_product": ("s_label", "e_label"),
+    "opendyn.witness_pair_werner": ("s_label", "e_label"),
+}
+
+
+def module_names():
+    return sorted(info.name for info in pkgutil.iter_modules(onticsim.__path__))
+
 
 def test_package_reexports_exactly_the_module_exports_and_errors():
-    names = sorted(info.name for info in pkgutil.iter_modules(onticsim.__path__))
     exported = set()
-    for name in names:
+    for name in module_names():
         module = importlib.import_module(f"onticsim.{name}")
         listed = getattr(module, "__all__", ())
         assert [n for n in listed if not hasattr(module, n)] == [], name
@@ -28,3 +52,19 @@ def test_package_reexports_exactly_the_module_exports_and_errors():
         if not n.startswith("_") and not isinstance(v, types.ModuleType)
     }
     assert public == exported | error_classes
+
+
+def test_public_defaults_are_pinned():
+    """A new option on a public function or dataclass is a visible edit here."""
+    found = {}
+    for name in module_names():
+        module = importlib.import_module(f"onticsim.{name}")
+        for export in getattr(module, "__all__", ()):
+            value = getattr(module, export)
+            if not callable(value) or (isinstance(value, type) and issubclass(value, Exception)):
+                continue
+            params = inspect.signature(value).parameters.values()
+            defaults = tuple(p.name for p in params if p.default is not p.empty)
+            if defaults:
+                found[f"{name}.{export}"] = defaults
+    assert found == PUBLIC_DEFAULTS

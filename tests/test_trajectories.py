@@ -50,11 +50,16 @@ def test_trajectory_validation():
         OnticTrajectory((0.0, 0.0), (0, 1))
     with pytest.raises(GridMismatch):
         OnticTrajectory((0.0, 1.0), (0, 1, 0))
-    with pytest.raises(GridMismatch):
-        OnticTrajectory((0.0, 1.0), (0, -1))
-    for times in [(math.nan,), (0.0, math.inf), (-math.inf, 0.0)]:
+    for indices in [(0, -1), (0, 1.7), (0, "1"), (0, math.nan)]:
+        with pytest.raises(GridMismatch):
+            OnticTrajectory((0.0, 1.0), indices)
+    for times in [(math.nan,), (0.0, math.inf), (-math.inf, 0.0), ("0", "1"), (0.0, b"1")]:
         with pytest.raises(BadInterval):
             OnticTrajectory(times, (0,) * len(times))
+    whole = OnticTrajectory((np.float64(0.0), 1), (np.int64(0), 1.0))
+    assert whole.times == (0.0, 1.0) and whole.indices == (0, 1)
+    assert all(type(t) is float for t in whole.times)
+    assert all(type(i) is int for i in whole.indices)
 
 
 def test_chain_validation():
@@ -67,7 +72,7 @@ def test_chain_validation():
     with pytest.raises(GridMismatch):
         MarkovKernelChain((0.0, 1.0, 2.0), (wide, fair))
     assert MarkovKernelChain((0.0, 1.0), (wide,)).state_counts == (2, 3)
-    for times in [(0.0, math.inf), (math.nan, 1.0)]:
+    for times in [(0.0, math.inf), (math.nan, 1.0), ("0", "1"), (0.0, None)]:
         with pytest.raises(BadInterval):
             MarkovKernelChain(times, (fair,))
     for times in [(0.0,), (math.nan,)]:
