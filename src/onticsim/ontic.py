@@ -23,14 +23,15 @@ where |w> is a parent eigenvector, K_k are the channel's Kraus operators
 and |c> is the product of one subsystem eigenvector per factor group.
 One kernel computes every table in this vector form and builds the
 table object around it, for the subsystem tables here (opendyn's system
-table is a marginal of one) and each step of a trajectory chain, so no
-per-configuration projector is ever formed or stored.  It takes the parent
-eigenvectors and each group's eigenvectors as plain arrays, not
-decompositions, so a chain feeds it slices of its stacked eigensolve.
+table is a marginal of one) and every step of a trajectory chain, so no
+per-configuration projector is ever formed or stored.  Like the eigensolve
+it is written for a stack: it takes stacks of parent and group eigenvectors
+as plain arrays and returns one table per slice.  A single table is a stack
+of one; a chain passes slices of its stacked eigensolve.
 
 Each row is a probability distribution whenever the channel is trace
-preserving and the subsystem eigenvectors are complete, which the table
-type checks at construction.
+preserving and the subsystem eigenvectors are complete, which the kernel
+checks once over its stack and the table type checks at construction.
 """
 
 from __future__ import annotations
@@ -202,35 +203,48 @@ def _kernel_table(
     parents: np.ndarray,
     groups: Sequence[tuple[Sequence[str], np.ndarray]],
     splits: Sequence[Sequence[str]],
-) -> ConditionalProbabilityTable:
-    """The table values[w, c] = sum_k |<c| K_k |w>|^2 over the parent eigenvectors |w>.
+) -> list[ConditionalProbabilityTable]:
+    """Tables values[w, c] = sum_k |<c| K_k |w>|^2, one per slice of a stack.
 
-    `parents` holds the parent eigenvectors as columns, on the channel's
-    input space.  `groups` partitions the channel's output factors into
-    (labels, basis) pairs; a basis holds a group's eigenvectors as columns,
-    on the group's factors in the order its labels list them.  Each |c>
-    takes one column per group, enumerated in itertools.product order.
-    K_k W is computed once, its output factors are moved into group order
-    by one transpose, and each group axis is contracted with V_g^dag.
-    `splits` is stored on the table as given.
+    `parents` is an (n, d_in, n_w) stack of parent eigenvectors as columns,
+    on the channel's input space.  `groups` partitions the channel's output
+    factors into (labels, bases) pairs; `bases` is an (n, d_g, m_g) stack
+    of a group's eigenvectors as columns, on the group's factors in the
+    order its labels list them.  Each |c> takes one column per group,
+    enumerated in itertools.product order.  K_k W is computed once for the
+    stack, its output factors are moved into group order by one transpose,
+    and each group axis is contracted with V_g^dag by one batched matmul.
+    The table checks run once over the stack, so no `__post_init__` runs;
+    table k's values are slice k of the clipped stack, laid out as the
+    constructor's copy would be.  `splits` is stored on every table.
     """
     out = ch.out_space
-    order = [1 + out.axis(label) for labels, _ in groups for label in labels]
-    amp = ch.kraus @ parents
-    n_k, _, n_w = amp.shape
-    amp = amp.reshape(n_k, *out.dims, n_w).transpose(0, *order, len(order) + 1)
+    order = [2 + out.axis(label) for labels, _ in groups for label in labels]
+    amp = ch.kraus[None] @ parents[:, None]
+    n, n_k, _, n_w = amp.shape
+    amp = amp.reshape(n, n_k, *out.dims, n_w).transpose(0, 1, *order, len(order) + 2)
     shape = [n_k]
-    for labels, basis in groups:
+    for labels, bases in groups:
         d_g = math.prod(out.dim_of(label) for label in labels)
-        amp = basis.conjugate().T @ amp.reshape(math.prod(shape), d_g, -1)
-        shape.append(amp.shape[1])
-    probs = (amp.real ** 2 + amp.imag ** 2).reshape(*shape, n_w)
-    return ConditionalProbabilityTable(
-        parent_indices=tuple(range(n_w)),
-        column_indices=tuple(itertools.product(*map(range, shape[1:]))),
-        values=probs.sum(axis=0).reshape(-1, n_w).T,
-        splits=splits,
-    )
+        amp = bases.conjugate().swapaxes(1, 2)[:, None] @ amp.reshape(n, math.prod(shape), d_g, -1)
+        shape.append(amp.shape[2])
+    probs = (amp.real ** 2 + amp.imag ** 2).reshape(n, *shape, n_w)
+    values = probs.sum(axis=1).reshape(n, -1, n_w).swapaxes(1, 2)
+    tol.check(-float(values.min()), tol.DERIVED, ToleranceBreach, "table entry negativity")
+    worst = float(np.max(np.abs(values.sum(axis=2) - 1.0)))
+    tol.check(worst, tol.ROW_SUM, ToleranceBreach, "row sum defect")
+    values = np.clip(values, 0.0, None)
+    values.setflags(write=False)
+    fields = {
+        "parent_indices": tuple(range(n_w)),
+        "column_indices": tuple(itertools.product(*map(range, shape[1:]))),
+        "splits": tuple(tuple(str(l) for l in g) for g in splits),
+    }
+    tables = [object.__new__(ConditionalProbabilityTable) for _ in values]
+    for table, vals in zip(tables, values):
+        for name, value in {**fields, "values": vals}.items():
+            object.__setattr__(table, name, value)
+    return tables
 
 
 def _conditional_core(
@@ -265,10 +279,10 @@ def _evolve_and_tabulate(
     )
     reduced_decs = tuple(map(ontic_decomposition, reduced_states))
 
-    table = _kernel_table(
+    (table,) = _kernel_table(
         ch_w,
-        parent.vectors,
-        [(dec.source_space.labels, dec.vectors) for dec in reduced_decs],
+        parent.vectors[None],
+        [(dec.source_space.labels, dec.vectors[None]) for dec in reduced_decs],
         split_labels,
     )
     return table, parent, reduced_states, reduced_decs

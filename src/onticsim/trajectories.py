@@ -8,8 +8,8 @@ from default_rng((seed, k)) in one random(steps) call, equal to steps
 sequential scalar draws), or generated physically by repeatedly coupling
 the system to a fresh environment factor, which is the regime where
 per-step reduced channels compose exactly.  That builder makes one
-stacked pass: it evolves every state first, then admits and decomposes
-the whole stack at once, and only the kernel contraction runs per step.
+stacked pass per block of states: it evolves the block, then admits,
+decomposes and tabulates the whole block at once.
 
 Two claims about the obstruction to a trajectory measure are kept
 apart.  The first holds, and the tests pin it: the kernels compose only
@@ -66,6 +66,8 @@ ENUMERATION_GUARD = 1_000_000
 
 # most steps a repeated-interaction chain builds; the CLI caps its config with it
 _MAX_STEPS = 10**4
+# matrix entries per block of chain states: 1 MiB, and every d = 2 chain is one block
+_BLOCK_ENTRIES = 2**16
 
 
 def _grid(raw) -> tuple[float, ...]:
@@ -325,14 +327,17 @@ def markov_chain_from_repeated_interaction(
     while the states stay diagonal in one fixed basis.  Whether some other
     measure reproduces them otherwise is open.
 
-    The build is one stacked pass.  All steps + 1 states are evolved first,
-    as raw arrays, by the Kraus product of `channels.apply`.  The evolved
-    states are then admitted together, each `DensityMatrix` check run once
-    over the whole stack, and every state is decomposed by one stacked
-    eigh, each `OnticDecomposition` check run once over the stack.  State
-    k's eigenvectors are the row side of kernel k and the column side of
-    kernel k - 1.  More than _MAX_STEPS steps are refused before anything
-    is built.
+    The build is one stacked pass per block of states, a block holding
+    _BLOCK_ENTRIES matrix entries, so its memory beyond the kernels does
+    not grow with `steps`.  A block's states are evolved first, as raw
+    arrays, by the Kraus product of `channels.apply`, admitted together,
+    each `DensityMatrix` check run once over the block, and decomposed by
+    one stacked eigh, each `OnticDecomposition` check run once over the
+    block.  One stacked `ontic._kernel_table` call then tabulates all the
+    block's kernels: state k's eigenvectors are the row side of kernel k
+    and the column side of kernel k - 1.  The block's last state and its
+    eigenvectors start the next block.  More than _MAX_STEPS steps are
+    refused before anything is built.
     """
     count = _integral(steps)
     if not 0 < step < math.inf or count is None or not 1 <= count <= _MAX_STEPS:
@@ -346,17 +351,22 @@ def markov_chain_from_repeated_interaction(
     ch = dilation_channel(
         u_step, rho_e_fresh, (list(rho_s0.space.labels), list(rho_e_fresh.space.labels))
     )
-    states = np.empty((count + 1, *rho_s0.matrix.shape), dtype=np.complex128)
-    states[0] = rho_s0.matrix
-    for k in range(count):
-        states[k + 1] = _apply_kraus(ch.kraus, states[k])
-    _admit(states[1:])
-    vecs = _spectra(states)[1]
-    del states
-    labels = rho_s0.space.labels
-    kernels = tuple(
-        _kernel_table(ch, vecs[k], [(labels, vecs[k + 1])], [labels]) for k in range(count)
-    )
+    labels, d = rho_s0.space.labels, rho_s0.space.total_dim
+    block = max(1, _BLOCK_ENTRIES // d**2)
+    kernels, last = [], rho_s0.matrix
+    for first in range(0, count, block):
+        states = np.empty((min(block, count - first) + 1, d, d), dtype=np.complex128)
+        states[0] = last
+        for k in range(1, len(states)):
+            states[k] = _apply_kraus(ch.kraus, states[k - 1])
+        _admit(states[1:])
+        vecs = _spectra(states[1:] if first else states)[1]
+        if first:
+            vecs = np.concatenate((last_vecs[None], vecs))
+        # copies, so no block outlives its pass
+        last, last_vecs = states[-1].copy(), vecs[-1].copy()
+        del states
+        kernels += _kernel_table(ch, vecs[:-1], [(labels, vecs[1:])], [labels])
     times = tuple(k * step for k in range(count + 1))
     return MarkovKernelChain(times, kernels)
 

@@ -2,6 +2,7 @@
 import ast
 import gc
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -47,6 +48,7 @@ from onticsim import (
     table_to_json,
     unitary_channel,
 )
+from onticsim import ontic
 from onticsim import tolerances as tol
 from onticsim.errors import (
     BadInterval,
@@ -757,6 +759,131 @@ def test_one_table_core():
         ("ontic", "bayesian_propagation_check"),
         ("opendyn", "parent_conditioned_probabilities"),
     }
+
+
+def test_only_the_kernel_builds_tables_unchecked():
+    """object.__new__(ConditionalProbabilityTable) skips the table checks; only
+    _kernel_table, which runs them once over its stack, may do that."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(func, "attr", None) == "__new__"
+                    and getattr(getattr(func, "value", None), "id", None) == "object"
+                    and any(getattr(a, "id", None) == "ConditionalProbabilityTable" for a in node.args)
+                ):
+                    found.add((path.stem, getattr(top, "name", None)))
+    assert found == {("ontic", "_kernel_table")}
+
+
+def kernel_table_reference(ch, parents, groups, splits):
+    """The per-table kernel: one (d_in, n_w) parent matrix, one (d_g, m_g)
+    basis per group, and the table built by its checked constructor."""
+    out = ch.out_space
+    order = [1 + out.axis(label) for labels, _ in groups for label in labels]
+    amp = ch.kraus @ parents
+    n_k, _, n_w = amp.shape
+    amp = amp.reshape(n_k, *out.dims, n_w).transpose(0, *order, len(order) + 1)
+    shape = [n_k]
+    for labels, basis in groups:
+        d_g = math.prod(out.dim_of(label) for label in labels)
+        amp = basis.conjugate().T @ amp.reshape(math.prod(shape), d_g, -1)
+        shape.append(amp.shape[1])
+    probs = (amp.real ** 2 + amp.imag ** 2).reshape(*shape, n_w)
+    return ConditionalProbabilityTable(
+        parent_indices=tuple(range(n_w)),
+        column_indices=tuple(itertools.product(*map(range, shape[1:]))),
+        values=probs.sum(axis=0).reshape(-1, n_w).T,
+        splits=splits,
+    )
+
+
+def per_table_kernel(ch, parents, groups, splits):
+    """_kernel_table's stacked signature, one reference table per slice."""
+    return [
+        kernel_table_reference(ch, parents[k], [(labels, b[k]) for labels, b in groups], splits)
+        for k in range(len(parents))
+    ]
+
+
+def test_table_outputs_equal_the_per_table_kernel_bit_for_bit(monkeypatch):
+    """On a W = s(6) e(8) table dilated with a 2-dim ancilla, the joint table,
+    the Bayesian gap and the marginal system table equal those read off the
+    per-table kernel's table bit for bit: the marginal sums depend on the
+    layout of the values, not only on their bits."""
+    rng = np.random.default_rng(SEED + 19)
+    space, f = HilbertSpace.of(("s", 6), ("e", 8)), HilbertSpace.of(("f", 2))
+    u = UnitaryOperator(space.tensor(f), haar_unitary(rng, 96))
+    ch = dilation_channel(u, random_density(rng, f), (["s", "e"], ["f"]))
+
+    def outputs(rho):
+        rho = DensityMatrix(rho.space, rho.matrix)
+        table = conditional_probabilities(ch, rho, SPLITS)
+        gap = bayesian_propagation_check(ch, rho, SPLITS)
+        system = parent_conditioned_probabilities(ch, rho, ["s"])
+        return table, gap, system
+
+    for _ in range(8):
+        rho = random_density(rng, space)
+        table, gap, system = outputs(rho)
+        with monkeypatch.context() as patch:
+            patch.setattr(ontic, "_kernel_table", per_table_kernel)
+            ref_table, ref_gap, ref_system = outputs(rho)
+        assert table.values.shape == (48, 48)
+        for name in ("parent_indices", "column_indices", "splits"):
+            assert getattr(table, name) == getattr(ref_table, name)
+        assert np.array_equal(bits(table.values), bits(ref_table.values))
+        assert np.array_equal(bits(np.array([gap])), bits(np.array([ref_gap])))
+        assert np.array_equal(bits(system.values), bits(ref_system.values))
+
+
+def kernel_stack_case(count: int):
+    """A channel on s(2) e(3) dilated with a mixed ancilla, and a stack of
+    `count` random unitary parents and group bases for the splits (e), (s)."""
+    channel, _ = table_case()
+    rng = np.random.default_rng(SEED + 20)
+
+    def unitaries(d):
+        return np.stack([haar_unitary(rng, d) for _ in range(count)])
+
+    groups = [(("e",), unitaries(3)), (("s",), unitaries(2))]
+    return channel(), unitaries(6), groups
+
+
+@pytest.mark.parametrize("where", [0, 2, 4])
+@pytest.mark.parametrize("flaw", ["none", "scaled", "nan"])
+def test_the_kernel_stack_gets_the_table_by_table_verdict(flaw, where):
+    """A stack with one flawed slice raises what constructing that slice's
+    table raises; a clean stack gives tables equal to checked ones."""
+    ch, parents, groups = kernel_stack_case(5)
+    if flaw == "scaled":
+        parents[where] *= 1.1
+    elif flaw == "nan":
+        parents[where, 1, 2] = np.nan
+    splits = [["e"], ["s"]]
+    if flaw != "none":
+        with pytest.raises(ToleranceBreach) as expected:
+            kernel_table_reference(ch, parents[where], [(l, b[where]) for l, b in groups], splits)
+        with pytest.raises(ToleranceBreach) as raised:
+            ontic._kernel_table(ch, parents, groups, splits)
+        assert str(raised.value) == str(expected.value)
+        return
+    tables = ontic._kernel_table(ch, parents, groups, splits)
+    assert len(tables) == 5
+    for table, ref in zip(tables, per_table_kernel(ch, parents, groups, splits)):
+        checked = ConditionalProbabilityTable(
+            table.parent_indices, table.column_indices, table.values, table.splits
+        )
+        for t in (checked, ref):
+            assert t.parent_indices == table.parent_indices
+            assert t.column_indices == table.column_indices
+            assert t.splits == table.splits == (("e",), ("s",))
+            assert np.array_equal(bits(t.values), bits(table.values))
+        assert table.values.strides == ref.values.strides
+        assert not table.values.flags.writeable
 
 
 # ---------------------------------------------------------------------------

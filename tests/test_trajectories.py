@@ -1,6 +1,7 @@
 """Tests for kernel chains, trajectory measures, sampling, and qubit strands."""
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 from functools import reduce
 
@@ -496,6 +497,15 @@ def chain_cases():
     yield h, random_mixed(rng, env_space), random_mixed(rng, system), rng.uniform(0.2, 0.5), False
 
 
+def assert_chain_matches_reference(chain, reference, labels):
+    assert len(chain.kernels) == len(reference)
+    for kern, ref in zip(chain.kernels, reference):
+        assert kern.parent_indices == ref.parent_indices
+        assert kern.column_indices == ref.column_indices
+        assert kern.splits == ref.splits == (labels,)
+        assert _bits(kern.values.ravel()) == _bits(ref.values.ravel())
+
+
 def test_chain_kernels_match_the_per_step_conditional_bit_for_bit(monkeypatch):
     fallbacks = []
 
@@ -509,19 +519,37 @@ def test_chain_kernels_match_the_per_step_conditional_bit_for_bit(monkeypatch):
                 patch.setattr(tol, "psd_certified", refuse)
             chain = markov_chain_from_repeated_interaction(h, rho_e, rho_s0, step, 32)
             reference = chain_kernels_reference(h, rho_e, rho_s0, step, 32)
-        assert len(chain.kernels) == len(reference)
-        for kern, ref in zip(chain.kernels, reference):
-            assert kern.parent_indices == ref.parent_indices
-            assert kern.column_indices == ref.column_indices
-            assert kern.splits == ref.splits == (rho_s0.space.labels,)
-            assert _bits(kern.values.ravel()) == _bits(ref.values.ravel())
+        assert_chain_matches_reference(chain, reference, rho_s0.space.labels)
     # the stacked build asked once for its 32 evolved states
     assert fallbacks.count(32) == 2
 
 
-def test_chain_build_is_one_stacked_pass(monkeypatch):
-    """However many steps: three eigh (the generator, the environment, the
-    state stack), one Cholesky (the stack's admission) and no eigvalsh."""
+def test_chain_kernels_match_the_per_step_conditional_across_blocks(monkeypatch):
+    """With blocks of 10 states at d = 2 and 2 at d = 4, every chain spans at
+    least 4 blocks, and each block starts from the last state and
+    eigenvectors of the one before it: the kernels stay bit for bit."""
+    monkeypatch.setattr(trajectories, "_BLOCK_ENTRIES", 40)
+    admitted, admit = [], trajectories._admit
+    monkeypatch.setattr(trajectories, "_admit", lambda a: admitted.append(len(a)) or admit(a))
+    dims = set()
+    for h, rho_e, rho_s0, step, certified in chain_cases():
+        admitted.clear()
+        with monkeypatch.context() as patch:
+            if not certified:
+                patch.setattr(tol, "psd_certified", lambda a: False)
+            chain = markov_chain_from_repeated_interaction(h, rho_e, rho_s0, step, 32)
+            reference = chain_kernels_reference(h, rho_e, rho_s0, step, 32)
+        d = rho_s0.space.total_dim
+        dims.add(d)
+        assert sum(admitted) == 32 and set(admitted[:-1]) == {40 // d**2}
+        assert len(admitted) >= 4
+        assert_chain_matches_reference(chain, reference, rho_s0.space.labels)
+    assert dims == {2, 4}
+
+
+def counted_build(monkeypatch, *args):
+    """The chain markov_chain_from_repeated_interaction(*args) builds, and
+    the eigh, eigvalsh and cholesky calls it made."""
     calls = Counter()
 
     def counted(name):
@@ -533,19 +561,60 @@ def test_chain_build_is_one_stacked_pass(monkeypatch):
 
         return count
 
-    rng = np.random.default_rng(SEED + 16)
-    h = random_generator(rng, 4)
-    rho_e = random_mixed(rng, HilbertSpace.of(("e", 2)))
-    rho_s0 = random_mixed(rng, HilbertSpace.of(("s", 2)))
-    for name in ("eigh", "eigvalsh", "cholesky"):
-        monkeypatch.setattr(np.linalg, name, counted(name))
+    with monkeypatch.context() as patch:
+        for name in ("eigh", "eigvalsh", "cholesky"):
+            patch.setattr(np.linalg, name, counted(name))
+        chain = markov_chain_from_repeated_interaction(*args)
+    return chain, calls
+
+
+def repeated_interaction_case(seed: int, d: int):
+    rng = np.random.default_rng(seed)
+    h = random_generator(rng, 2 * d)
+    return h, random_mixed(rng, HilbertSpace.of(("e", 2))), random_mixed(rng, HilbertSpace.of(("s", d)))
+
+
+def test_chain_build_is_one_stacked_pass(monkeypatch):
+    """However many steps: three eigh (the generator, the environment, the
+    state stack), one Cholesky (the stack's admission) and no eigvalsh."""
+    h, rho_e, rho_s0 = repeated_interaction_case(SEED + 16, 2)
     for steps in (32, 64):
-        calls.clear()
-        chain = markov_chain_from_repeated_interaction(h, rho_e, rho_s0, 0.3, steps)
+        chain, calls = counted_build(monkeypatch, h, rho_e, rho_s0, 0.3, steps)
         assert len(chain.kernels) == steps
         assert calls["eigh"] <= 3
         assert calls["cholesky"] <= 1
         assert calls["eigvalsh"] == 0
+
+
+def test_blocks_not_steps_drive_the_solver_calls(monkeypatch):
+    """A d = 16, 600-step build spans several blocks: one Cholesky and one
+    eigh per block, plus the generator's and the environment's eigh."""
+    h, rho_e, rho_s0 = repeated_interaction_case(SEED + 21, 16)
+    blocks = math.ceil(600 / (trajectories._BLOCK_ENTRIES // 16**2))
+    assert blocks > 1
+    chain, calls = counted_build(monkeypatch, h, rho_e, rho_s0, 0.05, 600)
+    assert len(chain.kernels) == 600
+    assert calls == Counter(eigh=blocks + 2, cholesky=blocks)
+
+
+def test_build_memory_does_not_grow_with_the_chain():
+    """At d = 16 the traced peak of a build, less its kernels' values, is the
+    same for 500 and 1000 steps, and 1000 steps peak below 20 MiB: a build
+    that holds every state of the chain at once peaks at 20.1 MiB here."""
+    h, rho_e, rho_s0 = repeated_interaction_case(SEED + 22, 16)
+    markov_chain_from_repeated_interaction(h, rho_e, rho_s0, 0.05, 4)
+    peaks = {}
+    for steps in (500, 1000):
+        tracemalloc.start()
+        try:
+            chain = markov_chain_from_repeated_interaction(h, rho_e, rho_s0, 0.05, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        peaks[steps] = (peak, peak - sum(k.values.nbytes for k in chain.kernels))
+        del chain
+    assert abs(peaks[1000][1] - peaks[500][1]) <= 0.1 * peaks[500][1]
+    assert peaks[1000][0] < 20 * 2**20
 
 
 def test_repeated_interaction_rejects_bad_grid():
