@@ -27,7 +27,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import NotADistribution, SpaceMismatch, ToleranceBreach
-from .ontic import OnticDecomposition, ontic_decomposition
+from .ontic import OnticDecomposition, _quadratic_forms, ontic_decomposition
 from .qcore import DensityMatrix, PureState, _integral, _memo
 
 __all__ = [
@@ -209,17 +209,14 @@ def _measure(
 def born_conditional_check(model: MeasurementModel, psi: PureState) -> float:
     """Largest gap between conditioned outcome probabilities and Born weights.
 
-    Computes <s|rho_s|s> for each post-interaction configuration directly
-    as a quadratic form, independently of the eigenvalues the simulation
-    reports, and compares against the Born weight of the matched outcome.
+    Computes <s|rho_s|s> for every post-interaction configuration directly,
+    in one batched quadratic form independent of the reported eigenvalues,
+    and compares each against the Born weight of the matched outcome.
     """
     report = simulate_measurement(model, psi)
-    worst = 0.0
-    # contiguous rows: a strided column can take another BLAS path (last bits)
-    for s, v in enumerate(report.decomposition.vectors.T.copy()):
-        p = float(np.real(v.conjugate() @ report.rho_s.matrix @ v))
-        worst = max(worst, abs(p - report.born_targets[report.outcome_of_entry[s]]))
-    return worst
+    forms = _quadratic_forms(report.rho_s.matrix, report.decomposition.vectors)
+    targets = report.born_targets[list(report.outcome_of_entry)]
+    return float(np.max(np.abs(forms - targets)))
 
 
 @dataclass(frozen=True)
@@ -248,9 +245,10 @@ def decoherence_scaling_sweep(
     """
     n0 = model.n_a + model.n_e
     points = []
-    for n in n_values:
-        if n < 0:
-            raise NotADistribution(f"factor count {n} is negative")
+    for raw in n_values:
+        n = _integral(raw)
+        if n is None or n < 0:
+            raise NotADistribution(f"factor count {raw!r} is not a non-negative integer")
         n_a = round(n * model.n_a / n0) if n0 > 0 else n - n // 2
         variant = replace(model, n_a=n_a, n_e=n - n_a)
         report = simulate_measurement(variant, psi)

@@ -334,9 +334,14 @@ def bayesian_propagation_check(
     """
     table, parent, reduced_states, reduced_decs = _conditional_core(ch_w, rho_w_t, splits)
     vecs = reduced_decs[0].vectors
-    direct = np.real(np.sum(vecs.conjugate() * (reduced_states[0].matrix @ vecs), axis=0))
+    direct = _quadratic_forms(reduced_states[0].matrix, vecs)
     chained = parent.probabilities @ _first_group_marginal(table, vecs.shape[1])
     return float(np.max(np.abs(direct - chained)))
+
+
+def _quadratic_forms(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Re v^dag M v for every column v of a (d, n) stack, in one matrix product."""
+    return np.real(np.sum(vectors.conjugate() * (matrix @ vectors), axis=0))
 
 
 def _first_group_marginal(table: ConditionalProbabilityTable, n_first: int) -> np.ndarray:

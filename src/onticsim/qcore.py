@@ -174,15 +174,17 @@ def _as_complex(values, shape: tuple[int, ...], what: str) -> np.ndarray:
 def _canonical_phase(vectors: np.ndarray) -> np.ndarray:
     """Rotate the global phase of a vector, or of each column of a (d, n) stack,
     so its first significant amplitude is real positive.  Factors and pivot
-    moduli use scalar abs, which np.abs on an array can miss by 1 ulp."""
+    moduli use np.hypot(re, im), equal to scalar abs, which np.abs can miss by 1 ulp."""
     stack = vectors.reshape(len(vectors), -1)
     significant = np.abs(stack) > tol.PHASE_PIVOT
     cols = np.flatnonzero(significant.any(axis=0))
     rows = significant.argmax(axis=0)[cols]
+    pivots = stack[rows, cols]
     factors = np.ones(stack.shape[1], dtype=np.complex128)
-    factors[cols] = [value.conjugate() / abs(value) for value in stack[rows, cols]]
+    factors[cols] = pivots.conjugate() / np.hypot(pivots.real, pivots.imag)
     out = stack * factors
-    out[rows, cols] = [abs(value) for value in out[rows, cols]]
+    rotated = out[rows, cols]
+    out[rows, cols] = np.hypot(rotated.real, rotated.imag)
     return out.reshape(vectors.shape)
 
 

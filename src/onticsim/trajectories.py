@@ -330,12 +330,13 @@ def markov_chain_from_repeated_interaction(
     The build is one stacked pass per block of states, a block holding
     _BLOCK_ENTRIES matrix entries, so its memory beyond the kernels does
     not grow with `steps`.  A block's states are evolved first, as raw
-    arrays, by the Kraus product of `channels.apply`, admitted together,
-    each `DensityMatrix` check run once over the block, and decomposed by
-    one stacked eigh, each `OnticDecomposition` check run once over the
-    block.  One stacked `ontic._kernel_table` call then tabulates all the
-    block's kernels: state k's eigenvectors are the row side of kernel k
-    and the column side of kernel k - 1.  The block's last state and its
+    arrays, by the Kraus product of `channels.apply` divided by its trace,
+    so the trace stays 1 over any number of steps.  They are admitted
+    together, each `DensityMatrix` check run once over the block, and
+    decomposed by one stacked eigh, each `OnticDecomposition` check run
+    once over the block.  One stacked `ontic._kernel_table` call then
+    tabulates all the block's kernels: state k's eigenvectors are the row
+    side of kernel k and the column side of kernel k - 1.  The block's last state and its
     eigenvectors start the next block.  More than _MAX_STEPS steps are
     refused before anything is built.
     """
@@ -358,7 +359,9 @@ def markov_chain_from_repeated_interaction(
         states = np.empty((min(block, count - first) + 1, d, d), dtype=np.complex128)
         states[0] = last
         for k in range(1, len(states)):
-            states[k] = _apply_kraus(ch.kraus, states[k - 1])
+            evolved = _apply_kraus(ch.kraus, states[k - 1])
+            # unit trace restored each step: rounding would otherwise drift it linearly
+            states[k] = evolved / evolved.trace().real
         _admit(states[1:])
         vecs = _spectra(states[1:] if first else states)[1]
         if first:

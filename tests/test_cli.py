@@ -189,6 +189,18 @@ def test_trajectories_sample_prints_seed(tmp_path, capsys, monkeypatch):
     assert "seed=7" in out
 
 
+@pytest.mark.parametrize("p0", ["0.0", "0.5"])
+def test_ten_thousand_step_trajectory_samples(tmp_path, monkeypatch, p0):
+    """At p0 = 0.0 this config once exited 4 on a trace defect of 1.93e-12,
+    rounding drift over the chain's 10**4 steps; at 0.5 on 1.03e-12."""
+    monkeypatch.chdir(tmp_path)
+    text = f"mode = sample\nsteps = 10000\nstep = 0.05\nrate = 0.3\np0 = {p0}\n"
+    cfg = write_config(tmp_path, text)
+    assert main(["trajectories", "--config", cfg]) == 0
+    payload = json.loads((tmp_path / "trajectories.json").read_text())
+    assert len(payload["indices"]) == 10**4 + 1
+
+
 def test_nonlinear_bell_pair(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["nonlinear"]) == 0

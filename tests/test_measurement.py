@@ -24,6 +24,7 @@ from onticsim import (
 from onticsim.errors import NotADistribution, SpaceMismatch, ToleranceBreach
 from onticsim import measurement
 from onticsim.measurement import _assign_outcomes
+from onticsim.ontic import _quadratic_forms
 
 import test_golden  # the golden cases; pytest puts tests/ on sys.path
 from test_ontic import bits, count_calls
@@ -206,20 +207,29 @@ def test_outcome_cases_take_both_paths():
     assert not bijective("pure_c1_d16")
 
 
-def test_born_check_takes_each_quadratic_form_on_a_contiguous_vector():
-    """Bit for bit: a strided column can take another BLAS path at d = 64."""
-    d = 64
-    amps = np.arange(1.0, d + 1.0)
-    psi = PureState(HilbertSpace.of(("s", d)), amps / np.linalg.norm(amps))
-    model = default_model(subject_dim=d, n_a=1, n_e=1, dt=0.05)
+def born_check_per_vector(model, psi) -> float:
+    """The Born check one contiguous eigenvector at a time, as a GEMV each."""
     report = simulate_measurement(model, psi)
-    vecs = report.decomposition.vectors
     worst = 0.0
-    for s, m in enumerate(report.outcome_of_entry):
-        v = np.array(vecs[:, s])
+    for s, v in enumerate(report.decomposition.vectors.T.copy()):
         p = float(np.real(v.conjugate() @ report.rho_s.matrix @ v))
-        worst = max(worst, abs(p - report.born_targets[m]))
-    assert born_conditional_check(model, psi) == worst
+        worst = max(worst, abs(p - report.born_targets[report.outcome_of_entry[s]]))
+    return worst
+
+
+def test_born_check_is_one_batched_quadratic_form():
+    """Bit for bit the batched form over every eigenvector column; the
+    per-vector GEMV route agrees within 1e-15."""
+    for d in (64, 128):
+        amps = np.arange(1.0, d + 1.0)
+        psi = PureState(HilbertSpace.of(("s", d)), amps / np.linalg.norm(amps))
+        model = default_model(subject_dim=d, n_a=1, n_e=1, dt=0.05)
+        report = simulate_measurement(model, psi)
+        forms = _quadratic_forms(report.rho_s.matrix, report.decomposition.vectors)
+        gaps = np.abs(forms - report.born_targets[list(report.outcome_of_entry)])
+        check = born_conditional_check(model, psi)
+        assert np.array_equal(bits(np.array([check])), bits(np.array([gaps.max()])))
+        assert abs(check - born_check_per_vector(model, psi)) <= 1e-15
 
 
 def test_doubling_factors_squares_the_overlap():
@@ -419,6 +429,23 @@ def test_sweep_preserves_factor_ratio():
     assert (points[0].n_a, points[0].n_e) == (3, 1)
     assert (points[1].n_a, points[1].n_e) == (6, 2)
     assert all(pt.n_a + pt.n_e == pt.n for pt in points)
+
+
+@pytest.mark.parametrize(
+    "count", [math.nan, math.inf, -math.inf, 2.5, -1, -2.0, "4", None],
+    ids=["nan", "inf", "-inf", "2.5", "-1", "-2.0", "str", "None"],
+)
+def test_sweep_refuses_factor_counts_that_are_not_non_negative_integers(count):
+    with pytest.raises(NotADistribution):
+        decoherence_scaling_sweep(default_model(n_a=1, n_e=1), lopsided_qubit(), [4, count])
+
+
+@pytest.mark.parametrize("count, n", [(True, 1), (4.0, 4), (np.int64(6), 6), (np.float64(8.0), 8)])
+def test_sweep_stores_each_integral_count_as_an_int(count, n):
+    (point,) = decoherence_scaling_sweep(default_model(n_a=1, n_e=1), lopsided_qubit(), [count])
+    assert type(point.n) is int and point.n == n
+    assert type(point.n_a) is int and type(point.n_e) is int
+    assert point.n_a + point.n_e == n
 
 
 # ---------------------------------------------------------------------------

@@ -761,6 +761,32 @@ def test_one_table_core():
     }
 
 
+def _is_conjugate_call(node) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "conjugate"
+
+
+def test_one_quadratic_form():
+    """v^dag M v over a stack of columns is written once, as the
+    conjugate() * (M @ V) product in _quadratic_forms, and both checks that
+    take quadratic forms call it."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                    pair = (node.left, node.right)
+                    if any(map(_is_conjugate_call, pair)) and any(
+                        isinstance(side, ast.BinOp) and isinstance(side.op, ast.MatMult)
+                        for side in pair
+                    ):
+                        found.add((path.stem, getattr(top, "name", None)))
+    assert found == {("ontic", "_quadratic_forms")}
+    assert _callers("_quadratic_forms") == {
+        ("ontic", "bayesian_propagation_check"),
+        ("measurement", "born_conditional_check"),
+    }
+
+
 def test_only_the_kernel_builds_tables_unchecked():
     """object.__new__(ConditionalProbabilityTable) skips the table checks; only
     _kernel_table, which runs them once over its stack, may do that."""

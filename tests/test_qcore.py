@@ -24,6 +24,7 @@ from onticsim import (
     tensor,
     trace_distance,
 )
+from onticsim import tolerances as tol
 from onticsim.errors import (
     BadPartition,
     LabelClash,
@@ -32,6 +33,7 @@ from onticsim.errors import (
     ToleranceBreach,
     UnknownSubsystem,
 )
+from onticsim.qcore import _canonical_phase
 
 SEED = 20260816
 SRC = Path(onticsim.__file__).parent
@@ -112,6 +114,77 @@ def test_pure_state_canonical_phase():
     assert np.allclose(a.amplitudes, b.amplitudes, atol=1e-14)
     assert a.amplitudes[0].imag == 0.0
     assert a.amplitudes[0].real > 0.0
+
+
+def canonical_phase_reference(vectors: np.ndarray) -> np.ndarray:
+    """The phase rule with a scalar division and scalar abs per column."""
+    stack = vectors.reshape(len(vectors), -1)
+    significant = np.abs(stack) > tol.PHASE_PIVOT
+    cols = np.flatnonzero(significant.any(axis=0))
+    rows = significant.argmax(axis=0)[cols]
+    factors = np.ones(stack.shape[1], dtype=np.complex128)
+    factors[cols] = [value.conjugate() / abs(value) for value in stack[rows, cols]]
+    out = stack * factors
+    out[rows, cols] = [abs(value) for value in out[rows, cols]]
+    return out.reshape(vectors.shape)
+
+
+def phase_cases(rng: np.random.Generator, d: int):
+    """Eigenvector stacks, rotated Gaussian columns, columns whose pivot sits
+    below row 0 or that have none, and ±0.0 parts."""
+    for _ in range(3):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        yield np.linalg.eigh(g + g.conjugate().T)[1]
+    yield (rng.standard_normal((d, 2 * d)) + 1j * rng.standard_normal((d, 2 * d))) * np.exp(
+        1j * rng.uniform(-4.0, 4.0, size=2 * d)
+    )
+    g = rng.standard_normal((d, 8)) + 1j * rng.standard_normal((d, 8))
+    for k in range(8):
+        # rows above k are zero or below the pivot threshold
+        g[: min(k, d - 1), k] *= [0.0, 1e-11, 1e-13, 0.5e-10][k % 4]
+    g[:, 6] *= 0.9e-10 / np.abs(g[:, 6]).max()  # no significant amplitude: left unrotated
+    g[:, 7] = 0.0
+    yield g
+    signed = np.empty((d, 8), dtype=np.complex128)
+    parts = np.array([0.0, -0.0, 0.6, -0.6, 1e-300, -2.5])
+    signed.real = rng.choice(parts, size=(d, 8))
+    signed.imag = rng.choice(parts, size=(d, 8))
+    # pivots on the axes, each sign of zero in the other part
+    for k, (re, im) in enumerate([(-0.7, 0.0), (-0.7, -0.0), (0.0, -0.7), (-0.0, 0.7)]):
+        signed[0, k] = complex(re, im)
+    yield signed
+
+
+def bits(arr: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
+@pytest.mark.parametrize("d", [1, 2, 6, 48, 128])
+def test_canonical_phase_matches_the_scalar_rule_bit_for_bit(d):
+    rng = np.random.default_rng(SEED + d)
+    space = HilbertSpace.of(("s", d))
+    deep_pivots = unrotated_columns = 0
+    for stack in phase_cases(rng, d):
+        stack.setflags(write=False)
+        out = _canonical_phase(stack)
+        assert out.shape == stack.shape
+        assert np.array_equal(bits(out), bits(canonical_phase_reference(stack)))
+        significant = np.abs(stack) > tol.PHASE_PIVOT
+        unrotated = ~significant.any(axis=0)
+        assert np.array_equal(bits(out[:, unrotated]), bits(stack[:, unrotated]))
+        deep_pivots += np.count_nonzero(significant.argmax(axis=0)[~unrotated] > 0)
+        unrotated_columns += np.count_nonzero(unrotated)
+        for column in stack.T[:4]:
+            vector = np.array(column)
+            expect = bits(canonical_phase_reference(vector))
+            assert np.array_equal(bits(_canonical_phase(vector)), expect)
+            norm = np.linalg.norm(vector)
+            if norm > 0.0:
+                unit = vector / norm
+                amplitudes = PureState(space, unit).amplitudes
+                assert np.array_equal(bits(amplitudes), bits(canonical_phase_reference(unit)))
+    assert unrotated_columns >= 2
+    assert d == 1 or deep_pivots >= 4
 
 
 def test_basis_state_projector_and_density():
