@@ -5,10 +5,10 @@ the --seed / --out / --format flags override their config counterparts.
 Sizes are capped at the config boundary, so no config can ask for an
 unbounded allocation.
 
-Each scenario runner returns its result as data: csv columns and rows, a
-json document, a summary line and an exit code.  `run` is the only code
-that encodes a result, in the requested format only, and `main` is the
-only code that maps an error to an exit code: 0 success, 2 config parse
+Each scenario runner returns its result as data: a csv header and
+columns, a json document, a summary line and an exit code.  `run` is the
+only code that encodes a result, in the requested format only, and `main`
+is the only code that maps an error to an exit code: 0 success, 2 config parse
 failure (with line and column diagnostics), 4 tolerance breach (including
 a failed channel verification), and 3 for any other domain error raised
 from a config, including an artifact that would hold a non-finite number
@@ -28,6 +28,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -55,13 +56,21 @@ from .opendyn import (
     witness_pair_werner,
     witness_report_to_json,
 )
-from .qcore import DensityMatrix, HilbertSpace, PureState, _csv_text, basis_state, maximally_mixed
+from .qcore import (
+    DensityMatrix,
+    HilbertSpace,
+    PureState,
+    _csv_text,
+    _leaf_kind,
+    _leaf_texts,
+    basis_state,
+    maximally_mixed,
+)
 from .trajectories import (
     _MAX_STEPS,
+    _measure_array,
     bloch_helix,
-    enumerate_trajectory_measure,
     markov_chain_from_repeated_interaction,
-    measure_to_json,
     sample_trajectory,
 )
 
@@ -381,14 +390,14 @@ def _subject_state(dim: int, amplitudes: tuple[complex, ...]) -> PureState:
     return PureState(space, vec / norm)
 
 
-# what a runner returns: csv columns, csv rows, json document, summary line,
-# exit code; rows may be a generator, so a json run never formats csv cells
-_Result = tuple[Sequence[str], Iterable[Sequence], object, str, int]
+# what a runner returns: csv header, csv columns, json document, summary line,
+# exit code; both hold values, not text, so each format formats only its own
+_Result = tuple[Sequence[str], Sequence[Sequence], object, str, int]
 
 
 def _one_record(record: dict, summary: str, code: int = EXIT_OK) -> _Result:
     """A one-row artifact whose json document is the record itself."""
-    return list(record), [tuple(record.values())], record, summary, code
+    return list(record), [[value] for value in record.values()], record, summary, code
 
 
 def _sweep(params: dict, n_values: list[int]) -> tuple[MeasurementModel, PureState, list[dict]]:
@@ -441,7 +450,8 @@ def _run_sweep(config: ScenarioConfig) -> _Result:
         f"sweep: d={model.subject_dim} N={list(p['n_values'])} "
         f"final_max_offdiag={records[-1]['max_offdiag']:.6g}"
     )
-    return list(records[0]), (tuple(r.values()) for r in records), records, summary, EXIT_OK
+    columns = [[r[key] for r in records] for key in records[0]]
+    return list(records[0]), columns, records, summary, EXIT_OK
 
 
 _FAMILIES = {
@@ -486,35 +496,33 @@ def _run_trajectories(config: ScenarioConfig) -> _Result:
     chain = markov_chain_from_repeated_interaction(
         p["rate"] * SWAP, env, rho_s0, p["step"], p["steps"]
     )
+    steps = len(chain.kernels)
     if p["mode"] == "enumerate":
-        measure = enumerate_trajectory_measure(chain, 2, 0)
-        document = measure_to_json(chain, measure)
-        columns = [*(f"i{k}" for k in range(len(chain.kernels) + 1)), "p"]
-        rows = ((*t["indices"], t["p"]) for t in document["trajectories"])
+        paths = _measure_array(chain, 2, 0)
+        document = {"times": list(chain.times), "trajectories": paths}
+        header = [*(f"i{k}" for k in range(steps + 1)), "p"]
+        columns = [*paths["indices"].T, paths["p"]]
         summary = (
-            f"trajectories: enumerated {len(measure)} paths over {len(chain.kernels)} steps, "
-            f"mass={math.fsum(measure.values()):.12g}"
+            f"trajectories: enumerated {paths.size} paths over {steps} steps, "
+            f"mass={math.fsum(paths['p'].tolist()):.12g}"
         )
     else:
         traj = sample_trajectory(chain, 0, (config.seed, 0))
         document = {"times": list(traj.times), "indices": list(traj.indices)}
-        columns, rows = ("t", "index"), zip(traj.times, traj.indices)
+        header, columns = ("t", "index"), (traj.times, traj.indices)
         summary = f"trajectories: sampled {traj.indices} seed={config.seed}"
-    return columns, rows, document, summary, EXIT_OK
+    return header, columns, document, summary, EXIT_OK
 
 
 def _run_helix(config: ScenarioConfig) -> _Result:
     p = config.params
     times = np.linspace(0.0, p["t_max"], p["points"])
     strand1, strand2 = bloch_helix(p["omega"], times)
-    document = {"times": times.tolist(), "strand1": strand1.tolist(), "strand2": strand2.tolist()}
-    columns = ("t", "index", "theta1", "phi1", "theta2", "phi2")
-    rows = (
-        (t, 0, *a, *b)
-        for t, a, b in zip(document["times"], document["strand1"], document["strand2"])
-    )
+    document = {"times": times, "strand1": strand1, "strand2": strand2}
+    header = ("t", "index", "theta1", "phi1", "theta2", "phi2")
+    columns = (times, np.zeros(times.size, dtype=np.int64), *strand1.T, *strand2.T)
     summary = f"helix: omega={p['omega']:g} points={p['points']} t_max={p['t_max']:g}"
-    return columns, rows, document, summary, EXIT_OK
+    return header, columns, document, summary, EXIT_OK
 
 
 def _run_nonlinear(config: ScenarioConfig) -> _Result:
@@ -585,55 +593,114 @@ _RUNNERS = {
 def _json_text(document) -> str:
     """json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\\n", byte for byte.
 
-    Formats by column: a list of one leaf type in one map, a list of
-    equal-length lists flattened once, a list of dicts with one key set
-    one column per key; anything else item by item.
+    An ndarray is written as its tolist() would be, and a structured
+    array as a list of records, one key per field.
     """
-    return _json_items([document], 0)[0] + "\n"
+    parts, columns = _json_template([document], 0)
+    return _fill([*parts[:-1], parts[-1] + "\n"], columns, 1)[0]
 
 
-def _json_items(items: list, level: int) -> list[str]:
-    """The json text of each item, for items nested `level` deep."""
+# A template is the literal text around k slots, parts[0], slot 0, ...,
+# slot k - 1, parts[k], with one text column per slot: item i fills slot c
+# with column c's text i.
+_Template = tuple[list[str], list[Sequence[str]]]
+
+
+def _fill(parts: list[str], columns: list[Sequence[str]], count: int) -> Sequence[str]:
+    """Each of `count` items' text: the literal parts with its slot texts between them."""
+    if not columns:
+        return parts * count
+    if parts == ["", ""]:
+        return columns[0]
+    pieces = []
+    for part, column in zip(parts, columns):
+        if part:
+            pieces.append(repeat(part, count))
+        pieces.append(column)
+    if parts[-1]:
+        pieces.append(repeat(parts[-1], count))
+    return list(map("".join, zip(*pieces)))
+
+
+def _joined(opening: str, members: Iterable[_Template], separator: str, closing: str) -> _Template:
+    """The template of opening, then the members apart by separator, then closing."""
+    parts, columns = [opening], []
+    for k, (member_parts, member_columns) in enumerate(members):
+        parts[-1] += (separator if k else "") + member_parts[0]
+        parts += member_parts[1:]
+        columns += member_columns
+    parts[-1] += closing
+    return parts, columns
+
+
+def _json_template(items, level: int) -> _Template:
+    """One template for the items, nested `level` deep.
+
+    Leaves of one type fill one slot from _leaf_texts.  Equal-length rows
+    and records with one key set compose their elements' templates, so a
+    list of equal-shaped items is written with one join per item, however
+    deep it nests.  Anything else, ragged or mixed, is one slot filled
+    item by item.  `items` is a list, or an array whose rows are the items.
+    """
+    if isinstance(items, np.ndarray):
+        if items.ndim > 1:
+            count, n = items.shape[:2]
+            return _row_template(items.reshape(count * n, *items.shape[2:]), count, n, level)
+        if items.dtype.names:
+            return _record_template(items.dtype.names, items.__getitem__, level)
+        return ["", ""], [_leaf_texts(items, _leaf_kind(items), json=True)]
     kinds = set(map(type, items))
     kind = kinds.pop() if len(kinds) == 1 else object  # object: mixed types
-    if kind is bool:
-        return ["true" if x else "false" for x in items]
     if kind is type(None):
-        return ["null"] * len(items)
-    if issubclass(kind, float):
-        if not all(map(math.isfinite, items)):
-            bad = next(x for x in items if not math.isfinite(x))
-            raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-        return list(map(float.__repr__, items))
-    if issubclass(kind, int):
-        return list(map(int.__repr__, items))
-    if issubclass(kind, str):
-        return list(map(json.encoder.encode_basestring_ascii, items))
-    inner, close = "\n" + "  " * (level + 1), "\n" + "  " * level
-    if issubclass(kind, (list, tuple)):
-        sizes = set(map(len, items))
-        if len(sizes) == 1:
-            n = sizes.pop()
-            if n == 0:
-                return ["[]"] * len(items)
-            flat = _json_items([x for row in items for x in row], level + 1)
-            template = "[" + inner + ("," + inner).join(["%s"] * n) + close + "]"
-            return [template % row for row in zip(*[iter(flat)] * n)]
+        return ["null"], []
+    if issubclass(kind, (int, float, str)):
+        return ["", ""], [_leaf_texts(items, kind, json=True)]
+    if kind is np.ndarray and len({(x.shape, x.dtype) for x in items}) == 1:
+        return _json_template(np.stack(items), level)
+    if issubclass(kind, (list, tuple)) and len(set(map(len, items))) == 1:
+        flat = [x for row in items for x in row]
+        return _row_template(flat, len(items), len(items[0]), level)
     if issubclass(kind, dict):
         keys = items[0].keys()
         if all(d.keys() == keys for d in items):
             if not all(isinstance(k, str) for k in keys):
                 raise TypeError("keys must be str")
-            if not keys:
-                return ["{}"] * len(items)
-            names = sorted(keys)
-            columns = [_json_items([d[k] for d in items], level + 1) for k in names]
-            fields = (json.encoder.encode_basestring_ascii(k).replace("%", "%%") for k in names)
-            template = "{" + inner + ("," + inner).join(f + ": %s" for f in fields) + close + "}"
-            return [template % row for row in zip(*columns)]
+            return _record_template(keys, lambda k: [d[k] for d in items], level)
     if len(items) > 1:
-        return [_json_items([x], level)[0] for x in items]
+        return ["", ""], [[_fill(*_json_template([x], level), 1)[0] for x in items]]
     raise TypeError(f"Object of type {type(items[0]).__name__} is not JSON serializable")
+
+
+def _row_template(elements, count: int, n: int, level: int) -> _Template:
+    """The template of `count` rows of `n` elements, `elements` holding them row by row.
+
+    Rows no longer than the list repeat the element template n times, the
+    copy at position j reading every n-th element text from j; a few long
+    rows fill each element's text once and join them between their brackets.
+    """
+    if n == 0:
+        return ["[]"], []
+    opening, separator = "[\n" + "  " * (level + 1), ",\n" + "  " * (level + 1)
+    closing = "\n" + "  " * level + "]"
+    parts, columns = _json_template(elements, level + 1)
+    if n <= count:
+        members = ((parts, [column[j::n] for column in columns]) for j in range(n))
+        return _joined(opening, members, separator, closing)
+    texts = _fill(parts, columns, count * n)
+    return [opening, closing], [[separator.join(texts[k : k + n]) for k in range(0, count * n, n)]]
+
+
+def _record_template(keys, column_of, level: int) -> _Template:
+    """The template of records with one key set; column_of(key) holds each record's value."""
+    if not keys:
+        return ["{}"], []
+    names = sorted(keys)
+    members = []
+    for name, key in zip(names, _leaf_texts(names, str, json=True)):
+        parts, columns = _json_template(column_of(name), level + 1)
+        members.append(([f"{key}: {parts[0]}", *parts[1:]], columns))
+    opening, separator = "{\n" + "  " * (level + 1), ",\n" + "  " * (level + 1)
+    return _joined(opening, members, separator, "\n" + "  " * level + "}")
 
 
 def run(config: ScenarioConfig) -> int:
@@ -642,10 +709,10 @@ def run(config: ScenarioConfig) -> int:
     Only the requested format is encoded.  A result holding a non-finite
     number is refused as a ValidationFailure, and nothing is written.
     """
-    columns, rows, document, summary, code = _RUNNERS[config.scenario](config)
+    header, columns, document, summary, code = _RUNNERS[config.scenario](config)
     try:
         if config.resolved_format() == "csv":
-            text = _csv_text(columns, rows)
+            text = _csv_text(header, columns)
         else:
             text = _json_text(document)
     except ValueError as err:

@@ -355,15 +355,11 @@ def _first_group_marginal(table: ConditionalProbabilityTable, n_first: int) -> n
 
 def table_to_csv(table: ConditionalProbabilityTable) -> str:
     """Rows of `w,i1,...,in,p`, one line per table cell."""
-    columns = ["w", *(f"i{k + 1}" for k in range(len(table.column_indices[0]))), "p"]
-    return _csv_text(
-        columns,
-        (
-            (w, *combo, p)
-            for w, row in zip(table.parent_indices, table.values.tolist())
-            for combo, p in zip(table.column_indices, row)
-        ),
-    )
+    header = ["w", *(f"i{k + 1}" for k in range(len(table.column_indices[0]))), "p"]
+    rows, cols = table.values.shape
+    combos = np.tile(np.array(table.column_indices, dtype=np.int64), (rows, 1))
+    parents = np.repeat(np.array(table.parent_indices, dtype=np.int64), cols)
+    return _csv_text(header, [parents, *combos.T, table.values.ravel()])
 
 
 def table_to_json(table: ConditionalProbabilityTable) -> dict:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -397,25 +398,74 @@ def density_matrix_from_json(payload: dict) -> DensityMatrix:
     return DensityMatrix(space_from_json(payload["space"]), matrix_from_json(payload))
 
 
-def _float_cell(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {x!r}")
-    return repr(x)
+# the leaf type of an array column, by dtype kind
+_DTYPE_KINDS = {"b": bool, "i": int, "u": int, "f": float}
+# rows _csv_text formats at once: a block's texts are freed before the next
+_CSV_BLOCK_ROWS = 2**16
 
 
-# keyed by exact type: rows hold Python scalars, and bool must not fall to int
-_CELL_TEXT = {bool: ("false", "true").__getitem__, int: int.__repr__, float: _float_cell, str: str}
+def _leaf_kind(column) -> type:
+    """The one leaf type of a column: an array's by its dtype, else its values' type."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind not in _DTYPE_KINDS:
+            raise TypeError(f"an array of dtype {column.dtype} is not an artifact column")
+        return _DTYPE_KINDS[column.dtype.kind]
+    kinds = set(map(type, column))
+    if len(kinds) != 1:
+        raise TypeError(f"a column holds one leaf type, got {sorted(k.__name__ for k in kinds)}")
+    return kinds.pop()
 
 
-def _csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """CSV text: the header line, then one line per row.
+def _gather(texts: list[str], inverse: np.ndarray) -> np.ndarray:
+    """texts[i] for each i of inverse, as an object array: slices are views."""
+    return np.array(texts, dtype=object)[inverse]
 
-    A bool cell is written true/false, an int with str, a float with repr
-    so every digit survives a round-trip, and a str as is.  A non-finite
-    float raises ValueError.
+
+def _leaf_texts(column, kind: type, json: bool = False) -> Sequence[str]:
+    """The text of each value in a column of one leaf type, each distinct value formatted once.
+
+    A bool is written true/false, an int or a float by repr, so every
+    digit of a float survives a round-trip, and a str as is or, for json,
+    as an escaped quoted literal.  Floats are matched by bit pattern, so
+    -0.0 keeps its sign; a non-finite one raises ValueError.  Ints are
+    matched by value: an array's with np.unique, a list's in a dict, since
+    a Python int can pass 64 bits.
     """
-    cell = _CELL_TEXT
-    lines = [",".join(columns)]
-    lines.extend(",".join([cell[type(x)](x) for x in row]) for row in rows)
-    lines.append("")
-    return "\n".join(lines)
+    if kind is bool:
+        return _gather(["false", "true"], np.asarray(column, dtype=bool).view(np.uint8))
+    if issubclass(kind, str):
+        return list(map(encode_basestring_ascii, column)) if json else list(column)
+    if issubclass(kind, int) and isinstance(column, np.ndarray):
+        distinct, inverse = np.unique(column, return_inverse=True)
+        return _gather(list(map(int.__repr__, distinct.tolist())), inverse)
+    if issubclass(kind, int):
+        distinct = dict.fromkeys(column)
+        texts = dict(zip(distinct, map(int.__repr__, distinct)))
+        return list(map(texts.__getitem__, column))
+    if issubclass(kind, float):
+        values = np.asarray(column, dtype=np.float64)
+        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        distinct = bits.view(np.float64)
+        if not np.isfinite(distinct).all():
+            bad = values[~np.isfinite(values)][0].item()
+            if json:
+                raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+            raise ValueError(f"non-finite value {bad!r}")
+        return _gather(list(map(float.__repr__, distinct.tolist())), inverse)
+    raise TypeError(f"Object of type {kind.__name__} is not an artifact leaf")
+
+
+def _csv_text(header: Sequence[str], columns: Sequence) -> str:
+    """CSV text: the header line, then one line per row of the columns.
+
+    Each column is a sequence of one leaf type, or a bool, int or float
+    array, written by _leaf_texts: a bool true/false, an int or a float
+    by repr and a str as is.  A non-finite float raises ValueError.
+    """
+    lines = [",".join(header) + "\n"]
+    for first in range(0, len(columns[0]) if columns else 0, _CSV_BLOCK_ROWS):
+        block = [c[first : first + _CSV_BLOCK_ROWS] for c in columns]
+        # a generator, so no block's texts outlive its join
+        texts = (_leaf_texts(c, _leaf_kind(c)) for c in block)
+        lines.append("\n".join(map(",".join, zip(*texts))) + "\n")
+    return "".join(lines)

@@ -152,6 +152,18 @@ def enumerate_trajectory_measure(
 
     Exhaustive: n_states ** len(kernels) sequences, guarded at one million.
     """
+    p = _path_probabilities(chain, n_states, initial_index)
+    start, n = _integral(initial_index), _integral(n_states)
+    paths = product((start,), *[range(n)] * len(chain.kernels))
+    return dict(zip(paths, p.tolist()))
+
+
+def _path_probabilities(chain: MarkovKernelChain, n_states: int, initial_index: int) -> np.ndarray:
+    """enumerate_trajectory_measure's probabilities as one array, with its checks.
+
+    The paths are in lexicographic order: path m starts at initial_index
+    and then steps through the base-n_states digits of m.
+    """
     counts = chain.state_counts
     n = _integral(n_states)
     if n is None or any(c != n for c in counts):
@@ -165,11 +177,24 @@ def enumerate_trajectory_measure(
     p = chain.kernels[0].values[start]
     for kern in chain.kernels[1:]:
         p = (p[:, None] * kern.values[np.arange(p.size) % n]).ravel()
-    paths = product((start,), *[range(n)] * steps)
-    measure = dict(zip(paths, p.tolist()))
-    mass = math.fsum(measure.values())
+    mass = math.fsum(p.tolist())
     tol.check(abs(mass - 1.0), tol.ROW_SUM, ToleranceBreach, "trajectory measure sum defect")
-    return measure
+    return p
+
+
+def _measure_array(chain: MarkovKernelChain, n_states: int, initial_index: int) -> np.ndarray:
+    """enumerate_trajectory_measure as a structured array, one row per path.
+
+    Row m holds the path's `indices`, initial_index and then the
+    base-n_states digits of m, and its probability `p`, in the same order.
+    """
+    p = _path_probabilities(chain, n_states, initial_index)
+    steps, n = len(chain.kernels), _integral(n_states)
+    paths = np.empty(p.size, [("indices", np.int64, steps + 1), ("p", float)])
+    paths["indices"][:, 0] = _integral(initial_index)
+    paths["indices"][:, 1:] = np.transpose(np.unravel_index(np.arange(p.size), (n,) * steps))
+    paths["p"] = p
+    return paths
 
 
 def _initial_index(chain: MarkovKernelChain, raw) -> int:
@@ -404,7 +429,7 @@ def bloch_helix(omega: float, times: Sequence[float]) -> tuple[np.ndarray, np.nd
 
 def trajectory_to_csv(traj: OnticTrajectory) -> str:
     """Rows of `t,index`, one line per grid time."""
-    return _csv_text(("t", "index"), zip(traj.times, traj.indices))
+    return _csv_text(("t", "index"), (traj.times, traj.indices))
 
 
 def measure_to_json(

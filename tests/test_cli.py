@@ -14,9 +14,15 @@ from hypothesis import strategies as st
 import onticsim
 from onticsim import (
     CNOT,
+    SWAP,
+    DensityMatrix,
     HilbertSpace,
     UnitaryOperator,
+    basis_state,
     channel_to_json,
+    enumerate_trajectory_measure,
+    markov_chain_from_repeated_interaction,
+    measure_to_json,
     unitary_channel,
 )
 from onticsim import cli, errors
@@ -530,6 +536,13 @@ EXPLICIT_DOCUMENTS = {
         "times": [0.0, 0.4, 0.8],
         "trajectories": [{"indices": [0, 1, 0], "p": 0.25}, {"indices": [1, 1, 0], "p": 0.75}],
     },
+    "signed_zeros": [0.0, -0.0, 0.0, -0.0],
+    "signed_zeros_in_rows": [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]],
+    "signed_zeros_in_records": [{"a": -0.0, "b": [0.0]}, {"a": 0.0, "b": [-0.0]}],
+    "float_and_np_float64_equal": [0.1, np.float64(0.1)],
+    "int_bool_float_equal": {"a": [1, True, 1.0]},
+    "repeated_records": [{"indices": [0, 1], "p": 0.5}] * 3,
+    "records_of_ragged_rows": [{"a": [1, 2], "b": 0.5}, {"a": [3], "b": 0.5}, {"a": [], "b": -0.0}],
 }
 
 
@@ -537,6 +550,46 @@ EXPLICIT_DOCUMENTS = {
 def test_json_text_matches_json_dumps_on_edge_cases(name):
     document = EXPLICIT_DOCUMENTS[name]
     assert cli._json_text(document) == reference_json(document)
+
+
+def plain(document):
+    """`document` with each ndarray as its tolist(), a structured one as a list of records."""
+    if isinstance(document, np.ndarray):
+        if document.dtype.names:
+            return [{k: plain(row[k]) for k in document.dtype.names} for row in document]
+        return document.tolist()
+    if isinstance(document, dict):
+        return {k: plain(v) for k, v in document.items()}
+    if isinstance(document, (list, tuple)):
+        return [plain(x) for x in document]
+    return document
+
+
+def structured(indices, p):
+    out = np.zeros(len(p), [("indices", np.int64, np.shape(indices)[1]), ("p", float)])
+    out["indices"], out["p"] = indices, p
+    return out
+
+
+ARRAY_DOCUMENTS = {
+    "floats": np.array([0.5, -0.0, 0.0, 5e-324, 1e16, 0.5]),
+    "ints": np.array([3, -2, 3, 2**62, 0]),
+    "bools": np.array([True, False, True]),
+    "float_rows": np.arange(12.0).reshape(6, 2) / 7,
+    "one_long_row": np.arange(10.0)[None] / 3,
+    "cube": np.arange(24).reshape(2, 3, 4) % 5,
+    "empty_rows": np.zeros((3, 0)),
+    "empty": np.zeros(0),
+    "records": structured([[0, 1, 1], [0, 0, 1], [0, 1, 1]], [0.25, -0.0, 0.25]),
+    "in_a_document": {"times": [0.0, 0.5], "a": np.ones((2, 2)), "b": [np.zeros(2), np.ones(2)]},
+    "ragged_arrays": [np.zeros(2), np.ones(3), np.arange(2)],
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_DOCUMENTS))
+def test_json_text_writes_an_array_as_its_tolist(name):
+    document = ARRAY_DOCUMENTS[name]
+    assert cli._json_text(document) == reference_json(plain(document))
 
 
 def nest(value, depth: int):
@@ -572,6 +625,40 @@ def test_json_text_refuses_non_finite_floats(value, depth):
 def test_json_text_refuses_non_str_keys_and_unknown_types(document):
     with pytest.raises(TypeError):
         cli._json_text(document)
+
+
+@pytest.mark.parametrize("name,fmt", test_golden.ARTIFACTS)
+def test_each_format_is_encoded_by_its_own_writer_only(tmp_path, monkeypatch, name, fmt):
+    """A csv run never calls the json writer, and a json run never the csv writer."""
+    other = {"csv": "_json_text", "json": "_csv_text"}[fmt]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{other} called on a {fmt} run")
+
+    monkeypatch.setattr(cli, other, forbidden)
+    expected = (test_golden.GOLDEN / f"{name}.{fmt}").read_bytes()
+    assert test_golden.run_case(name, fmt, tmp_path) == expected
+
+
+@pytest.mark.parametrize("steps,p0", [(1, 0.7), (6, 0.0), (9, 0.35)])
+def test_enumerated_artifacts_write_the_library_measure(tmp_path, steps, p0):
+    """The runner's index columns, the base-2 digits of the row number, are
+    the keys of enumerate_trajectory_measure, and its json is measure_to_json."""
+    cfg = write_config(tmp_path, f"steps = {steps}\np0 = {p0}\nrate = 0.8\nstep = 0.3\n")
+    rho_s0 = DensityMatrix(HilbertSpace.of(("s", 2)), np.diag([p0, 1 - p0]).astype(complex))
+    env = basis_state(HilbertSpace.of(("e", 2)), 0).density_matrix()
+    chain = markov_chain_from_repeated_interaction(0.8 * SWAP, env, rho_s0, 0.3, steps)
+    measure = enumerate_trajectory_measure(chain, 2, 0)
+    csv_lines = [",".join([*map(str, path), repr(p)]) for path, p in measure.items()]
+    header = ",".join([*(f"i{k}" for k in range(steps + 1)), "p"])
+    expected = {
+        "csv": "\n".join([header, *csv_lines, ""]),
+        "json": reference_json(measure_to_json(chain, measure)),
+    }
+    for fmt, text in expected.items():
+        out = tmp_path / f"t.{fmt}"
+        assert main(["trajectories", "--config", cfg, "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_text() == text
 
 
 @pytest.mark.parametrize("name", list(test_golden.CASES))

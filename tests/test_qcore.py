@@ -1,9 +1,12 @@
 """Tests for labeled spaces, states, density matrices, and factor algebra."""
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import onticsim
 from onticsim import (
@@ -33,7 +36,7 @@ from onticsim.errors import (
     ToleranceBreach,
     UnknownSubsystem,
 )
-from onticsim.qcore import _canonical_phase
+from onticsim.qcore import _canonical_phase, _csv_text
 
 SEED = 20260816
 SRC = Path(onticsim.__file__).parent
@@ -420,3 +423,113 @@ def test_each_memo_call_names_its_own_kind():
     """One slot per kind: two call sites sharing a kind would evict each other."""
     kinds = [kind for path in sorted(SRC.glob("*.py")) for kind in _memo_kinds(path)]
     assert sorted(kinds) == ["decomposition", "report", "table"]
+
+
+# ---------------------------------------------------------------------------
+# the csv writer
+# ---------------------------------------------------------------------------
+
+def float_cell_reference(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {x!r}")
+    return repr(x)
+
+
+# the per-cell rule the columnar writer replaced, keyed by exact type
+CELL_TEXT_REFERENCE = {
+    bool: ("false", "true").__getitem__,
+    int: int.__repr__,
+    float: float_cell_reference,
+    str: str,
+}
+
+
+def csv_reference(header, columns) -> str:
+    """One call per cell, row by row: the writer's specification."""
+    lines = [",".join(header)]
+    lines.extend(",".join(CELL_TEXT_REFERENCE[type(x)](x) for x in row) for row in zip(*columns))
+    return "\n".join([*lines, ""])
+
+
+CSV_LEAVES = [
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(),
+]
+# columns of one leaf kind each, all of one length
+CSV_TABLES = st.integers(1, 40).flatmap(
+    lambda rows: st.lists(
+        st.sampled_from(CSV_LEAVES).flatmap(lambda leaf: st.lists(leaf, min_size=rows, max_size=rows)),
+        min_size=1,
+        max_size=5,
+    )
+)
+
+
+def as_array(column):
+    """The column as the bool, int or float array a runner would hand over, if it has one."""
+    kind = type(column[0])
+    if kind is str or (kind is int and not all(-(2**63) <= x < 2**63 for x in column)):
+        return None
+    return np.array(column, dtype={bool: bool, int: np.int64, float: np.float64}[kind])
+
+
+@given(CSV_TABLES)
+def test_csv_text_writes_the_bytes_of_the_per_cell_rule(columns):
+    header = [f"c{k}" for k in range(len(columns))]
+    expected = csv_reference(header, columns)
+    assert _csv_text(header, columns) == expected
+    arrays = [as_array(c) for c in columns]
+    mixed = [c if a is None else a for c, a in zip(columns, arrays)]
+    assert _csv_text(header, mixed) == expected
+
+
+EXPLICIT_CSV_COLUMNS = {
+    "signed_zeros": [[0.0, -0.0, 0.0, -0.0, -0.0]],
+    "repeated_values": [[1.5, 1.5, 2.0, 1.5], [7, 7, 7, -7], [True, True, False, True], ["a", "a", "b", "a"]],
+    "subnormal_and_large": [[5e-324, 1e16, -5e-324, 1e16, 1e-7]],
+    "wide_ints": [[-(2**70), 2**70, 0, -(2**70)], [2**63 - 1, -(2**63), 5, 2**63 - 1]],
+    "narrow_ints": [[3, -2, 3, 7, 0], [10, 12, 11, 10, 12]],
+    "single_row": [[0.1], [3], [False], ["x"]],
+}
+
+
+@pytest.mark.parametrize("name", list(EXPLICIT_CSV_COLUMNS))
+def test_csv_text_matches_the_per_cell_rule_on_edge_cases(name):
+    columns = EXPLICIT_CSV_COLUMNS[name]
+    header = [f"c{k}" for k in range(len(columns))]
+    expected = csv_reference(header, columns)
+    assert _csv_text(header, columns) == expected
+    arrays = [as_array(c) for c in columns]
+    assert _csv_text(header, [c if a is None else a for c, a in zip(columns, arrays)]) == expected
+
+
+@pytest.mark.parametrize("row", [0, 2, 4])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_csv_text_refuses_a_non_finite_float_in_any_row(value, row):
+    column = [0.5, -0.0, 0.5, 2.0, 0.5]
+    column[row] = value
+    for given_column in (column, np.array(column)):
+        with pytest.raises(ValueError, match=f"non-finite value {value!r}"):
+            _csv_text(["x", "n"], [given_column, list(range(5))])
+
+
+def test_one_leaf_formatter():
+    """float.__repr__, int.__repr__ and encode_basestring_ascii appear only in
+    _leaf_texts, so the csv and json writers format every leaf one way."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                repr_of = (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "__repr__"
+                    and getattr(node.value, "id", None) in ("float", "int")
+                )
+                escape = "encode_basestring_ascii" in (
+                    getattr(node, "id", None), getattr(node, "attr", None)
+                )
+                if repr_of or escape:
+                    found.add((path.stem, getattr(top, "name", None)))
+    assert found == {("qcore", "_leaf_texts")}

@@ -304,6 +304,19 @@ def test_enumeration_matches_dict_growth_bit_for_bit(initial_index):
         assert _bits(measure.values()) == _bits(reference.values())
 
 
+@pytest.mark.parametrize("initial_index", [0, 1, 2])
+def test_measure_array_rows_are_the_enumerated_measure_in_order(initial_index):
+    rng = np.random.default_rng(SEED + 15)
+    for n, steps in [(3, 1), (3, 5), (2, 9)]:
+        if initial_index >= n:
+            continue
+        chain = square_chain(rng, n, steps)
+        measure = enumerate_trajectory_measure(chain, n, initial_index)
+        paths = trajectories._measure_array(chain, n, initial_index)
+        assert list(map(tuple, paths["indices"].tolist())) == list(measure)
+        assert _bits(paths["p"]) == _bits(measure.values())
+
+
 # ---------------------------------------------------------------------------
 # vectorized sampler streams and argument checks
 # ---------------------------------------------------------------------------
