@@ -69,7 +69,6 @@ from .ontic import (
     ontic_decomposition,
     single_system_conditional,
     table_to_csv,
-    table_to_json,
 )
 from .opendyn import (
     FactorizationCheck,
@@ -90,9 +89,6 @@ from .qcore import (
     HilbertSpace,
     PureState,
     basis_state,
-    density_matrix_from_json,
-    density_matrix_to_json,
-    embed_operator,
     matrix_from_json,
     matrix_to_json,
     maximally_mixed,

@@ -30,7 +30,7 @@ import tempfile
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -120,71 +120,6 @@ _MAX_POINTS = 10**6
 _MAX_LIST_LENGTH = 1024
 _MAX_CHOI_DIM = 4096  # verify's d_in * d_out: past it the Choi matrix tops 256 MiB
 
-_MEASURE_COMMON = [
-    ParamSpec("psi", "complex_list", ()),
-    ParamSpec("gamma_a", "float", 1.0, minimum=0.0),
-    ParamSpec("gamma_e", "float", 1.0, minimum=0.0),
-    ParamSpec("dt", "float", 0.5, minimum=0.0),
-]
-
-SCENARIOS: dict[str, list[ParamSpec]] = {
-    "measure": [
-        ParamSpec("subject_dim", "int", None, minimum=2, maximum=_MAX_DIM),
-        ParamSpec("n_a", "int", 10, minimum=0),
-        ParamSpec("n_e", "int", 10, minimum=0),
-        *_MEASURE_COMMON,
-    ],
-    "sweep": [
-        ParamSpec("subject_dim", "int", 2, minimum=2, maximum=_MAX_DIM),
-        ParamSpec("n_values", "int_list", (4, 8, 16, 32), minimum=0),
-        ParamSpec("n_a", "int", 1, minimum=0),
-        ParamSpec("n_e", "int", 1, minimum=0),
-        *_MEASURE_COMMON,
-    ],
-    "semigroup": [
-        ParamSpec(
-            "family",
-            "str",
-            "entangling_cnot",
-            choices=("factorized", "swap_refactorizing", "entangling_cnot"),
-        ),
-        ParamSpec("t1", "float", 0.6, minimum=0.0, exclusive_min=True),
-        ParamSpec("t2", "float", 1.3, minimum=0.0, exclusive_min=True),
-        ParamSpec("probe", "str", "plus", choices=("plus", "zero", "mixed")),
-    ],
-    "trajectories": [
-        ParamSpec("mode", "str", "enumerate", choices=("enumerate", "sample")),
-        ParamSpec("steps", "int", 4, minimum=1, maximum=_MAX_STEPS),
-        ParamSpec("step", "float", 0.4, minimum=0.0, exclusive_min=True),
-        ParamSpec("rate", "float", 1.0, minimum=0.0, exclusive_min=True),
-        ParamSpec("p0", "float", 0.7, minimum=0.0, maximum=1.0),
-    ],
-    "helix": [
-        ParamSpec("omega", "float", 1.0),
-        ParamSpec("points", "int", 100, minimum=2, maximum=_MAX_POINTS),
-        ParamSpec("t_max", "float", 2.0 * math.pi, minimum=0.0, exclusive_min=True),
-    ],
-    "nonlinear": [
-        ParamSpec("pair", "str", "bell_vs_product", choices=("bell_vs_product", "werner")),
-        ParamSpec("channel", "str", "cnot", choices=("cnot", "factorized")),
-        ParamSpec("lam1", "float", 1.0, minimum=0.0, maximum=1.0),
-        ParamSpec("lam2", "float", 0.0, minimum=0.0, maximum=1.0),
-    ],
-    "verify": [
-        ParamSpec("channel_path", "str", None),
-    ],
-}
-
-DEFAULT_FORMATS = {
-    "measure": "csv",
-    "sweep": "csv",
-    "semigroup": "json",
-    "trajectories": "json",
-    "helix": "csv",
-    "nonlinear": "json",
-    "verify": "json",
-}
-
 MAX_SEED = 2**64 - 1
 _SEED = ParamSpec("seed", "int", 0, minimum=0, maximum=MAX_SEED)
 
@@ -198,7 +133,7 @@ class ScenarioConfig:
     format: str | None = None
 
     def resolved_format(self) -> str:
-        return self.format or DEFAULT_FORMATS[self.scenario]
+        return self.format or SCENARIOS[self.scenario].format
 
     def resolved_output_path(self) -> str:
         return self.output_path or f"{self.scenario}.{self.resolved_format()}"
@@ -320,7 +255,7 @@ def parse_config(text: str, scenario: str | None = None) -> ScenarioConfig:
         else:
             config.format = fmt
 
-    specs = {spec.name: spec for spec in SCENARIOS[name]}
+    specs = {spec.name: spec for spec in SCENARIOS[name].specs}
     for key, (text_value, lineno, col) in entries.items():
         if key not in specs:
             violations.append(
@@ -579,14 +514,69 @@ def _run_verify(config: ScenarioConfig) -> _Result:
     return _one_record(record, summary, EXIT_OK if ok else EXIT_TOLERANCE)
 
 
-_RUNNERS = {
-    "measure": _run_measure,
-    "sweep": _run_sweep,
-    "semigroup": _run_semigroup,
-    "trajectories": _run_trajectories,
-    "helix": _run_helix,
-    "nonlinear": _run_nonlinear,
-    "verify": _run_verify,
+@dataclass(frozen=True)
+class Scenario:
+    """One subcommand: its parameters, default artifact format, runner and help line."""
+
+    format: str
+    runner: Callable[[ScenarioConfig], _Result]
+    specs: tuple[ParamSpec, ...]
+    help: str
+
+
+_MEASURE_COMMON = [
+    ParamSpec("psi", "complex_list", ()),
+    ParamSpec("gamma_a", "float", 1.0, minimum=0.0),
+    ParamSpec("gamma_e", "float", 1.0, minimum=0.0),
+    ParamSpec("dt", "float", 0.5, minimum=0.0),
+]
+
+SCENARIOS: dict[str, Scenario] = {
+    "measure": Scenario("csv", _run_measure, (
+        ParamSpec("subject_dim", "int", None, minimum=2, maximum=_MAX_DIM),
+        ParamSpec("n_a", "int", 10, minimum=0),
+        ParamSpec("n_e", "int", 10, minimum=0),
+        *_MEASURE_COMMON,
+    ), "decoherence measurement of a subject state"),
+    "sweep": Scenario("csv", _run_sweep, (
+        ParamSpec("subject_dim", "int", 2, minimum=2, maximum=_MAX_DIM),
+        ParamSpec("n_values", "int_list", (4, 8, 16, 32), minimum=0),
+        ParamSpec("n_a", "int", 1, minimum=0),
+        ParamSpec("n_e", "int", 1, minimum=0),
+        *_MEASURE_COMMON,
+    ), "off-diagonal suppression across environment sizes"),
+    "semigroup": Scenario("json", _run_semigroup, (
+        ParamSpec(
+            "family",
+            "str",
+            "entangling_cnot",
+            choices=("factorized", "swap_refactorizing", "entangling_cnot"),
+        ),
+        ParamSpec("t1", "float", 0.6, minimum=0.0, exclusive_min=True),
+        ParamSpec("t2", "float", 1.3, minimum=0.0, exclusive_min=True),
+        ParamSpec("probe", "str", "plus", choices=("plus", "zero", "mixed")),
+    ), "composability defect of a reduced evolution"),
+    "trajectories": Scenario("json", _run_trajectories, (
+        ParamSpec("mode", "str", "enumerate", choices=("enumerate", "sample")),
+        ParamSpec("steps", "int", 4, minimum=1, maximum=_MAX_STEPS),
+        ParamSpec("step", "float", 0.4, minimum=0.0, exclusive_min=True),
+        ParamSpec("rate", "float", 1.0, minimum=0.0, exclusive_min=True),
+        ParamSpec("p0", "float", 0.7, minimum=0.0, maximum=1.0),
+    ), "enumerate or sample configuration trajectories"),
+    "helix": Scenario("csv", _run_helix, (
+        ParamSpec("omega", "float", 1.0),
+        ParamSpec("points", "int", 100, minimum=2, maximum=_MAX_POINTS),
+        ParamSpec("t_max", "float", 2.0 * math.pi, minimum=0.0, exclusive_min=True),
+    ), "antipodal qubit configuration strands"),
+    "nonlinear": Scenario("json", _run_nonlinear, (
+        ParamSpec("pair", "str", "bell_vs_product", choices=("bell_vs_product", "werner")),
+        ParamSpec("channel", "str", "cnot", choices=("cnot", "factorized")),
+        ParamSpec("lam1", "float", 1.0, minimum=0.0, maximum=1.0),
+        ParamSpec("lam2", "float", 0.0, minimum=0.0, maximum=1.0),
+    ), "evolved-marginal distance for a witness pair"),
+    "verify": Scenario("json", _run_verify, (
+        ParamSpec("channel_path", "str", None),
+    ), "CPTP diagnostics for a stored channel"),
 }
 
 
@@ -709,7 +699,7 @@ def run(config: ScenarioConfig) -> int:
     Only the requested format is encoded.  A result holding a non-finite
     number is refused as a ValidationFailure, and nothing is written.
     """
-    header, columns, document, summary, code = _RUNNERS[config.scenario](config)
+    header, columns, document, summary, code = SCENARIOS[config.scenario].runner(config)
     try:
         if config.resolved_format() == "csv":
             text = _csv_text(header, columns)
@@ -733,17 +723,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Scenario runner for configuration-level quantum dynamics.",
     )
     sub = parser.add_subparsers(dest="scenario", required=True)
-    helps = {
-        "measure": "decoherence measurement of a subject state",
-        "sweep": "off-diagonal suppression across environment sizes",
-        "semigroup": "composability defect of a reduced evolution",
-        "trajectories": "enumerate or sample configuration trajectories",
-        "helix": "antipodal qubit configuration strands",
-        "nonlinear": "evolved-marginal distance for a witness pair",
-        "verify": "CPTP diagnostics for a stored channel",
-    }
-    for name in SCENARIOS:
-        p = sub.add_parser(name, help=helps[name])
+    for name, scenario in SCENARIOS.items():
+        p = sub.add_parser(name, help=scenario.help)
         p.add_argument("--config", metavar="PATH", help="flat key = value config file")
         p.add_argument("--seed", type=int, metavar="U64", help="seed for stochastic scenarios")
         p.add_argument("--out", metavar="PATH", help="output artifact path")

@@ -65,7 +65,6 @@ __all__ = [
     "single_system_conditional",
     "bayesian_propagation_check",
     "table_to_csv",
-    "table_to_json",
 ]
 
 
@@ -87,10 +86,6 @@ class OnticDecomposition:
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "vectors", vecs)
         _check_spectra(probs[None], vecs[None])
-
-    def reconstruct(self) -> np.ndarray:
-        vecs = self.vectors
-        return (vecs * self.probabilities) @ vecs.conjugate().T
 
 
 def ontic_decomposition(rho: DensityMatrix) -> OnticDecomposition:
@@ -182,12 +177,7 @@ class ConditionalProbabilityTable:
         shape = (len(self.parent_indices), len(self.column_indices))
         if vals.shape != shape:
             raise SpaceMismatch(f"values shape {vals.shape}, expected {shape}")
-        tol.check(-float(vals.min()), tol.DERIVED, ToleranceBreach, "table entry negativity")
-        worst = float(np.max(np.abs(vals.sum(axis=1) - 1.0)))
-        tol.check(worst, tol.ROW_SUM, ToleranceBreach, "row sum defect")
-        vals = np.clip(vals, 0.0, None)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _checked_values(vals[None])[0])
         object.__setattr__(self, "parent_indices", tuple(int(i) for i in self.parent_indices))
         object.__setattr__(
             self, "column_indices", tuple(tuple(int(i) for i in c) for c in self.column_indices)
@@ -196,6 +186,17 @@ class ConditionalProbabilityTable:
             object.__setattr__(
                 self, "splits", tuple(tuple(str(l) for l in g) for g in self.splits)
             )
+
+
+def _checked_values(values: np.ndarray) -> np.ndarray:
+    """An (n, rows, cols) stack of table values, each check once over the stack:
+    entry negativity, then row sums.  Returned clipped at zero and read-only."""
+    tol.check(-float(values.min()), tol.DERIVED, ToleranceBreach, "table entry negativity")
+    worst = float(np.max(np.abs(values.sum(axis=2) - 1.0)))
+    tol.check(worst, tol.ROW_SUM, ToleranceBreach, "row sum defect")
+    values = np.clip(values, 0.0, None)
+    values.setflags(write=False)
+    return values
 
 
 def _kernel_table(
@@ -229,12 +230,7 @@ def _kernel_table(
         amp = bases.conjugate().swapaxes(1, 2)[:, None] @ amp.reshape(n, math.prod(shape), d_g, -1)
         shape.append(amp.shape[2])
     probs = (amp.real ** 2 + amp.imag ** 2).reshape(n, *shape, n_w)
-    values = probs.sum(axis=1).reshape(n, -1, n_w).swapaxes(1, 2)
-    tol.check(-float(values.min()), tol.DERIVED, ToleranceBreach, "table entry negativity")
-    worst = float(np.max(np.abs(values.sum(axis=2) - 1.0)))
-    tol.check(worst, tol.ROW_SUM, ToleranceBreach, "row sum defect")
-    values = np.clip(values, 0.0, None)
-    values.setflags(write=False)
+    values = _checked_values(probs.sum(axis=1).reshape(n, -1, n_w).swapaxes(1, 2))
     fields = {
         "parent_indices": tuple(range(n_w)),
         "column_indices": tuple(itertools.product(*map(range, shape[1:]))),
@@ -360,12 +356,3 @@ def table_to_csv(table: ConditionalProbabilityTable) -> str:
     combos = np.tile(np.array(table.column_indices, dtype=np.int64), (rows, 1))
     parents = np.repeat(np.array(table.parent_indices, dtype=np.int64), cols)
     return _csv_text(header, [parents, *combos.T, table.values.ravel()])
-
-
-def table_to_json(table: ConditionalProbabilityTable) -> dict:
-    return {
-        "parent_indices": list(table.parent_indices),
-        "splits": None if table.splits is None else [list(g) for g in table.splits],
-        "column_indices": [list(c) for c in table.column_indices],
-        "values": [[float(x) for x in row] for row in table.values],
-    }

@@ -3,7 +3,7 @@
 Everything downstream works with density matrices over spaces built as
 tensor products of named finite-dimensional factors.  Keeping the factor
 labels on the objects lets partial traces, factor permutations, and
-subsystem embeddings be requested by name instead of by axis arithmetic,
+subsystem spaces be requested by name instead of by axis arithmetic,
 which is where composite-system code usually goes wrong.
 
 Matrices are stored dense (numpy, complex128) and row-major in the
@@ -37,15 +37,12 @@ __all__ = [
     "partial_trace",
     "trace_distance",
     "permute_factors",
-    "embed_operator",
     "basis_state",
     "maximally_mixed",
     "space_to_json",
     "space_from_json",
     "matrix_to_json",
     "matrix_from_json",
-    "density_matrix_to_json",
-    "density_matrix_from_json",
 ]
 
 
@@ -298,25 +295,6 @@ def permute_factors(
     return _permute_matrix(matrix, space.dims, perm), new_space
 
 
-def embed_operator(op: np.ndarray, op_labels: Sequence[str], space: HilbertSpace) -> np.ndarray:
-    """Extend an operator on some factors by identity on the rest.
-
-    `op` must act on the listed labels in the listed order; the result acts
-    on the full space in the space's own factor order.
-    """
-    op_labels = list(op_labels)
-    rest = [label for label in space.labels if label not in op_labels]
-    sub = space.subspace(op_labels)
-    ordered_op, _ = (op, sub) if list(sub.labels) == op_labels else permute_factors(
-        op, HilbertSpace(tuple((l, space.dim_of(l)) for l in op_labels)), sub.labels
-    )
-    rest_dim = math.prod(space.dim_of(label) for label in rest) if rest else 1
-    big = np.kron(ordered_op, np.eye(rest_dim, dtype=np.complex128))
-    big_space = sub if not rest else sub.tensor(space.subspace(rest))
-    out, _ = permute_factors(big, big_space, space.labels)
-    return out
-
-
 def _partial_trace_matrix(
     matrix: np.ndarray, dims: Sequence[int], keep_axes: Sequence[int]
 ) -> np.ndarray:
@@ -386,16 +364,6 @@ def matrix_from_json(payload: dict) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("matrix has a non-finite entry")
     return arr
-
-
-def density_matrix_to_json(rho: DensityMatrix) -> dict:
-    out = {"space": space_to_json(rho.space)}
-    out.update(matrix_to_json(rho.matrix))
-    return out
-
-
-def density_matrix_from_json(payload: dict) -> DensityMatrix:
-    return DensityMatrix(space_from_json(payload["space"]), matrix_from_json(payload))
 
 
 # the leaf type of an array column, by dtype kind

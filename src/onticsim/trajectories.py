@@ -412,7 +412,7 @@ def bloch_helix(omega: float, times: Sequence[float]) -> tuple[np.ndarray, np.nd
     crosses a pole, and a sample landing exactly on a pole is emitted in
     the phi = 0 chart.
     """
-    t = np.asarray(list(times), dtype=float)
+    t = np.asarray(times, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: NaN, refused on output
         nx = np.cos(omega * t)
         nz = np.sin(omega * t)

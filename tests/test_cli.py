@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -116,8 +117,8 @@ def test_range_validation_is_exit_three_material():
 
 CAPPED = [
     (scenario, spec)
-    for scenario, specs in SCENARIOS.items()
-    for spec in specs
+    for scenario, entry in SCENARIOS.items()
+    for spec in entry.specs
     if spec.maximum is not None and spec.kind == "int"
 ]
 
@@ -347,7 +348,7 @@ def test_every_domain_error_maps_to_its_exit_code(tmp_path, capsys, monkeypatch,
             raise error(["from the runner"])
         raise error("from the runner")
 
-    monkeypatch.setitem(cli._RUNNERS, "helix", runner)
+    monkeypatch.setitem(cli.SCENARIOS, "helix", replace(cli.SCENARIOS["helix"], runner=runner))
     expected = {ParseFailure: EXIT_PARSE, ToleranceBreach: EXIT_TOLERANCE}.get(error, EXIT_VALIDATION)
     assert main(["helix"]) == expected
     assert "from the runner" in capsys.readouterr().err
@@ -394,8 +395,8 @@ def test_helix_refuses_non_finite_angles(tmp_path, capsys, monkeypatch, fmt):
 
 NUMERIC_KEYS = [
     (scenario, spec.name)
-    for scenario, specs in SCENARIOS.items()
-    for spec in specs
+    for scenario, entry in SCENARIOS.items()
+    for spec in entry.specs
     if spec.kind in ("float", "complex_list")
 ]
 

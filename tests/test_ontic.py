@@ -35,17 +35,16 @@ from onticsim import (
     conditional_probabilities,
     correlational_entropy,
     dilation_channel,
-    embed_operator,
     kernel_from_matrix,
     markov_chain_from_repeated_interaction,
     maximally_mixed,
     ontic_decomposition,
     parent_conditioned_probabilities,
     partial_trace,
+    permute_factors,
     projector_factorization_check,
     single_system_conditional,
     table_to_csv,
-    table_to_json,
     unitary_channel,
 )
 from onticsim import ontic
@@ -105,17 +104,22 @@ def projector(v: np.ndarray) -> np.ndarray:
 
 
 def direct_table(ch, rho, splits) -> np.ndarray:
-    """Tr[(P_1(i1) (x) ... (x) P_n(in)) ch(P_w)] with every projector embedded."""
+    """Tr[(P_1(i1) (x) ... (x) P_n(in) (x) 1) ch(P_w)] with every projector formed:
+    the Kronecker product in split order, identity on the factors no split names,
+    then permuted into the channel's output order."""
+    out = ch.out_space
     evolved = apply(ch, rho)
     decs = [ontic_decomposition(partial_trace(evolved, group)) for group in splits]
+    named = [label for dec in decs for label in dec.source_space.labels]
+    rest = [label for label in out.labels if label not in named]
+    kron_space = HilbertSpace(tuple((label, out.dim_of(label)) for label in named + rest))
+    identity = np.eye(math.prod(out.dim_of(label) for label in rest))
     columns = [
-        reduce(
-            np.matmul,
-            [
-                embed_operator(projector(dec.vectors[:, i]), dec.source_space.labels, ch.out_space)
-                for dec, i in zip(decs, combo)
-            ],
-        )
+        permute_factors(
+            reduce(np.kron, [*(projector(d.vectors[:, i]) for d, i in zip(decs, combo)), identity]),
+            kron_space,
+            out.labels,
+        )[0]
         for combo in itertools.product(*[range(dec.probabilities.size) for dec in decs])
     ]
     rows = [
@@ -135,7 +139,8 @@ def test_decomposition_sorts_by_probability():
     assert np.allclose(dec.probabilities, [0.7, 0.3])
     assert abs(dec.vectors[1, 0] - 1.0) < 1e-14
     assert np.all(dec.probabilities >= tol.NULL_PROBABILITY)
-    assert np.allclose(dec.reconstruct(), rho.matrix, atol=1e-12)
+    rebuilt = (dec.vectors * dec.probabilities) @ dec.vectors.conj().T
+    assert np.allclose(rebuilt, rho.matrix, atol=1e-12)
 
 
 def test_decomposition_keeps_null_configurations():
@@ -161,7 +166,8 @@ def test_decomposition_fuzz_reconstruction_and_orthonormality():
     for _ in range(30):
         rho = random_density(rng, HilbertSpace.of(("s", 4)))
         dec = ontic_decomposition(rho)
-        assert np.allclose(dec.reconstruct(), rho.matrix, atol=1e-10)
+        rebuilt = (dec.vectors * dec.probabilities) @ dec.vectors.conj().T
+        assert np.allclose(rebuilt, rho.matrix, atol=1e-10)
         probs = dec.probabilities
         assert np.all(probs[:-1] >= probs[1:] - 1e-12)
         vecs = dec.vectors
@@ -372,7 +378,9 @@ def test_failed_decomposition_is_not_kept(monkeypatch):
         patch.setattr(np.linalg, "eigh", lambda m: (np.array([0.2, 0.2]), np.eye(2, dtype=complex)))
         with pytest.raises(ToleranceBreach):
             ontic_decomposition(rho)
-    assert np.allclose(ontic_decomposition(rho).reconstruct(), rho.matrix, atol=1e-12)
+    dec = ontic_decomposition(rho)
+    rebuilt = (dec.vectors * dec.probabilities) @ dec.vectors.conj().T
+    assert np.allclose(rebuilt, rho.matrix, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -925,14 +933,3 @@ def test_table_to_csv_shape():
     assert lines[0] == "w,i1,i2,p"
     assert len(lines) == 1 + 4 * 4
     assert lines[1] == "0,0,0,1.0"
-
-
-def test_table_to_json_round_trip_fields():
-    rng = np.random.default_rng(SEED + 7)
-    rho = random_density(rng, QUBIT)
-    ch = unitary_channel(UnitaryOperator(QUBIT, haar_unitary(rng, 2)))
-    table = single_system_conditional(ch, rho)
-    payload = table_to_json(table)
-    assert payload["parent_indices"] == [0, 1]
-    assert payload["splits"] == [["s"]]
-    assert np.allclose(payload["values"], table.values)

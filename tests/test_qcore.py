@@ -14,9 +14,6 @@ from onticsim import (
     HilbertSpace,
     PureState,
     basis_state,
-    density_matrix_from_json,
-    density_matrix_to_json,
-    embed_operator,
     matrix_from_json,
     matrix_to_json,
     maximally_mixed,
@@ -315,15 +312,6 @@ def test_permute_factors_preserves_spectrum():
     )
 
 
-def test_embed_operator_acts_on_named_factor():
-    space = HilbertSpace.of(("a", 2), ("b", 2))
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    on_b = embed_operator(x, ["b"], space)
-    assert np.allclose(on_b, np.kron(np.eye(2), x))
-    on_a = embed_operator(x, ["a"], space)
-    assert np.allclose(on_a, np.kron(x, np.eye(2)))
-
-
 # ---------------------------------------------------------------------------
 # trace distance
 # ---------------------------------------------------------------------------
@@ -369,14 +357,6 @@ def test_matrix_json_round_trip():
     rng = np.random.default_rng(SEED + 7)
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     assert np.allclose(matrix_from_json(matrix_to_json(m)), m)
-
-
-def test_density_matrix_json_round_trip():
-    rng = np.random.default_rng(SEED + 8)
-    rho = random_density(rng, HilbertSpace.of(("s", 2), ("e", 2)))
-    back = density_matrix_from_json(density_matrix_to_json(rho))
-    assert back.space == rho.space
-    assert np.allclose(back.matrix, rho.matrix, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

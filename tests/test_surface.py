@@ -1,5 +1,6 @@
 """The package surface: each module's __all__ and the package re-exports agree,
-and no public callable grows an option without this file saying so."""
+no public callable grows an option without this file saying so, and no
+removed name comes back."""
 import importlib
 import inspect
 import pkgutil
@@ -29,6 +30,15 @@ PUBLIC_DEFAULTS = {
     "opendyn.witness_pair_bell_vs_product": ("s_label", "e_label"),
     "opendyn.witness_pair_werner": ("s_label", "e_label"),
 }
+
+# deleted with no shim: no module may define them again
+REMOVED = (
+    "table_to_json",
+    "OnticDecomposition.reconstruct",
+    "embed_operator",
+    "density_matrix_to_json",
+    "density_matrix_from_json",
+)
 
 
 def module_names():
@@ -68,3 +78,15 @@ def test_public_defaults_are_pinned():
             if defaults:
                 found[f"{name}.{export}"] = defaults
     assert found == PUBLIC_DEFAULTS
+
+
+def test_removed_names_stay_removed():
+    """No removed name is an attribute of the package or of any of its modules."""
+    modules = [onticsim, *(importlib.import_module(f"onticsim.{n}") for n in module_names())]
+    found = []
+    for module in modules:
+        for dotted in REMOVED:
+            owner, _, name = dotted.rpartition(".")
+            if hasattr(getattr(module, owner, None) if owner else module, name):
+                found.append(f"{module.__name__}.{dotted}")
+    assert found == []

@@ -791,10 +791,15 @@ def test_bloch_helix_frozen_quarter_turns():
 def test_bloch_helix_strands_stay_orthogonal():
     rng = np.random.default_rng(SEED + 1)
     times = np.sort(rng.uniform(0.0, 20.0, size=40))
-    s1, s2 = bloch_helix(rng.uniform(0.5, 3.0), times)
+    omega = rng.uniform(0.5, 3.0)
+    s1, s2 = bloch_helix(omega, times)
     for (t1, p1), (t2, p2) in zip(s1, s2):
         inner = np.vdot(bloch_amplitudes(t1, p1), bloch_amplitudes(t2, p2))
         assert abs(inner) < 1e-12
+    # a list or a tuple of the same times gives the array's strands, bit for bit
+    for same in (times.tolist(), tuple(times)):
+        o1, o2 = bloch_helix(omega, same)
+        assert (o1.tobytes(), o2.tobytes()) == (s1.tobytes(), s2.tobytes())
 
 
 # ---------------------------------------------------------------------------
