@@ -4,14 +4,14 @@ A density matrix's eigendecomposition is read as an exhaustive list of
 possible configurations with their probabilities.  Configurations are
 ordered by descending probability; exact ties, and only they, are broken
 by one lexsort on the (re, im) pairs of the phase-canonical eigenvectors,
-amplitude by amplitude.
-Null configurations, with a probability below NULL_PROBABILITY, are kept
-so tables built from two decompositions stay square.  Inside a degenerate
-eigenspace the eigenbasis is a numerically arbitrary choice, so a table
-indexed by these eigenvectors is not continuous in rho there.  The eigensolve,
-phase rule, order and checks are written for a stack of density matrices
-(one stacked eigh, each check once over the stack); a single state is a
-stack of one, and a trajectory chain decomposes all its states together.
+amplitude by amplitude.  Null configurations, with a probability below
+NULL_PROBABILITY, are kept so tables built from two decompositions stay
+square.  Inside a degenerate eigenspace the eigenbasis is a numerically
+arbitrary choice, so a table indexed by these eigenvectors is not
+continuous in rho there.  The eigensolve, phase rule, order and checks are
+written for a stack of density matrices (one stacked eigh, each check once
+over the stack); a single state is a stack of one, and a trajectory chain
+decomposes all its states together.
 
 Conditional probabilities link a parent-space decomposition at one time
 to subsystem decompositions at a later time through a channel:
@@ -21,17 +21,17 @@ to subsystem decompositions at a later time through a channel:
 
 where |w> is a parent eigenvector, K_k are the channel's Kraus operators
 and |c> is the product of one subsystem eigenvector per factor group.
-One kernel computes every table in this vector form and builds the
-table object around it, for the subsystem tables here (opendyn's system
-table is a marginal of one) and every step of a trajectory chain, so no
-per-configuration projector is ever formed or stored.  Like the eigensolve
-it is written for a stack: it takes stacks of parent and group eigenvectors
-as plain arrays and returns one table per slice.  A single table is a stack
-of one; a chain passes slices of its stacked eigensolve.
-
-Each row is a probability distribution whenever the channel is trace
-preserving and the subsystem eigenvectors are complete, which the kernel
-checks once over its stack and the table type checks at construction.
+One kernel computes every table in this vector form from the amplitudes
+K_k W, for the subsystem tables here (opendyn's system table is a marginal
+of one) and every step of a trajectory chain, so no per-configuration
+projector is ever formed.  Like the eigensolve it takes stacks, of
+amplitudes and of group eigenvectors, and returns one table per slice.
+Each group's reduced state is read off the same amplitudes, as the Gram
+form of K W weighted by rho's unclipped eigenvalues, the group's axes first,
+so no evolved state ch(rho) is formed either.  It is checked as a
+`DensityMatrix` is, but takes its positivity verdict from its eigensolve.
+Rows are distributions whenever the channel is trace preserving and the
+subsystem eigenvectors complete, as the kernel and the table type check.
 """
 
 from __future__ import annotations
@@ -44,17 +44,17 @@ from typing import Sequence
 import numpy as np
 
 from . import tolerances as tol
-from .channels import QuantumChannel, apply
+from .channels import QuantumChannel, apply  # noqa: F401 (perfbench reads ontic.apply)
 from .errors import SpaceMismatch, ToleranceBreach
 from .qcore import (
     DensityMatrix,
     HilbertSpace,
+    _admit,
     _as_complex,
     _canonical_phase,
     _check_partition,
     _csv_text,
     _memo,
-    partial_trace,
 )
 
 __all__ = [
@@ -94,28 +94,35 @@ def ontic_decomposition(rho: DensityMatrix) -> OnticDecomposition:
     Computed once per state object, with every check on the first call; a
     repeat call returns the same read-only decomposition.
     """
-    return _memo(rho, "decomposition", None, lambda: _decompose(rho))
+    return _eigensystem(rho)[0]
 
 
-def _decompose(rho: DensityMatrix) -> OnticDecomposition:
-    stacked_probs, stacked_vecs = _spectra(rho.matrix[None])
-    probs, vecs = stacked_probs[0], stacked_vecs[0]
+def _eigensystem(rho: DensityMatrix) -> tuple[OnticDecomposition, np.ndarray]:
+    """The memoized decomposition and rho's unclipped eigenvalues in its order:
+    sum_w lambda_w |w><w| is rho even where the clip drops an admitted lambda < 0."""
+    return _memo(rho, "decomposition", None, lambda: _decompose(rho.space, rho.matrix))
+
+
+def _decompose(space: HilbertSpace, matrix: np.ndarray) -> tuple[OnticDecomposition, np.ndarray]:
+    (probs,), (vecs,), (evals,) = _spectra(matrix[None])
     probs.setflags(write=False)
     vecs.setflags(write=False)
     # _spectra has run every check of __post_init__: set the fields without it
     dec = object.__new__(OnticDecomposition)
-    for name, value in zip(("source_space", "probabilities", "vectors"), (rho.space, probs, vecs)):
+    for name, value in zip(("source_space", "probabilities", "vectors"), (space, probs, vecs)):
         object.__setattr__(dec, name, value)
-    return dec
+    return dec, evals
 
 
-def _spectra(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _spectra(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical eigensystems of an (n, d, d) stack of density matrices, by one
-    stacked eigh: probabilities (n, d) clipped to [0, 1] and phase-canonical
-    eigenvector columns (n, d, d), each matrix's in configuration order.
-    Checked, each check once over the stack: the probability sum and
-    orthonormality of `OnticDecomposition`, then the reconstruction drift."""
+    stacked eigh: probabilities (n, d) clipped to [0, 1], phase-canonical
+    eigenvector columns (n, d, d) and the eigenvalues (n, d) before the clip,
+    each matrix's in configuration order.  Checked, each check once over the
+    stack: positivity off this eigh, the sum and orthonormality of
+    `OnticDecomposition`, then the reconstruction drift."""
     evals, evecs = np.linalg.eigh(matrices)
+    tol.check(-float(evals[..., 0].min()), -tol.EIG_FLOOR, ToleranceBreach, "eigenvalue negativity")
     count, d = matrices.shape[:2]
     probs = np.clip(evals, 0.0, 1.0).reshape(count, d)
     # every eigenvector of the stack as one column of a (d, n d) matrix
@@ -140,7 +147,7 @@ def _spectra(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rebuilt = (vecs * ranked[:, None, :]) @ vecs.conjugate().swapaxes(1, 2)
     drift = float(np.max(np.abs(rebuilt - matrices)))
     tol.check(drift, tol.DERIVED, ToleranceBreach, "reconstruction drift")
-    return ranked, vecs
+    return ranked, vecs, evals.take(order + offsets)
 
 
 def _check_spectra(probs: np.ndarray, vecs: np.ndarray) -> None:
@@ -200,28 +207,24 @@ def _checked_values(values: np.ndarray) -> np.ndarray:
 
 
 def _kernel_table(
-    ch: QuantumChannel,
-    parents: np.ndarray,
+    out: HilbertSpace,
+    amp: np.ndarray,
     groups: Sequence[tuple[Sequence[str], np.ndarray]],
     splits: Sequence[Sequence[str]],
 ) -> list[ConditionalProbabilityTable]:
     """Tables values[w, c] = sum_k |<c| K_k |w>|^2, one per slice of a stack.
 
-    `parents` is an (n, d_in, n_w) stack of parent eigenvectors as columns,
-    on the channel's input space.  `groups` partitions the channel's output
-    factors into (labels, bases) pairs; `bases` is an (n, d_g, m_g) stack
-    of a group's eigenvectors as columns, on the group's factors in the
-    order its labels list them.  Each |c> takes one column per group,
-    enumerated in itertools.product order.  K_k W is computed once for the
-    stack, its output factors are moved into group order by one transpose,
-    and each group axis is contracted with V_g^dag by one batched matmul.
+    `amp` is an (n, n_k, d_out, n_w) stack of K_k W, the Kraus operators
+    applied to each slice's parent eigenvector columns, on the output space
+    `out`.  `groups` partitions its factors into (labels, bases) pairs;
+    `bases` is an (n, d_g, m_g) stack of a group's eigenvectors as columns,
+    on the group's factors in the order its labels list them.  Each |c>
+    takes one column per group, enumerated in itertools.product order.
     The table checks run once over the stack, so no `__post_init__` runs;
     table k's values are slice k of the clipped stack, laid out as the
     constructor's copy would be.  `splits` is stored on every table.
     """
-    out = ch.out_space
     order = [2 + out.axis(label) for labels, _ in groups for label in labels]
-    amp = ch.kraus[None] @ parents[:, None]
     n, n_k, _, n_w = amp.shape
     amp = amp.reshape(n, n_k, *out.dims, n_w).transpose(0, 1, *order, len(order) + 2)
     shape = [n_k]
@@ -258,30 +261,37 @@ def _conditional_core(
     _check_partition(ch_w.out_space, split_labels)
     # the channel is compared by identity: QuantumChannel has eq=False
     key = (ch_w, split_labels)
-    return _memo(rho_w_t, "table", key, lambda: _evolve_and_tabulate(ch_w, rho_w_t, split_labels))
+    return _memo(rho_w_t, "table", key, lambda: _tabulate(ch_w, rho_w_t, split_labels))
 
 
-def _evolve_and_tabulate(
+def _tabulate(
     ch_w: QuantumChannel,
     rho_w_t: DensityMatrix,
     split_labels: tuple[tuple[str, ...], ...],
 ):
-    parent = ontic_decomposition(rho_w_t)
-    evolved = apply(ch_w, rho_w_t)
-
-    reduced_states = tuple(
-        partial_trace(evolved, g) if len(g) < len(evolved.space.factors) else evolved
-        for g in split_labels
-    )
-    reduced_decs = tuple(map(ontic_decomposition, reduced_states))
-
-    (table,) = _kernel_table(
-        ch_w,
-        parent.vectors[None],
-        [(dec.source_space.labels, dec.vectors[None]) for dec in reduced_decs],
-        split_labels,
-    )
-    return table, parent, reduced_states, reduced_decs
+    """Reduced states as Gram forms amp lambda amp^dag of amp = K W, partial traces of K rho K^dag.
+    Axes before a group's first are one batched matmul's batch: only non-adjacent factors copy."""
+    out = ch_w.out_space
+    parent, evals = _eigensystem(rho_w_t)
+    amp = ch_w.kraus @ parent.vectors
+    amps = amp.reshape(len(amp), *out.dims, -1)
+    weighted = amps.conjugate()
+    weighted *= evals
+    reduced_states, reduced_decs = [], []
+    for space in map(out.subspace, split_labels):
+        axes = [1 + out.axis(label) for label in space.labels]
+        perm = [*range(axes[0]), *axes, *(a for a in range(axes[0], amps.ndim) if a not in axes)]
+        shape = (math.prod(amps.shape[: axes[0]]), space.total_dim, -1)
+        x, y = (a.transpose(perm).reshape(shape) for a in (amps, weighted))
+        state = (x @ y.swapaxes(1, 2)).sum(axis=0)
+        state.setflags(write=False)
+        _admit(state[None], positivity=False)
+        reduced_states.append(state)
+        reduced_decs.append(_decompose(space, state)[0])
+    del weighted, x, y  # freed before the kernel's own temporaries
+    groups = [(dec.source_space.labels, dec.vectors[None]) for dec in reduced_decs]
+    (table,) = _kernel_table(out, amp[None], groups, split_labels)
+    return table, parent, tuple(reduced_states), tuple(reduced_decs)
 
 
 def conditional_probabilities(
@@ -291,26 +301,24 @@ def conditional_probabilities(
 ) -> ConditionalProbabilityTable:
     """Joint subsystem configuration probabilities conditioned on the parent.
 
-    The parent state at t is decomposed, pushed through the channel, and
-    projected onto the eigenconfigurations of each subsystem's reduced
-    state at t'.  Null parent configurations get rows too: they are valid
-    conditioning events of probability zero.
+    The parent's eigenvectors at t are pushed through the Kraus operators and
+    projected onto the eigenconfigurations of each subsystem's reduced state
+    at t', read off the same amplitudes: ch(rho) is never formed.  Null parent
+    configurations get rows too: valid conditioning events of probability zero.
 
-    The arguments are validated on every call.  The evolution, the
+    The arguments are validated on every call.  The amplitudes, the
     decompositions and the table are computed once per (state object,
     channel object, splits) and kept on the state, which holds only its
     latest table; a repeat call returns the same read-only table.
     """
-    table, _, _, _ = _conditional_core(ch_w, rho_w_t, splits)
-    return table
+    return _conditional_core(ch_w, rho_w_t, splits)[0]
 
 
 def single_system_conditional(
     ch: QuantumChannel, rho_t: DensityMatrix
 ) -> ConditionalProbabilityTable:
-    """Conditional table for the undivided system, linking t to t'."""
-    table, _, _, _ = _conditional_core(ch, rho_t, [list(rho_t.space.labels)])
-    return table
+    """Conditional table for the undivided output system, linking t to t'."""
+    return _conditional_core(ch, rho_t, [list(ch.out_space.labels)])[0]
 
 
 def bayesian_propagation_check(
@@ -320,17 +328,17 @@ def bayesian_propagation_check(
 ) -> float:
     """Largest gap between direct and chained first-subsystem probabilities.
 
-    Direct route: the quadratic form v^dag rho_1 v of each first-subsystem
-    eigenvector on the first subsystem's reduced state after the channel.
-    Chained route: sum the conditional table against the parent
-    probabilities and marginalize the other subsystems.  The two must
-    agree for any trace-preserving channel.  After `conditional_probabilities`
-    on the same state, channel object and splits, it reuses that call's
-    evolved state, reduced decompositions and table.
+    Direct route: v^dag rho_1 v for each eigenvector v of the first
+    subsystem's reduced state rho_1.  Chained route: the table summed against
+    the parent probabilities, the other subsystems marginalized; they agree
+    for any trace-preserving channel.  rho_1 is a second contraction, the Gram
+    form, of the amplitudes K_k W the table contracts, so the gap tests the
+    kernel's group contraction and the completeness of the other groups'
+    bases, not the evolution.  It reuses the core memoized for its arguments.
     """
     table, parent, reduced_states, reduced_decs = _conditional_core(ch_w, rho_w_t, splits)
     vecs = reduced_decs[0].vectors
-    direct = _quadratic_forms(reduced_states[0].matrix, vecs)
+    direct = _quadratic_forms(reduced_states[0], vecs)
     chained = parent.probabilities @ _first_group_marginal(table, vecs.shape[1])
     return float(np.max(np.abs(direct - chained)))
 

@@ -231,11 +231,11 @@ def basis_state(space: HilbertSpace, index: int) -> PureState:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix on a labeled space.
 
-    All three conditions are checked at construction, by `_admit`:
-    Hermiticity and trace at the construction tolerance, positivity down to
-    the eigenvalue floor.  The state is immutable, so its ontic
-    decomposition is computed once per state object, and its conditional
-    table core once per channel object and splits; each is kept on it.
+    All three conditions are checked at construction, by `_admit`, the trust
+    boundary: Hermiticity and trace at the construction tolerance, positivity
+    to the eigenvalue floor by a Cholesky certificate.  The state is
+    immutable, so its ontic decomposition is computed once per state object,
+    and its table core once per channel object and splits; each is kept on it.
     """
 
     space: HilbertSpace
@@ -248,21 +248,22 @@ class DensityMatrix:
         _admit(arr[None])
 
 
-def _admit(matrices: np.ndarray) -> None:
+def _admit(matrices: np.ndarray, positivity: bool = True) -> None:
     """The density-matrix checks over an (n, d, d) stack, each once for the
     whole stack: Hermiticity, trace, then positivity.
 
     Positivity is first certified by one stacked Cholesky factorization
     (`tolerances.psd_certified`); only a stack it cannot certify pays the
-    eigensolve, which gives the verdict and the refusal message.  A stack
-    passes exactly when each of its matrices would; a refusal names the
-    largest defect.
+    eigensolve, which gives the verdict and the refusal message.  A derived
+    stack decomposed next skips both (positivity=False): `ontic._spectra`
+    reads its verdict off that eigh.  A stack passes exactly when each of
+    its matrices would; a refusal names the largest defect.
     """
     herm = tol.hermiticity_defect(matrices)
     tol.check(herm, tol.CONSTRUCTION, ToleranceBreach, "Hermiticity defect")
     trace = float(np.abs(matrices.trace(axis1=1, axis2=2) - 1.0).max())
     tol.check(trace, tol.CONSTRUCTION, ToleranceBreach, "trace defect")
-    if not tol.psd_certified(matrices):
+    if positivity and not tol.psd_certified(matrices):
         tol.check(tol.negativity(matrices), -tol.EIG_FLOOR, ToleranceBreach, "eigenvalue negativity")
 
 

@@ -66,7 +66,7 @@ ENUMERATION_GUARD = 1_000_000
 
 # most steps a repeated-interaction chain builds; the CLI caps its config with it
 _MAX_STEPS = 10**4
-# matrix entries per block of chain states: 1 MiB, and every d = 2 chain is one block
+# amplitude entries K_k W per block of chain states, n_k d**2 a state: 1 MiB
 _BLOCK_ENTRIES = 2**16
 
 
@@ -352,18 +352,16 @@ def markov_chain_from_repeated_interaction(
     while the states stay diagonal in one fixed basis.  Whether some other
     measure reproduces them otherwise is open.
 
-    The build is one stacked pass per block of states, a block holding
-    _BLOCK_ENTRIES matrix entries, so its memory beyond the kernels does
-    not grow with `steps`.  A block's states are evolved first, as raw
-    arrays, by the Kraus product of `channels.apply` divided by its trace,
-    so the trace stays 1 over any number of steps.  They are admitted
-    together, each `DensityMatrix` check run once over the block, and
-    decomposed by one stacked eigh, each `OnticDecomposition` check run
-    once over the block.  One stacked `ontic._kernel_table` call then
-    tabulates all the block's kernels: state k's eigenvectors are the row
-    side of kernel k and the column side of kernel k - 1.  The block's last state and its
-    eigenvectors start the next block.  More than _MAX_STEPS steps are
-    refused before anything is built.
+    The build is one stacked pass per block of states, whose n_k Kraus
+    amplitudes K_k W hold _BLOCK_ENTRIES entries, so its memory beyond the
+    kernels does not grow with `steps`.  A block's states are evolved as raw
+    arrays by `channels.apply`'s Kraus product, each divided by its trace so
+    the trace stays 1 over any number of steps, then admitted and decomposed
+    together, each check run once over the block.  One stacked
+    `ontic._kernel_table` call tabulates the block's kernels: state k's
+    eigenvectors are the row side of kernel k and the column side of kernel
+    k - 1, and the block's last state and eigenvectors start the next block.
+    More than _MAX_STEPS steps are refused before anything is built.
     """
     count = _integral(steps)
     if not 0 < step < math.inf or count is None or not 1 <= count <= _MAX_STEPS:
@@ -371,14 +369,11 @@ def markov_chain_from_repeated_interaction(
             f"need finite positive step and a whole number of steps in [1, {_MAX_STEPS}], "
             f"got {step}, {steps!r}"
         )
-    combined = rho_s0.space.tensor(rho_e_fresh.space)
-    family = UnitaryFamily(combined, h_int)
-    u_step = family.at(step)
-    ch = dilation_channel(
-        u_step, rho_e_fresh, (list(rho_s0.space.labels), list(rho_e_fresh.space.labels))
-    )
+    u_step = UnitaryFamily(rho_s0.space.tensor(rho_e_fresh.space), h_int).at(step)
+    split = (list(rho_s0.space.labels), list(rho_e_fresh.space.labels))
+    ch = dilation_channel(u_step, rho_e_fresh, split)
     labels, d = rho_s0.space.labels, rho_s0.space.total_dim
-    block = max(1, _BLOCK_ENTRIES // d**2)
+    block = max(1, _BLOCK_ENTRIES // (len(ch.kraus) * d**2))
     kernels, last = [], rho_s0.matrix
     for first in range(0, count, block):
         states = np.empty((min(block, count - first) + 1, d, d), dtype=np.complex128)
@@ -394,7 +389,10 @@ def markov_chain_from_repeated_interaction(
         # copies, so no block outlives its pass
         last, last_vecs = states[-1].copy(), vecs[-1].copy()
         del states
-        kernels += _kernel_table(ch, vecs[:-1], [(labels, vecs[1:])], [labels])
+        # K_k W goes in unnamed, so the kernel frees it once contracted
+        kernels += _kernel_table(
+            ch.out_space, ch.kraus[None] @ vecs[:-1][:, None], [(labels, vecs[1:])], [labels]
+        )
     times = tuple(k * step for k in range(count + 1))
     return MarkovKernelChain(times, kernels)
 

@@ -47,7 +47,7 @@ from onticsim import (
     table_to_csv,
     unitary_channel,
 )
-from onticsim import ontic
+from onticsim import channels, ontic
 from onticsim import tolerances as tol
 from onticsim.errors import (
     BadInterval,
@@ -103,13 +103,20 @@ def projector(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conjugate())
 
 
+def reduced_state(evolved: DensityMatrix, group) -> DensityMatrix:
+    """partial_trace onto the group, or the state itself for a whole-space group."""
+    if len(group) == len(evolved.space.factors):
+        return evolved
+    return partial_trace(evolved, group)
+
+
 def direct_table(ch, rho, splits) -> np.ndarray:
     """Tr[(P_1(i1) (x) ... (x) P_n(in) (x) 1) ch(P_w)] with every projector formed:
     the Kronecker product in split order, identity on the factors no split names,
     then permuted into the channel's output order."""
     out = ch.out_space
     evolved = apply(ch, rho)
-    decs = [ontic_decomposition(partial_trace(evolved, group)) for group in splits]
+    decs = [ontic_decomposition(reduced_state(evolved, group)) for group in splits]
     named = [label for dec in decs for label in dec.source_space.labels]
     rest = [label for label in out.labels if label not in named]
     kron_space = HilbertSpace(tuple((label, out.dim_of(label)) for label in named + rest))
@@ -596,6 +603,74 @@ def test_label_changing_channel_tables_match_direct_formula():
     assert np.max(np.abs(joint.values - direct_table(ch, rho, [["s"], ["e"]]))) <= 1e-12
 
 
+def rank_deficient_case():
+    """The three-factor channel, on a rank-3 parent: 9 null configurations,
+    4 of them at an exactly zero probability."""
+    ch, _ = three_factor_case()
+    g = np.random.default_rng(SEED + 40).normal(size=(12, 3, 2)) @ [1.0, 1j]
+    m = g @ g.conjugate().T
+    return ch, DensityMatrix(THREE, m / np.trace(m))
+
+
+def isometry_case():
+    """A random isometry from a(2) to a(2) b(3), one Kraus operator: d_out != d_in."""
+    rng = np.random.default_rng(SEED + 41)
+    a, out = HilbertSpace.of(("a", 2)), HilbertSpace.of(("a", 2), ("b", 3))
+    ch = QuantumChannel(a, out, haar_unitary(rng, 6)[None, :, :2])
+    return ch, random_density(rng, a)
+
+
+def negative_mass_case(lam_min: float):
+    """The three-factor channel, on a parent with one eigenvalue lam_min < 0,
+    inside the eigenvalue floor, that the decomposition clips to zero."""
+    ch, _ = three_factor_case()
+    rng = np.random.default_rng(SEED + 42)
+    rest = rng.uniform(0.5, 1.5, size=THREE.total_dim - 1)
+    evals = np.concatenate([[lam_min], (1.0 - lam_min) * rest / rest.sum()])
+    u = haar_unitary(rng, THREE.total_dim)
+    return ch, DensityMatrix(THREE, (u * evals) @ u.conjugate().T)
+
+
+SHARED_AMPLITUDE_CASES = {
+    "three_factors_out_of_order": (three_factor_case, [["c"], ["b"], ["a"]]),
+    "three_factors_pair_last": (three_factor_case, [["c"], ["a", "b"]]),
+    "three_factors_split_pair": (three_factor_case, [["a", "c"], ["b"]]),
+    "whole_output": (three_factor_case, [["a", "b", "c"]]),
+    "rank_deficient": (rank_deficient_case, [["b"], ["a", "c"]]),
+    "isometry": (isometry_case, [["b"], ["a"]]),
+    "isometry_whole_output": (isometry_case, [["a", "b"]]),
+    "negative_mass_4e-11": (lambda: negative_mass_case(-4e-11), [["b"], ["a", "c"]]),
+    "negative_mass_9.9e-11": (lambda: negative_mass_case(-9.9e-11), [["c"], ["a", "b"]]),
+}
+
+
+@pytest.mark.parametrize(
+    "build, splits", SHARED_AMPLITUDE_CASES.values(), ids=SHARED_AMPLITUDE_CASES.keys()
+)
+def test_reduced_states_read_off_the_shared_amplitudes(build, splits):
+    """Each reduced state of the table core, read off K W with no evolved state,
+    is partial_trace(apply(ch, rho), group) within 1e-14, on the group's
+    factors in output order, and the table is the direct formula within 1e-12.
+    A parent's eigenvalue below zero, inside the floor, weighs its Gram term
+    as it weighs rho; the Bayesian gap then grows by up to that mass, which
+    the chained route's clipped probabilities drop."""
+    ch, rho = build()
+    table, parent, reduced_states, reduced_decs = _conditional_core(ch, rho, splits)
+    evolved = apply(ch, rho)
+    for state, dec, group in zip(reduced_states, reduced_decs, splits):
+        expected = reduced_state(evolved, group)
+        assert dec.source_space == expected.space
+        assert np.max(np.abs(state - expected.matrix)) <= 1e-14
+        assert not state.flags.writeable
+    assert np.max(np.abs(table.values - direct_table(ch, rho, splits))) <= 1e-12
+    negative_mass = max(0.0, -float(np.linalg.eigvalsh(rho.matrix)[0]))
+    assert bayesian_propagation_check(ch, rho, splits) <= 1e-12 + negative_mass
+    if build is rank_deficient_case:
+        assert np.count_nonzero(parent.probabilities == 0.0) >= 4
+    if len(splits) == 1:
+        assert single_system_conditional(ch, rho) is table
+
+
 @pytest.mark.parametrize(
     "split, error",
     [
@@ -672,15 +747,23 @@ def table_case():
 def test_table_op_evolves_once_and_solves_no_eigenvalue_check(monkeypatch):
     """The table, its Bayesian check and the system table on one (channel, state):
     the parent and the two reduced states of the first call are reused, and
-    parent_conditioned_probabilities adds no evolution and no reduced state."""
+    parent_conditioned_probabilities adds no evolution and no reduced state.
+    The parent's eigenvectors are evolved once, as K W: no Kraus product
+    K rho K^dag runs, and the reduced states are admitted with no Cholesky,
+    their positivity read off the eigh that decomposes them."""
     channel, rho = table_case()
     ch = channel()
     eigh, eigvalsh = count_calls(monkeypatch, "eigh"), count_calls(monkeypatch, "eigvalsh")
     cholesky = count_calls(monkeypatch, "cholesky")
+
+    def refuse(*args):
+        raise AssertionError("the table path formed an evolved state")
+
+    monkeypatch.setattr(channels, "_apply_kraus", refuse)
     table = conditional_probabilities(ch, rho, SPLITS)
     gap = bayesian_propagation_check(ch, rho, SPLITS)
     system = parent_conditioned_probabilities(ch, rho, ["s"])
-    assert (len(eigh), len(eigvalsh), len(cholesky)) == (3, 0, 3)
+    assert (len(eigh), len(eigvalsh), len(cholesky)) == (3, 0, 0)
     monkeypatch.undo()
     fresh = DensityMatrix(rho.space, rho.matrix)
     again = conditional_probabilities(ch, fresh, SPLITS)
@@ -758,7 +841,12 @@ def test_one_table_core():
     """Every computed table goes through one kernel, and every state's table
     through one memoized core: no second evolve, trace, decompose, tabulate path."""
     assert _callers("_kernel_table") == {
-        ("ontic", "_evolve_and_tabulate"),
+        ("ontic", "_tabulate"),
+        ("trajectories", "markov_chain_from_repeated_interaction"),
+    }
+    # the table core reads its reduced states off K W: no evolved state K rho K^dag
+    assert _callers("_apply_kraus") == {
+        ("channels", "apply"),
         ("trajectories", "markov_chain_from_repeated_interaction"),
     }
     assert _callers("_conditional_core") == {
@@ -813,12 +901,11 @@ def test_only_the_kernel_builds_tables_unchecked():
     assert found == {("ontic", "_kernel_table")}
 
 
-def kernel_table_reference(ch, parents, groups, splits):
-    """The per-table kernel: one (d_in, n_w) parent matrix, one (d_g, m_g)
-    basis per group, and the table built by its checked constructor."""
-    out = ch.out_space
+def kernel_table_reference(out, amp, groups, splits):
+    """The per-table kernel: one (n_k, d_out, n_w) amplitude stack K W on the
+    output space `out`, one (d_g, m_g) basis per group, and the table built
+    by its checked constructor."""
     order = [1 + out.axis(label) for labels, _ in groups for label in labels]
-    amp = ch.kraus @ parents
     n_k, _, n_w = amp.shape
     amp = amp.reshape(n_k, *out.dims, n_w).transpose(0, *order, len(order) + 1)
     shape = [n_k]
@@ -835,11 +922,11 @@ def kernel_table_reference(ch, parents, groups, splits):
     )
 
 
-def per_table_kernel(ch, parents, groups, splits):
+def per_table_kernel(out, amps, groups, splits):
     """_kernel_table's stacked signature, one reference table per slice."""
     return [
-        kernel_table_reference(ch, parents[k], [(labels, b[k]) for labels, b in groups], splits)
-        for k in range(len(parents))
+        kernel_table_reference(out, amps[k], [(labels, b[k]) for labels, b in groups], splits)
+        for k in range(len(amps))
     ]
 
 
@@ -898,16 +985,17 @@ def test_the_kernel_stack_gets_the_table_by_table_verdict(flaw, where):
     elif flaw == "nan":
         parents[where, 1, 2] = np.nan
     splits = [["e"], ["s"]]
+    out, amps = ch.out_space, ch.kraus[None] @ parents[:, None]
     if flaw != "none":
         with pytest.raises(ToleranceBreach) as expected:
-            kernel_table_reference(ch, parents[where], [(l, b[where]) for l, b in groups], splits)
+            kernel_table_reference(out, amps[where], [(l, b[where]) for l, b in groups], splits)
         with pytest.raises(ToleranceBreach) as raised:
-            ontic._kernel_table(ch, parents, groups, splits)
+            ontic._kernel_table(out, amps, groups, splits)
         assert str(raised.value) == str(expected.value)
         return
-    tables = ontic._kernel_table(ch, parents, groups, splits)
+    tables = ontic._kernel_table(out, amps, groups, splits)
     assert len(tables) == 5
-    for table, ref in zip(tables, per_table_kernel(ch, parents, groups, splits)):
+    for table, ref in zip(tables, per_table_kernel(out, amps, groups, splits)):
         checked = ConditionalProbabilityTable(
             table.parent_indices, table.column_indices, table.values, table.splits
         )

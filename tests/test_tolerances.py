@@ -20,6 +20,7 @@ from onticsim import (
     nonlinearity_witness,
     unitary_channel,
 )
+from onticsim import ontic, qcore
 from onticsim import tolerances as tol
 from onticsim.errors import NotADistribution, NotAWitnessPair, NotUnitary, ToleranceBreach
 
@@ -270,6 +271,47 @@ def test_a_stack_gets_the_slice_by_slice_verdict(flaw, where):
     certified = [tol.psd_certified(a) for a in stack]
     assert tol.psd_certified(stack) == all(certified)
     assert all(certified) == (flaw in ("none", "non_hermitian"))
+
+
+def counted(monkeypatch, name: str) -> list:
+    """Record the stack length of each np.linalg.<name> call from here on."""
+    calls, solver = [], getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name, lambda a, *args: calls.append(len(a)) or solver(a, *args))
+    return calls
+
+
+@pytest.mark.parametrize("where", [0, 2, 4])
+@pytest.mark.parametrize("flaw", ["none", "negative", "nan"])
+def test_a_derived_stack_gets_its_positivity_verdict_from_its_eigensolve(monkeypatch, flaw, where):
+    """A derived stack is admitted as the table core admits a reduced state:
+    _admit without positivity, then _spectra, whose eigh gives the verdict
+    and no Cholesky runs.  A slice at lambda_min = -1e-9 is refused with
+    _admit's message, naming eigh's lambda_min where _admit's eigvalsh
+    fallback names its own, equal to rounding; a NaN slice is refused by
+    the Hermiticity check, before any eigh."""
+    stack = spoiled_stack(flaw, where)
+    if flaw == "negative":
+        with pytest.raises(ToleranceBreach) as expected:
+            qcore._admit(stack)
+        lowest = -float(np.linalg.eigh(stack)[0][:, 0].min())
+        assert abs(lowest - float(str(expected.value).split()[2])) <= 1e-15
+    eigh, cholesky = counted(monkeypatch, "eigh"), counted(monkeypatch, "cholesky")
+    if flaw == "nan":
+        with pytest.raises(ToleranceBreach, match="^Hermiticity defect nan exceeds"):
+            qcore._admit(stack, positivity=False)
+        assert eigh == []
+        return
+    qcore._admit(stack, positivity=False)
+    if flaw == "negative":
+        with pytest.raises(ToleranceBreach) as raised:
+            ontic._spectra(stack)
+        assert str(raised.value) == f"eigenvalue negativity {lowest} exceeds {-tol.EIG_FLOOR}"
+    else:
+        probs, vecs, _ = ontic._spectra(stack)
+        for k, a in enumerate(stack):
+            (p,), (v,), _ = ontic._spectra(a[None])
+            assert np.array_equal(probs[k], p) and np.array_equal(vecs[k], v)
+    assert eigh[0] == 5 and cholesky == []
 
 
 @pytest.mark.parametrize("where", [0, 2, 4])

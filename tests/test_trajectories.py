@@ -481,7 +481,7 @@ def chain_kernels_reference(h_int, rho_e, rho_s0, step, steps):
     vecs = [ontic_decomposition(rho).vectors for rho in trace_divided_states(ch, rho_s0, steps)]
     labels = rho_s0.space.labels
     return [
-        kernel_table_reference(ch, vecs[k], [(labels, vecs[k + 1])], [labels])
+        kernel_table_reference(ch.out_space, ch.kraus @ vecs[k], [(labels, vecs[k + 1])], [labels])
         for k in range(steps)
     ]
 
@@ -556,8 +556,9 @@ def test_chain_kernels_match_the_per_step_conditional_bit_for_bit(monkeypatch):
 
 
 def test_chain_kernels_match_the_per_step_conditional_across_blocks(monkeypatch):
-    """With blocks of 10 states at d = 2 and 2 at d = 4, every chain spans at
-    least 4 blocks, and each block starts from the last state and
+    """A block holds 40 amplitude entries, n_k d**2 per state: 5 states at
+    d = 2 with 2 Kraus operators, 2 with 4, and 1 at d = 4.  So every chain
+    spans at least 4 blocks, and each block starts from the last state and
     eigenvectors of the one before it: the kernels stay bit for bit."""
     monkeypatch.setattr(trajectories, "_BLOCK_ENTRIES", 40)
     admitted, admit = [], trajectories._admit
@@ -570,9 +571,9 @@ def test_chain_kernels_match_the_per_step_conditional_across_blocks(monkeypatch)
                 patch.setattr(tol, "psd_certified", lambda a: False)
             chain = markov_chain_from_repeated_interaction(h, rho_e, rho_s0, step, 32)
             reference = chain_kernels_reference(h, rho_e, rho_s0, step, 32)
-        d = rho_s0.space.total_dim
+        d, n_k = rho_s0.space.total_dim, len(chain_channel(h, rho_e, rho_s0, step).kraus)
         dims.add(d)
-        assert sum(admitted) == 32 and set(admitted[:-1]) == {40 // d**2}
+        assert sum(admitted) == 32 and set(admitted[:-1]) == {max(1, 40 // (n_k * d**2))}
         assert len(admitted) >= 4
         assert_chain_matches_reference(chain, reference, rho_s0.space.labels)
     assert dims == {2, 4}
@@ -591,9 +592,10 @@ def test_chain_kernels_are_the_per_step_conditional_within_rounding():
 
 def test_ten_thousand_step_chain_keeps_unit_trace(monkeypatch):
     """Rounding in the Kraus product drifts the trace by about 5e-16 a step;
-    undivided, this d = 4 chain's first block of 4096 states was refused
-    with a trace defect of 2.09e-12.  Divided by its trace, every one of the
-    10**4 states is admitted at a trace defect below 1e-14."""
+    undivided, this d = 4 chain's first block, then of 4096 states, was
+    refused with a trace defect of 2.09e-12.  Divided by its trace, every
+    one of the 10**4 states is admitted at a trace defect below 1e-14, in
+    blocks of 1024 states (4 Kraus operators)."""
     rng = np.random.default_rng(SEED + 30)
     h = random_generator(rng, 8)
     env = DensityMatrix(HilbertSpace.of(("e", 2)), np.diag([0.7, 0.3]).astype(complex))
@@ -607,7 +609,7 @@ def test_ten_thousand_step_chain_keeps_unit_trace(monkeypatch):
     monkeypatch.setattr(trajectories, "_admit", recorded)
     chain = markov_chain_from_repeated_interaction(h, env, rho_s0, 0.1, 10**4)
     assert len(chain.kernels) == 10**4
-    assert len(defects) == math.ceil(10**4 / (trajectories._BLOCK_ENTRIES // 16))
+    assert len(defects) == math.ceil(10**4 / (trajectories._BLOCK_ENTRIES // (4 * 16)))
     assert max(defects) < 1e-14
 
 
@@ -654,7 +656,8 @@ def test_blocks_not_steps_drive_the_solver_calls(monkeypatch):
     """A d = 16, 600-step build spans several blocks: one Cholesky and one
     eigh per block, plus the generator's and the environment's eigh."""
     h, rho_e, rho_s0 = repeated_interaction_case(SEED + 21, 16)
-    blocks = math.ceil(600 / (trajectories._BLOCK_ENTRIES // 16**2))
+    n_k = len(chain_channel(h, rho_e, rho_s0, 0.05).kraus)
+    blocks = math.ceil(600 / (trajectories._BLOCK_ENTRIES // (n_k * 16**2)))
     assert blocks > 1
     chain, calls = counted_build(monkeypatch, h, rho_e, rho_s0, 0.05, 600)
     assert len(chain.kernels) == 600
