@@ -294,7 +294,7 @@ def error_entropy_bound(model: MeasurementModel, observed_deviation: float) -> B
 def correlational_entropy(probs) -> float:
     """Shannon entropy of a probability list, in nats, with 0 ln 0 = 0."""
     p = np.asarray(probs, dtype=float)
-    tol.check(-p.min(), tol.DERIVED, NotADistribution, "probability negativity")
+    tol.check(-p.min(initial=0.0), tol.DERIVED, NotADistribution, "probability negativity")
     tol.check(abs(p.sum() - 1.0), tol.DERIVED, NotADistribution, "probability sum defect")
     p = p[p > 0.0]
     return float(-(p * np.log(p)).sum())

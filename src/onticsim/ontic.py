@@ -45,7 +45,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .channels import QuantumChannel, apply  # noqa: F401 (perfbench reads ontic.apply)
-from .errors import SpaceMismatch, ToleranceBreach
+from .errors import NotADistribution, SpaceMismatch, ToleranceBreach
 from .qcore import (
     DensityMatrix,
     HilbertSpace,
@@ -86,6 +86,7 @@ class OnticDecomposition:
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "vectors", vecs)
         _check_spectra(probs[None], vecs[None])
+        tol.check(-probs.min(), tol.DERIVED, NotADistribution, "probability negativity")
 
 
 def ontic_decomposition(rho: DensityMatrix) -> OnticDecomposition:
@@ -285,7 +286,7 @@ def _tabulate(
         x, y = (a.transpose(perm).reshape(shape) for a in (amps, weighted))
         state = (x @ y.swapaxes(1, 2)).sum(axis=0)
         state.setflags(write=False)
-        _admit(state[None], positivity=False)
+        _admit(state[None])
         reduced_states.append(state)
         reduced_decs.append(_decompose(space, state)[0])
     del weighted, x, y  # freed before the kernel's own temporaries

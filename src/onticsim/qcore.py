@@ -218,8 +218,11 @@ class PureState:
 
 
 def basis_state(space: HilbertSpace, index: int) -> PureState:
+    k = _integral(index)
+    if k is None or not 0 <= k < space.total_dim:
+        raise SpaceMismatch(f"basis index {index!r} is not in [0, {space.total_dim})")
     vec = np.zeros(space.total_dim, dtype=np.complex128)
-    vec[index] = 1.0
+    vec[k] = 1.0
     return PureState(space, vec)
 
 
@@ -231,9 +234,9 @@ def basis_state(space: HilbertSpace, index: int) -> PureState:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix on a labeled space.
 
-    All three conditions are checked at construction, by `_admit`, the trust
-    boundary: Hermiticity and trace at the construction tolerance, positivity
-    to the eigenvalue floor by a Cholesky certificate.  The state is
+    All three conditions are checked at construction, the trust boundary:
+    Hermiticity and trace by `_admit`, positivity to the eigenvalue floor by
+    a Cholesky certificate, or by the eigensolve where it fails.  The state is
     immutable, so its ontic decomposition is computed once per state object,
     and its table core once per channel object and splits; each is kept on it.
     """
@@ -246,25 +249,20 @@ class DensityMatrix:
         arr = _as_complex(self.matrix, (d, d), "density matrix")
         object.__setattr__(self, "matrix", arr)
         _admit(arr[None])
+        if not tol.psd_certified(arr):
+            tol.check(tol.negativity(arr), -tol.EIG_FLOOR, ToleranceBreach, "eigenvalue negativity")
 
 
-def _admit(matrices: np.ndarray, positivity: bool = True) -> None:
-    """The density-matrix checks over an (n, d, d) stack, each once for the
-    whole stack: Hermiticity, trace, then positivity.
-
-    Positivity is first certified by one stacked Cholesky factorization
-    (`tolerances.psd_certified`); only a stack it cannot certify pays the
-    eigensolve, which gives the verdict and the refusal message.  A derived
-    stack decomposed next skips both (positivity=False): `ontic._spectra`
-    reads its verdict off that eigh.  A stack passes exactly when each of
-    its matrices would; a refusal names the largest defect.
-    """
+def _admit(matrices: np.ndarray) -> None:
+    """Hermiticity and trace of an (n, d, d) stack, each checked once for the
+    whole stack at the construction tolerance: a stack passes exactly when
+    each of its matrices would, and a refusal names the largest defect.
+    Positivity is the caller's: a `DensityMatrix` certifies its own, and a
+    derived stack takes its verdict off the eigh that decomposes it next."""
     herm = tol.hermiticity_defect(matrices)
     tol.check(herm, tol.CONSTRUCTION, ToleranceBreach, "Hermiticity defect")
     trace = float(np.abs(matrices.trace(axis1=1, axis2=2) - 1.0).max())
     tol.check(trace, tol.CONSTRUCTION, ToleranceBreach, "trace defect")
-    if positivity and not tol.psd_certified(matrices):
-        tol.check(tol.negativity(matrices), -tol.EIG_FLOOR, ToleranceBreach, "eigenvalue negativity")
 
 
 def maximally_mixed(space: HilbertSpace) -> DensityMatrix:

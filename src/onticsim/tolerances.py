@@ -14,14 +14,14 @@ several guards share are each written once, here: `hermiticity_defect`,
 and `negativity`, so a lower eigenvalue floor reads
 check(negativity(a), -EIG_FLOOR, ...).
 
-`psd_certified` is a cheaper sufficient test for that floor: one Cholesky
-factorization whose success proves every eigenvalue exceeds EIG_FLOOR / 2,
-so a caller runs the eigensolve of `negativity` only when the certificate
-fails, and every verdict and refusal message stays what the eigensolve
-alone would give.  `hermiticity_defect`, `isometry_defect`, `negativity`
-and `psd_certified` also take a stack of matrices and give one verdict for
-all of them: the largest defect, or True only if every matrix is certified,
-so a stack passes exactly when each of its matrices would.
+`psd_certified` is a cheaper sufficient test for that floor on one matrix:
+a Cholesky factorization whose success proves every eigenvalue exceeds
+EIG_FLOOR / 2, so the `DensityMatrix` constructor runs the eigensolve of
+`negativity` only when the certificate fails, and every verdict and refusal
+message stays what the eigensolve alone would give.  `hermiticity_defect`,
+`isometry_defect` and `negativity` also take a stack of matrices and give
+one verdict for all of them, the largest defect, so a stack passes exactly
+when each of its matrices would.
 """
 
 import math
@@ -70,38 +70,32 @@ _EPS = float(np.finfo(float).eps)
 
 
 def psd_certified(a: np.ndarray) -> bool:
-    """True only if no eigenvalue of the Hermitian matrix a, or of any matrix
-    in an (n, d, d) stack a, is at or below EIG_FLOOR / 2.
+    """True only if no eigenvalue of the Hermitian matrix a is at or below
+    EIG_FLOOR / 2.
 
-    One Cholesky factorization, stacked, runs on a copy of a whose every
-    diagonal is raised by -EIG_FLOOR / 2 - margin, with margin =
-    (d + 2) eps (t + d |EIG_FLOOR|) times a safety factor, t being the
-    largest |tr| in the stack.  After Rump, "Verification of positive
-    definiteness", BIT 46 (2006): a floating-point Cholesky that completes
-    on B - margin I proves B positive definite, here B = a - EIG_FLOOR / 2 I,
-    and a margin above the one a matrix's own trace asks for only makes the
-    test stricter.  So True means lambda_min > EIG_FLOOR / 2 for every
-    matrix, which the eigenvalue floor admits; False proves nothing, for any
-    of them.  Like eigvalsh, it reads the lower triangle.  NaN or infinite
-    input returns False.
+    One Cholesky factorization runs on a copy of a whose diagonal is raised
+    by -EIG_FLOOR / 2 - margin, with margin = (d + 2) eps (|tr a| + d
+    |EIG_FLOOR|) times a safety factor.  After Rump, "Verification of
+    positive definiteness", BIT 46 (2006): a floating-point Cholesky that
+    completes on B - margin I proves B positive definite, here
+    B = a - EIG_FLOOR / 2 I.  So True means lambda_min > EIG_FLOOR / 2,
+    which the eigenvalue floor admits; False proves nothing.  Like eigvalsh,
+    it reads the lower triangle.  NaN or infinite input returns False.
     """
-    # C order, whatever the layout of a, so the reshape below is a view
-    shifted = np.array(a, dtype=np.complex128, order="C")
-    d = shifted.shape[-1]
-    # a view with one row per matrix and its diagonal in every (d + 1)-th column
-    diagonals = shifted.reshape(-1, d * d)[:, :: d + 1]
+    shifted = np.array(a, dtype=np.complex128)
+    d = len(shifted)
     # sums of short lists: a numpy reduction costs more than a d = 2 Cholesky
-    trace = max(abs(sum(row)) for row in diagonals.real.tolist())
+    trace = abs(sum(shifted.diagonal().real.tolist()))
     if not math.isfinite(trace):
         return False
     margin = _CHOLESKY_SAFETY * (d + 2) * _EPS * (trace + d * abs(EIG_FLOOR))
-    diagonals += -EIG_FLOOR / 2 - margin
+    shifted[np.diag_indices(d)] += -EIG_FLOOR / 2 - margin
     try:
         low = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
-    # a NaN or inf anywhere in a lower triangle reaches that factor's diagonal
-    return math.isfinite(sum(low.reshape(-1, d * d)[:, :: d + 1].real.ravel().tolist()))
+    # a NaN or inf anywhere in the lower triangle reaches the factor's diagonal
+    return math.isfinite(sum(low.diagonal().real.tolist()))
 
 
 def hermiticity_defect(a: np.ndarray) -> float:

@@ -9,7 +9,7 @@ sequential scalar draws), or generated physically by repeatedly coupling
 the system to a fresh environment factor, which is the regime where
 per-step reduced channels compose exactly.  That builder makes one
 stacked pass per block of states: it evolves the block, then admits,
-decomposes and tabulates the whole block at once.
+decomposes (positivity off that eigh) and tabulates the whole block at once.
 
 Two claims about the obstruction to a trajectory measure are kept
 apart.  The first holds, and the tests pin it: the kernels compose only
@@ -356,8 +356,9 @@ def markov_chain_from_repeated_interaction(
     amplitudes K_k W hold _BLOCK_ENTRIES entries, so its memory beyond the
     kernels does not grow with `steps`.  A block's states are evolved as raw
     arrays by `channels.apply`'s Kraus product, each divided by its trace so
-    the trace stays 1 over any number of steps, then admitted and decomposed
-    together, each check run once over the block.  One stacked
+    the trace stays 1 over any number of steps, then admitted (Hermiticity
+    and trace) and decomposed together, each check run once over the block:
+    the decomposing eigh gives each state's positivity verdict.  One stacked
     `ontic._kernel_table` call tabulates the block's kernels: state k's
     eigenvectors are the row side of kernel k and the column side of kernel
     k - 1, and the block's last state and eigenvectors start the next block.

@@ -485,3 +485,5 @@ def test_correlational_entropy_rejects_bad_distributions():
         correlational_entropy([0.7, 0.4])
     with pytest.raises(NotADistribution):
         correlational_entropy([1.2, -0.2])
+    with pytest.raises(NotADistribution, match="^probability sum defect 1.0 exceeds"):
+        correlational_entropy([])

@@ -150,6 +150,14 @@ def test_decomposition_sorts_by_probability():
     assert np.allclose(rebuilt, rho.matrix, atol=1e-12)
 
 
+def test_decomposition_refuses_a_negative_probability():
+    """Summing to 1 over orthonormal columns does not make [1.5, -0.5] a
+    distribution: the constructor refuses it as correlational_entropy does."""
+    for build in (lambda p: OnticDecomposition(QUBIT, p, np.eye(2)), correlational_entropy):
+        with pytest.raises(NotADistribution, match="^probability negativity 0.5 exceeds 1e-10$"):
+            build([1.5, -0.5])
+
+
 def test_decomposition_keeps_null_configurations():
     """Zero-probability eigenvectors stay in the list, below NULL_PROBABILITY."""
     rho = DensityMatrix(HilbertSpace.of(("s", 3)), np.diag([0.7, 0.3, 0.0]).astype(complex))
@@ -824,16 +832,22 @@ def test_table_core_shares_only_read_only_results():
 
 
 def _callers(name: str) -> set:
-    """(module, top-level function) of each call to `name` in the package."""
+    """(module, caller) of each call to `name` in the package: the caller is
+    a top-level function, a method as Class.method, or else a class."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                func = getattr(node, "func", None)
-                if isinstance(node, ast.Call) and name in (
-                    getattr(func, "id", None), getattr(func, "attr", None)
-                ):
-                    found.add((path.stem, getattr(top, "name", None)))
+            members = top.body if isinstance(top, ast.ClassDef) else [top]
+            for member in members:
+                caller = getattr(top, "name", None)
+                if member is not top and isinstance(member, ast.FunctionDef):
+                    caller = f"{caller}.{member.name}"
+                for node in ast.walk(member):
+                    func = getattr(node, "func", None)
+                    if isinstance(node, ast.Call) and name in (
+                        getattr(func, "id", None), getattr(func, "attr", None)
+                    ):
+                        found.add((path.stem, caller))
     return found
 
 
@@ -855,6 +869,23 @@ def test_one_table_core():
         ("ontic", "bayesian_propagation_check"),
         ("opendyn", "parent_conditioned_probabilities"),
     }
+
+
+def test_one_positivity_verdict_per_matrix():
+    """Cholesky runs only at the trust boundary, on a matrix from outside;
+    _admit checks Hermiticity and trace alone, and a derived stack takes its
+    positivity verdict off the eigh that decomposes it."""
+    assert _callers("cholesky") == {("tolerances", "psd_certified")}
+    assert _callers("psd_certified") == {("qcore", "DensityMatrix.__post_init__")}
+    assert _callers("_admit") == {
+        ("qcore", "DensityMatrix.__post_init__"),
+        ("ontic", "_tabulate"),
+        ("trajectories", "markov_chain_from_repeated_interaction"),
+    }
+    qcore_defs = ast.parse((SRC / "qcore.py").read_text()).body
+    (args,) = (f.args for f in qcore_defs if getattr(f, "name", None) == "_admit")
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["matrices"]
+    assert args.vararg is None and args.kwarg is None
 
 
 def _is_conjugate_call(node) -> bool:

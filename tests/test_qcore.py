@@ -196,6 +196,18 @@ def test_basis_state_projector_and_density():
     assert np.allclose(psi.density_matrix().matrix, p)
 
 
+@pytest.mark.parametrize("index", [-1, 3, 1.5, "1", None])
+def test_basis_state_refuses_an_index_outside_the_space(index):
+    """An index is a whole number in [0, d): -1 does not wrap to the last
+    state, and no index reaches numpy's own IndexError."""
+    space = HilbertSpace.of(("a", 3))
+    with pytest.raises(SpaceMismatch, match=r"^basis index .* is not in \[0, 3\)$"):
+        basis_state(space, index)
+    # a whole float or numpy integer reads as the index it equals, as a dimension does
+    for whole in (2.0, np.int64(2)):
+        assert basis_state(space, whole).amplitudes.tolist() == [0, 0, 1]
+
+
 def test_pure_state_phase_fuzz():
     rng = np.random.default_rng(SEED)
     space = HilbertSpace.of(("s", 4))

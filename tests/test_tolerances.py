@@ -205,8 +205,9 @@ def test_certificate_refuses_non_finite_matrices(bad):
 
 
 def test_certificate_does_not_depend_on_memory_layout():
-    """A Fortran-ordered matrix, and a stack read through a transpose, are
-    certified as their C-ordered copies are, down to lambda_min = -4e-11."""
+    """A Fortran-ordered matrix, and each matrix of a stack read through a
+    transpose, are certified as their C-ordered copies are, down to
+    lambda_min = -4e-11."""
     a = spectrum_density(-4e-11)
     fortran = np.asfortranarray(a)
     assert not fortran.flags.c_contiguous
@@ -216,8 +217,9 @@ def test_certificate_does_not_depend_on_memory_layout():
     stack = np.stack([spectrum_density(-4e-11, 8, seed) for seed in range(3)])
     transposed = stack.transpose(0, 2, 1)
     assert not transposed.flags.c_contiguous
-    assert tol.psd_certified(np.ascontiguousarray(transposed))
-    assert tol.psd_certified(transposed)
+    for a in transposed:
+        assert not a.flags.c_contiguous
+        assert tol.psd_certified(np.ascontiguousarray(a)) and tol.psd_certified(a)
 
 
 def test_certificate_reads_the_lower_triangle_as_eigvalsh_does():
@@ -268,9 +270,7 @@ def test_a_stack_gets_the_slice_by_slice_verdict(flaw, where):
         assert verdict == (flaw not in fails)
         if flaw != "nan":
             assert defect(stack) == max(defect(a) for a in stack)
-    certified = [tol.psd_certified(a) for a in stack]
-    assert tol.psd_certified(stack) == all(certified)
-    assert all(certified) == (flaw in ("none", "non_hermitian"))
+    assert all(map(tol.psd_certified, stack)) == (flaw in ("none", "non_hermitian"))
 
 
 def counted(monkeypatch, name: str) -> list:
@@ -283,25 +283,26 @@ def counted(monkeypatch, name: str) -> list:
 @pytest.mark.parametrize("where", [0, 2, 4])
 @pytest.mark.parametrize("flaw", ["none", "negative", "nan"])
 def test_a_derived_stack_gets_its_positivity_verdict_from_its_eigensolve(monkeypatch, flaw, where):
-    """A derived stack is admitted as the table core admits a reduced state:
-    _admit without positivity, then _spectra, whose eigh gives the verdict
-    and no Cholesky runs.  A slice at lambda_min = -1e-9 is refused with
-    _admit's message, naming eigh's lambda_min where _admit's eigvalsh
-    fallback names its own, equal to rounding; a NaN slice is refused by
-    the Hermiticity check, before any eigh."""
+    """A derived stack is admitted as the table core and the chain builder
+    admit theirs: _admit's Hermiticity and trace checks, then _spectra, whose
+    eigh gives the positivity verdict, and no Cholesky runs.  A slice at
+    lambda_min = -1e-9 is refused with the message the DensityMatrix
+    constructor gives for it, naming eigh's lambda_min where the constructor's
+    eigvalsh names its own, equal to rounding; a NaN slice is refused by the
+    Hermiticity check, before any eigh."""
     stack = spoiled_stack(flaw, where)
     if flaw == "negative":
         with pytest.raises(ToleranceBreach) as expected:
-            qcore._admit(stack)
+            DensityMatrix(HilbertSpace.of(("s", 3)), stack[where])
         lowest = -float(np.linalg.eigh(stack)[0][:, 0].min())
         assert abs(lowest - float(str(expected.value).split()[2])) <= 1e-15
     eigh, cholesky = counted(monkeypatch, "eigh"), counted(monkeypatch, "cholesky")
     if flaw == "nan":
         with pytest.raises(ToleranceBreach, match="^Hermiticity defect nan exceeds"):
-            qcore._admit(stack, positivity=False)
+            qcore._admit(stack)
         assert eigh == []
         return
-    qcore._admit(stack, positivity=False)
+    qcore._admit(stack)
     if flaw == "negative":
         with pytest.raises(ToleranceBreach) as raised:
             ontic._spectra(stack)
@@ -331,5 +332,5 @@ def test_a_stack_of_isometries_gets_the_slice_by_slice_verdict(flaw, where):
 
 def test_a_stack_of_one_reads_as_its_matrix():
     a = spectrum_density(-6e-11, 4)
-    for defect in (tol.hermiticity_defect, tol.isometry_defect, tol.negativity, tol.psd_certified):
+    for defect in (tol.hermiticity_defect, tol.isometry_defect, tol.negativity):
         assert defect(a[None]) == defect(a)

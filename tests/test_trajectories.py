@@ -33,7 +33,13 @@ from onticsim import (
 )
 from onticsim import tolerances as tol
 from onticsim import trajectories
-from onticsim.errors import BadInterval, GridMismatch, SpaceMismatch, TooManyTrajectories
+from onticsim.errors import (
+    BadInterval,
+    GridMismatch,
+    SpaceMismatch,
+    ToleranceBreach,
+    TooManyTrajectories,
+)
 from test_ontic import kernel_table_reference  # pytest puts tests/ on sys.path
 
 SEED = 20260816
@@ -499,9 +505,7 @@ def random_generator(rng, d):
 
 
 def chain_cases():
-    """(h_int, rho_e, rho_s0, step, certified); certified=False runs the build
-    with the Cholesky certificate refusing every stack, so each state is
-    admitted by the eigvalsh fallback."""
+    """(h_int, rho_e, rho_s0, step) of the chains the builder is checked on."""
     system, env_space = HilbertSpace.of(("s", 2)), HilbertSpace.of(("e", 2))
     # the command line's partial-swap chain at its default config
     partial_swap = (
@@ -510,22 +514,21 @@ def chain_cases():
         DensityMatrix(system, np.diag([0.7, 0.3]).astype(complex)),
         0.4,
     )
-    yield (*partial_swap, True)
+    yield partial_swap
     rng = np.random.default_rng(SEED + 15)
     for _ in range(5):
         h = random_generator(rng, 4)
         rho_e, rho_s0 = random_mixed(rng, env_space), random_mixed(rng, system)
-        yield h, rho_e, rho_s0, rng.uniform(0.2, 0.5), True
+        yield h, rho_e, rho_s0, rng.uniform(0.2, 0.5)
     # an exact tie: only the first state's decomposition takes the lexsort
     h = random_generator(rng, 4)
-    yield h, random_mixed(rng, env_space), maximally_mixed(system), rng.uniform(0.2, 0.5), True
+    yield h, random_mixed(rng, env_space), maximally_mixed(system), rng.uniform(0.2, 0.5)
     # a two-factor system, one kernel over both factors
     pair = HilbertSpace.of(("s1", 2), ("s2", 2))
     h = random_generator(rng, 8)
-    yield h, random_mixed(rng, env_space), random_mixed(rng, pair), rng.uniform(0.2, 0.5), True
-    yield (*partial_swap, False)
+    yield h, random_mixed(rng, env_space), random_mixed(rng, pair), rng.uniform(0.2, 0.5)
     h = random_generator(rng, 4)
-    yield h, random_mixed(rng, env_space), random_mixed(rng, system), rng.uniform(0.2, 0.5), False
+    yield h, random_mixed(rng, env_space), random_mixed(rng, system), rng.uniform(0.2, 0.5)
 
 
 def assert_chain_matches_reference(chain, reference, labels):
@@ -538,21 +541,13 @@ def assert_chain_matches_reference(chain, reference, labels):
 
 
 def test_chain_kernels_match_the_per_step_conditional_bit_for_bit(monkeypatch):
-    fallbacks = []
-
-    def refuse(a):
-        fallbacks.append(len(a))
-        return False
-
-    for h, rho_e, rho_s0, step, certified in chain_cases():
-        with monkeypatch.context() as patch:
-            if not certified:
-                patch.setattr(tol, "psd_certified", refuse)
-            chain = markov_chain_from_repeated_interaction(h, rho_e, rho_s0, step, 32)
-            reference = chain_kernels_reference(h, rho_e, rho_s0, step, 32)
+    """The kernels equal the per-step reference bit for bit, and the build
+    factors no state by Cholesky: each state's positivity comes off its eigh."""
+    for h, rho_e, rho_s0, step in chain_cases():
+        chain, calls = counted_build(monkeypatch, h, rho_e, rho_s0, step, 32)
+        assert calls["cholesky"] == 0
+        reference = chain_kernels_reference(h, rho_e, rho_s0, step, 32)
         assert_chain_matches_reference(chain, reference, rho_s0.space.labels)
-    # the stacked build asked once for its 32 evolved states
-    assert fallbacks.count(32) == 2
 
 
 def test_chain_kernels_match_the_per_step_conditional_across_blocks(monkeypatch):
@@ -564,13 +559,10 @@ def test_chain_kernels_match_the_per_step_conditional_across_blocks(monkeypatch)
     admitted, admit = [], trajectories._admit
     monkeypatch.setattr(trajectories, "_admit", lambda a: admitted.append(len(a)) or admit(a))
     dims = set()
-    for h, rho_e, rho_s0, step, certified in chain_cases():
+    for h, rho_e, rho_s0, step in chain_cases():
         admitted.clear()
-        with monkeypatch.context() as patch:
-            if not certified:
-                patch.setattr(tol, "psd_certified", lambda a: False)
-            chain = markov_chain_from_repeated_interaction(h, rho_e, rho_s0, step, 32)
-            reference = chain_kernels_reference(h, rho_e, rho_s0, step, 32)
+        chain = markov_chain_from_repeated_interaction(h, rho_e, rho_s0, step, 32)
+        reference = chain_kernels_reference(h, rho_e, rho_s0, step, 32)
         d, n_k = rho_s0.space.total_dim, len(chain_channel(h, rho_e, rho_s0, step).kraus)
         dims.add(d)
         assert sum(admitted) == 32 and set(admitted[:-1]) == {max(1, 40 // (n_k * d**2))}
@@ -583,7 +575,7 @@ def test_chain_kernels_are_the_per_step_conditional_within_rounding():
     """Kernel k is single_system_conditional of state k.  That call takes its
     columns from ch(rho_k) before the trace division, so the eigenvectors, and
     the kernel, differ in the last bits only: 2.9e-15 at most over these cases."""
-    for h, rho_e, rho_s0, step, _ in chain_cases():
+    for h, rho_e, rho_s0, step in chain_cases():
         chain = markov_chain_from_repeated_interaction(h, rho_e, rho_s0, step, 32)
         ch = chain_channel(h, rho_e, rho_s0, step)
         for kern, rho in zip(chain.kernels, trace_divided_states(ch, rho_s0, 32)):
@@ -642,26 +634,51 @@ def repeated_interaction_case(seed: int, d: int):
 
 def test_chain_build_is_one_stacked_pass(monkeypatch):
     """However many steps: three eigh (the generator, the environment, the
-    state stack), one Cholesky (the stack's admission) and no eigvalsh."""
+    state stack), and no Cholesky or eigvalsh."""
     h, rho_e, rho_s0 = repeated_interaction_case(SEED + 16, 2)
     for steps in (32, 64):
         chain, calls = counted_build(monkeypatch, h, rho_e, rho_s0, 0.3, steps)
         assert len(chain.kernels) == steps
         assert calls["eigh"] <= 3
-        assert calls["cholesky"] <= 1
-        assert calls["eigvalsh"] == 0
+        assert calls["cholesky"] == calls["eigvalsh"] == 0
 
 
 def test_blocks_not_steps_drive_the_solver_calls(monkeypatch):
-    """A d = 16, 600-step build spans several blocks: one Cholesky and one
-    eigh per block, plus the generator's and the environment's eigh."""
+    """A d = 16, 600-step build spans several blocks: one eigh per block,
+    plus the generator's and the environment's eigh."""
     h, rho_e, rho_s0 = repeated_interaction_case(SEED + 21, 16)
     n_k = len(chain_channel(h, rho_e, rho_s0, 0.05).kraus)
     blocks = math.ceil(600 / (trajectories._BLOCK_ENTRIES // (n_k * 16**2)))
     assert blocks > 1
     chain, calls = counted_build(monkeypatch, h, rho_e, rho_s0, 0.05, 600)
     assert len(chain.kernels) == 600
-    assert calls == Counter(eigh=blocks + 2, cholesky=blocks)
+    assert calls == Counter(eigh=blocks + 2)
+
+
+@pytest.mark.parametrize("lam_min", [-1e-9, -4e-11])
+def test_a_chain_state_below_the_eigenvalue_floor_is_refused(monkeypatch, lam_min):
+    """State 16 of a one-block, 32-step qubit chain is replaced by a Hermitian
+    unit-trace matrix with smallest eigenvalue lam_min.  Below EIG_FLOOR the
+    eigh that decomposes the block refuses the build, naming that state's
+    lambda_min; inside the floor the chain builds."""
+    h, rho_e, rho_s0 = repeated_interaction_case(SEED + 23, 2)
+    u = np.linalg.qr(random_generator(np.random.default_rng(SEED + 24), 2))[0]
+    spoiled = (u * [lam_min, 1.0 - lam_min]) @ u.conjugate().T
+    evolve, calls = trajectories._apply_kraus, []
+
+    def evolved(kraus, matrix):
+        calls.append(matrix)
+        return spoiled if len(calls) == 16 else evolve(kraus, matrix)
+
+    monkeypatch.setattr(trajectories, "_apply_kraus", evolved)
+    if lam_min < tol.EIG_FLOOR:
+        refusal = f"^eigenvalue negativity .* exceeds {-tol.EIG_FLOOR}$"
+        with pytest.raises(ToleranceBreach, match=refusal) as info:
+            markov_chain_from_repeated_interaction(h, rho_e, rho_s0, 0.3, 32)
+        assert abs(float(str(info.value).split()[2]) + lam_min) <= 1e-15
+    else:
+        assert len(markov_chain_from_repeated_interaction(h, rho_e, rho_s0, 0.3, 32).kernels) == 32
+    assert len(calls) == 32
 
 
 def test_build_memory_does_not_grow_with_the_chain():
