@@ -282,9 +282,11 @@ def error_entropy_bound(model: MeasurementModel, observed_deviation: float) -> B
     Each of the N_A apparatus factors contributes ln 2 of record entropy,
     so the deviation cannot be pushed below exp(-N_A ln 2).  The check
     passes when the observed deviation is no further than a factor of
-    tol.ENTROPY_SLACK below that floor.
+    tol.ENTROPY_SLACK below that floor.  A deviation is a gap between two
+    probabilities, so one outside [0, 1], or NaN, is refused.
     """
     tol.check(-observed_deviation, 0.0, NotADistribution, "Born deviation negativity")
+    tol.check(observed_deviation - 1.0, 0.0, NotADistribution, "Born deviation excess over 1")
     s_max = model.n_a * math.log(2.0)
     bound = math.exp(-s_max)
     satisfied = observed_deviation >= bound / tol.ENTROPY_SLACK

@@ -31,6 +31,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
@@ -151,11 +152,23 @@ def enumerate_trajectory_measure(
     """Probability of every index sequence starting from the given configuration.
 
     Exhaustive: n_states ** len(kernels) sequences, guarded at one million.
+    Every call returns a new dict, but its keys are immutable tuples shared
+    with every call of the same shape (initial_index, n_states, steps): one
+    shape's keys are built once and stay alive after the dict is dropped,
+    until a call of another shape replaces them.  By tracemalloc they hold
+    0.6 MiB at 4096 paths, 104 MiB at n_states = 2 and 19 steps, and
+    69 MiB at n_states = 1000 and 2 steps.
     """
     p = _path_probabilities(chain, n_states, initial_index)
-    start, n = _integral(initial_index), _integral(n_states)
-    paths = product((start,), *[range(n)] * len(chain.kernels))
-    return dict(zip(paths, p.tolist()))
+    keys = _path_keys(_integral(initial_index), _integral(n_states), len(chain.kernels))
+    return dict(zip(keys, p.tolist()))
+
+
+@lru_cache(maxsize=1)
+def _path_keys(start: int, n: int, steps: int) -> tuple[tuple[int, ...], ...]:
+    """The enumeration's paths in lexicographic order, built once per shape, so
+    repeated calls allocate no key tuples for the cyclic collector to scan."""
+    return tuple(product((start,), *[range(n)] * steps))
 
 
 def _path_probabilities(chain: MarkovKernelChain, n_states: int, initial_index: int) -> np.ndarray:
@@ -365,10 +378,11 @@ def markov_chain_from_repeated_interaction(
     More than _MAX_STEPS steps are refused before anything is built.
     """
     count = _integral(steps)
-    if not 0 < step < math.inf or count is None or not 1 <= count <= _MAX_STEPS:
+    finite_step = isinstance(step, numbers.Real) and 0 < step < math.inf
+    if not finite_step or count is None or not 1 <= count <= _MAX_STEPS:
         raise BadInterval(
-            f"need finite positive step and a whole number of steps in [1, {_MAX_STEPS}], "
-            f"got {step}, {steps!r}"
+            f"need finite positive real step and a whole number of steps in [1, {_MAX_STEPS}], "
+            f"got {step!r}, {steps!r}"
         )
     u_step = UnitaryFamily(rho_s0.space.tensor(rho_e_fresh.space), h_int).at(step)
     split = (list(rho_s0.space.labels), list(rho_e_fresh.space.labels))
@@ -409,9 +423,11 @@ def bloch_helix(omega: float, times: Sequence[float]) -> tuple[np.ndarray, np.nd
     strand two is its antipode.  Both are returned as arrays of
     (theta, phi) rows.  phi stays in {0, pi}: it flips when a strand
     crosses a pole, and a sample landing exactly on a pole is emitted in
-    the phi = 0 chart.
+    the phi = 0 chart.  Times that are not 1-D are refused.
     """
     t = np.asarray(times, dtype=float)
+    if t.ndim != 1:
+        raise BadInterval(f"times must be 1-D, got shape {t.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: NaN, refused on output
         nx = np.cos(omega * t)
         nz = np.sin(omega * t)

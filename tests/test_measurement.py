@@ -469,8 +469,10 @@ def test_error_entropy_bound_satisfied_flag():
     assert not far_below.satisfied
     with pytest.raises(NotADistribution):
         error_entropy_bound(model, -1e-3)
-    with pytest.raises(NotADistribution):
-        error_entropy_bound(model, math.nan)
+    for deviation in (math.nan, math.inf, 1.5):
+        with pytest.raises(NotADistribution):
+            error_entropy_bound(model, deviation)
+    assert error_entropy_bound(model, 1.0).satisfied
     assert not error_entropy_bound(model, -0.0).satisfied
 
 

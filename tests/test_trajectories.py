@@ -1,5 +1,6 @@
 """Tests for kernel chains, trajectory measures, sampling, and qubit strands."""
 import dataclasses
+import gc
 import math
 import tracemalloc
 from collections import Counter
@@ -308,6 +309,55 @@ def test_enumeration_matches_dict_growth_bit_for_bit(initial_index):
         reference = enumerate_reference(chain, n, initial_index)
         assert list(measure) == list(reference)
         assert _bits(measure.values()) == _bits(reference.values())
+
+
+def test_enumeration_shares_keys_but_returns_a_fresh_dict():
+    chain = square_chain(np.random.default_rng(SEED + 16), 2, 5)
+    first = enumerate_trajectory_measure(chain, 2, 1)
+    second = enumerate_trajectory_measure(chain, 2, 1)
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second))
+    first[next(iter(first))] = 2.0
+    first[(9, 9)] = 1.0
+    del first[list(first)[1]]
+    third = enumerate_trajectory_measure(chain, 2, 1)
+    reference = enumerate_reference(chain, 2, 1)
+    assert list(third) == list(reference)
+    assert _bits(third.values()) == _bits(reference.values())
+
+
+def test_repeated_enumeration_starts_no_collection():
+    """The 4096 path keys are built once; a repeat allocates too few tracked
+    objects to start the cyclic collector."""
+    chain = square_chain(np.random.default_rng(SEED + 17), 2, 12)
+    enumerate_trajectory_measure(chain, 2, 0)
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        measure = enumerate_trajectory_measure(chain, 2, 0)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(measure) == 4096
+    assert started == []
+
+
+def test_enumeration_matches_dict_growth_across_alternating_shapes():
+    """Each new shape replaces the shared keys; every shape still gets its own."""
+    rng = np.random.default_rng(SEED + 18)
+    chains = {(n, steps): square_chain(rng, n, steps) for n in (2, 3) for steps in range(1, 7)}
+    for _ in range(2):
+        for (n, steps), chain in chains.items():
+            for initial_index in (0, 1):
+                measure = enumerate_trajectory_measure(chain, n, initial_index)
+                reference = enumerate_reference(chain, n, initial_index)
+                assert list(measure) == list(reference)
+                assert _bits(measure.values()) == _bits(reference.values())
 
 
 @pytest.mark.parametrize("initial_index", [0, 1, 2])
@@ -704,10 +754,10 @@ def test_build_memory_does_not_grow_with_the_chain():
 def test_repeated_interaction_rejects_bad_grid():
     rho_s0 = DensityMatrix(HilbertSpace.of(("s", 2)), np.diag([0.7, 0.3]).astype(complex))
     env = basis_state(HilbertSpace.of(("e", 2)), 0).density_matrix()
-    with pytest.raises(BadInterval):
-        markov_chain_from_repeated_interaction(SWAP, env, rho_s0, 0.0, 4)
-    with pytest.raises(BadInterval):
-        markov_chain_from_repeated_interaction(SWAP, env, rho_s0, math.inf, 4)
+    # a step that is not a real number is refused too, not left to fail in a comparison
+    for step in (0.0, math.inf, "0.1", None, 0.1j):
+        with pytest.raises(BadInterval):
+            markov_chain_from_repeated_interaction(SWAP, env, rho_s0, step, 4)
     with pytest.raises(BadInterval):
         markov_chain_from_repeated_interaction(SWAP, env, rho_s0, 0.4, 0)
     for steps in (2.5, math.inf, math.nan, None):
@@ -820,6 +870,12 @@ def test_bloch_helix_strands_stay_orthogonal():
     for same in (times.tolist(), tuple(times)):
         o1, o2 = bloch_helix(omega, same)
         assert (o1.tobytes(), o2.tobytes()) == (s1.tobytes(), s2.tobytes())
+
+
+def test_bloch_helix_refuses_times_that_are_not_1d():
+    for times in ([[0.0, 1.0]], 0.5, np.zeros((2, 3))):
+        with pytest.raises(BadInterval):
+            bloch_helix(1.0, times)
 
 
 # ---------------------------------------------------------------------------
