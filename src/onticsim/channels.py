@@ -29,6 +29,8 @@ at the cut, and is generically large for entangling couplings.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import InitVar, dataclass
 from typing import Callable, Sequence
 
@@ -292,6 +294,8 @@ class UnitaryFamily:
         object.__setattr__(self, "_evecs", evecs)
 
     def at(self, t: float) -> UnitaryOperator:
+        if not (isinstance(t, numbers.Real) and math.isfinite(t)):
+            raise BadInterval(f"time {t!r} is not a finite real number")
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: NaN, refused below
             phases = np.exp(-1j * self._evals * t)
         u = (self._evecs * phases) @ self._evecs.conjugate().T
@@ -316,8 +320,8 @@ def semigroup_defect(
     first segment are thrown away.  That discard is exactly what the
     defect measures.
     """
-    if not 0.0 < t1 < t2:
-        raise BadInterval(f"need 0 < t1 < t2, got t1={t1}, t2={t2}")
+    if not (all(isinstance(t, numbers.Real) for t in (t1, t2)) and 0.0 < t1 < t2 < math.inf):
+        raise BadInterval(f"need real 0 < t1 < t2 < inf, got t1={t1!r}, t2={t2!r}")
     u1 = u_w_family(t1)
     u2 = u_w_family(t2)
     e_labels = list(split[1])
@@ -342,24 +346,23 @@ def semigroup_defect(
 SWAP_REFACTOR_TIME = np.pi / 2
 
 
-def _two_qubit_space(s_label: str = "s", e_label: str = "e") -> HilbertSpace:
-    return HilbertSpace.of((s_label, 2), (e_label, 2))
+_QUBIT_PAIR = HilbertSpace.of(("s", 2), ("e", 2))
 
 
-def factorized_family(s_label: str = "s", e_label: str = "e") -> UnitaryFamily:
+def factorized_family() -> UnitaryFamily:
     """Non-interacting generator: Pauli-Z on the system, Pauli-X on the environment."""
     h = np.kron(PAULI_Z, np.eye(2)) + np.kron(np.eye(2), PAULI_X)
-    return UnitaryFamily(_two_qubit_space(s_label, e_label), h)
+    return UnitaryFamily(_QUBIT_PAIR, h)
 
 
-def swap_refactorizing_family(s_label: str = "s", e_label: str = "e") -> UnitaryFamily:
+def swap_refactorizing_family() -> UnitaryFamily:
     """SWAP generator; the parent refactorizes exactly at SWAP_REFACTOR_TIME."""
-    return UnitaryFamily(_two_qubit_space(s_label, e_label), SWAP)
+    return UnitaryFamily(_QUBIT_PAIR, SWAP)
 
 
-def entangling_cnot_family(s_label: str = "s", e_label: str = "e") -> UnitaryFamily:
+def entangling_cnot_family() -> UnitaryFamily:
     """CNOT generator (system controls environment); entangles at generic times."""
-    return UnitaryFamily(_two_qubit_space(s_label, e_label), CNOT)
+    return UnitaryFamily(_QUBIT_PAIR, CNOT)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ record entropy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -46,7 +46,7 @@ __all__ = [
 
 
 def exponential_overlap(gamma: float, dt: float) -> float:
-    """Default per-factor record overlap, exp(-gamma * dt)."""
+    """Per-factor record overlap, exp(-gamma * dt)."""
     return math.exp(-gamma * dt)
 
 
@@ -54,9 +54,9 @@ def exponential_overlap(gamma: float, dt: float) -> float:
 class MeasurementModel:
     """Interaction parameters: factor counts, decay rates, duration.
 
-    overlap_fn maps (rate, duration) to a per-factor record overlap in
-    [0, 1]; it must equal 1 at zero duration and should be non-increasing
-    in the duration.
+    Each record factor overlaps its counterpart by exponential_overlap of
+    its keeper's rate and the duration.  Rates must be finite,
+    non-negative real numbers, and the duration a non-negative real number.
     """
 
     subject_dim: int
@@ -65,7 +65,6 @@ class MeasurementModel:
     gamma_a: float
     gamma_e: float
     dt: float
-    overlap_fn: Callable[[float, float], float] = exponential_overlap
 
     def __post_init__(self) -> None:
         dim = _integral(self.subject_dim)
@@ -80,11 +79,9 @@ class MeasurementModel:
             )
         object.__setattr__(self, "n_a", counts[0])
         object.__setattr__(self, "n_e", counts[1])
-        if not (self.gamma_a >= 0 and self.gamma_e >= 0 and self.dt >= 0):
-            raise NotADistribution("rates and duration must be non-negative")
-        for gamma in (self.gamma_a, self.gamma_e):
-            defect = abs(self.overlap_fn(gamma, 0.0) - 1.0)
-            tol.check(defect, 1e-9, ToleranceBreach, "overlap_fn distance from 1 at zero duration")
+        given = (self.gamma_a, self.gamma_e, self.dt)
+        if not all(isinstance(x, numbers.Real) and x >= 0 for x in given) or math.inf in given[:2]:
+            raise NotADistribution(f"need finite rates and a duration, all real >= 0, got {given}")
 
 
 def pointer_overlap(model: MeasurementModel, which: str) -> float:
@@ -95,7 +92,8 @@ def pointer_overlap(model: MeasurementModel, which: str) -> float:
         gamma, n = model.gamma_e, model.n_e
     else:
         raise NotADistribution(f"which must be 'apparatus' or 'environment', got {which!r}")
-    c = model.overlap_fn(gamma, model.dt)
+    # NaN at a zero rate and an infinite duration
+    c = exponential_overlap(gamma, model.dt)
     tol.check(max(-c, c - 1.0), tol.CONSTRUCTION, ToleranceBreach, "overlap distance from [0, 1]")
     return float(min(max(c, 0.0), 1.0) ** n)
 
@@ -142,49 +140,26 @@ def _assign_outcomes(vectors: np.ndarray) -> tuple[int, ...]:
     return tuple(outcome)
 
 
-def simulate_measurement(
-    model: MeasurementModel,
-    psi: PureState,
-    overlap_phases: np.ndarray | None = None,
-) -> MeasurementReport:
+def simulate_measurement(model: MeasurementModel, psi: PureState) -> MeasurementReport:
     """Subject's reduced state after the interaction, with Born diagnostics.
 
-    overlap_phases, if given, is a real antisymmetric matrix of phase
-    angles applied to the off-diagonal suppression factors, for record
-    overlaps that are not real positive.  Without it the report depends
-    only on psi and the two pointer overlaps, so it is computed once per
-    (state object, overlaps), and a repeat call with the same ones returns
-    the same read-only report.  The state keeps only its latest report.
+    The report depends only on psi and the two pointer overlaps, so it is
+    computed once per (state object, overlaps), and a repeat call with the
+    same ones returns the same read-only report.  The state keeps only its
+    latest report.
     """
     d = model.subject_dim
     if psi.space.total_dim != d:
         raise SpaceMismatch(f"state dimension {psi.space.total_dim}, model wants {d}")
     c_a = pointer_overlap(model, "apparatus")
     c_e = pointer_overlap(model, "environment")
-    if overlap_phases is None:
-        # hex keeps an overlap of -0.0 apart from 0.0
-        key = (c_a.hex(), c_e.hex())
-        return _memo(psi, "report", key, lambda: _measure(psi, c_a, c_e, None))
-    phases = np.asarray(overlap_phases, dtype=float)
-    if phases.shape != (d, d):
-        raise SpaceMismatch(f"overlap_phases has shape {phases.shape}, expected ({d}, {d})")
-    asym = np.max(np.abs(phases + phases.T))
-    tol.check(asym, tol.CONSTRUCTION, SpaceMismatch, "overlap_phases antisymmetry defect")
-    return _measure(psi, c_a, c_e, np.exp(1j * phases))
+    return _memo(psi, "report", (c_a, c_e), lambda: _measure(psi, c_a, c_e))
 
 
-def _measure(
-    psi: PureState,
-    c_a: float,
-    c_e: float,
-    phase_factors: np.ndarray | None,
-) -> MeasurementReport:
+def _measure(psi: PureState, c_a: float, c_e: float) -> MeasurementReport:
     d = psi.space.total_dim
     suppression = np.full((d, d), c_a * c_e, dtype=np.complex128)
     np.fill_diagonal(suppression, 1.0)
-    if phase_factors is not None:
-        suppression = suppression * phase_factors
-
     rho = np.outer(psi.amplitudes, psi.amplitudes.conjugate()) * suppression
     rho_s = DensityMatrix(psi.space, rho)
     dec = ontic_decomposition(rho_s)
@@ -240,8 +215,7 @@ def decoherence_scaling_sweep(
     """Re-run the measurement across total factor counts.
 
     The template model's apparatus/environment ratio is preserved
-    (rounded) at each total count; rates, duration, and overlap function
-    carry over unchanged.
+    (rounded) at each total count; rates and duration carry over unchanged.
     """
     n0 = model.n_a + model.n_e
     points = []
@@ -283,8 +257,10 @@ def error_entropy_bound(model: MeasurementModel, observed_deviation: float) -> B
     so the deviation cannot be pushed below exp(-N_A ln 2).  The check
     passes when the observed deviation is no further than a factor of
     tol.ENTROPY_SLACK below that floor.  A deviation is a gap between two
-    probabilities, so one outside [0, 1], or NaN, is refused.
+    probabilities, so one that is not a real number in [0, 1] is refused.
     """
+    if not isinstance(observed_deviation, numbers.Real):
+        raise NotADistribution(f"Born deviation {observed_deviation!r} is not a real number")
     tol.check(-observed_deviation, 0.0, NotADistribution, "Born deviation negativity")
     tol.check(observed_deviation - 1.0, 0.0, NotADistribution, "Born deviation excess over 1")
     s_max = model.n_a * math.log(2.0)

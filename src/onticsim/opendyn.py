@@ -21,13 +21,14 @@ sums the channel's other output factors out of ontic's memoized joint table.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import tolerances as tol
-from .channels import QuantumChannel, _reduced_channel, apply
+from .channels import _QUBIT_PAIR, QuantumChannel, _reduced_channel, apply
 from .errors import NotAProjector, NotAWitnessPair, NothingToTrace, SpaceMismatch
 from .ontic import ConditionalProbabilityTable, _conditional_core, _first_group_marginal
 from .qcore import (
@@ -200,46 +201,39 @@ class WitnessPair:
     split: tuple[tuple[str, ...], tuple[str, ...]]
 
 
-def _qubit_pair_space(s_label: str, e_label: str) -> HilbertSpace:
-    return HilbertSpace.of((s_label, 2), (e_label, 2))
-
-
-def bell_state(s_label: str = "s", e_label: str = "e") -> PureState:
-    """(|00> + |11>) / sqrt 2 on a labeled two-qubit space."""
+def bell_state() -> PureState:
+    """(|00> + |11>) / sqrt 2 on the two-qubit space s, e."""
     amps = np.zeros(4, dtype=np.complex128)
     amps[0] = amps[3] = 1.0 / np.sqrt(2.0)
-    return PureState(_qubit_pair_space(s_label, e_label), amps)
+    return PureState(_QUBIT_PAIR, amps)
 
 
-def werner_state(lam: float, s_label: str = "s", e_label: str = "e") -> DensityMatrix:
+def werner_state(lam: float) -> DensityMatrix:
     """Convex mix of the maximally entangled and maximally mixed two-qubit states."""
-    if not 0.0 <= lam <= 1.0:
-        raise NotAWitnessPair(f"mixing weight {lam} outside [0, 1]")
-    space = _qubit_pair_space(s_label, e_label)
-    bell = bell_state(s_label, e_label).projector()
-    return DensityMatrix(space, lam * bell + (1.0 - lam) * np.eye(4) / 4.0)
+    if not (isinstance(lam, numbers.Real) and 0.0 <= lam <= 1.0):
+        raise NotAWitnessPair(f"mixing weight {lam!r} is not a real number in [0, 1]")
+    bell = bell_state().projector()
+    return DensityMatrix(_QUBIT_PAIR, lam * bell + (1.0 - lam) * np.eye(4) / 4.0)
 
 
-def witness_pair_bell_vs_product(s_label: str = "s", e_label: str = "e") -> WitnessPair:
+def witness_pair_bell_vs_product() -> WitnessPair:
     """Maximally entangled parent against the uncorrelated one; both marginals I/2."""
-    space = _qubit_pair_space(s_label, e_label)
     return WitnessPair(
         pair_id="bell_vs_product",
-        rho_1=bell_state(s_label, e_label).density_matrix(),
-        rho_2=DensityMatrix(space, np.eye(4, dtype=np.complex128) / 4.0),
-        split=((s_label,), (e_label,)),
+        rho_1=bell_state().density_matrix(),
+        rho_2=DensityMatrix(_QUBIT_PAIR, np.eye(4, dtype=np.complex128) / 4.0),
+        split=(("s",), ("e",)),
     )
 
 
-def witness_pair_werner(
-    lam_1: float, lam_2: float, s_label: str = "s", e_label: str = "e"
-) -> WitnessPair:
+def witness_pair_werner(lam_1: float, lam_2: float) -> WitnessPair:
     """Two Werner states; every member of the family has both marginals I/2."""
+    rho_1, rho_2 = werner_state(lam_1), werner_state(lam_2)
     return WitnessPair(
-        pair_id=f"werner_{lam_1:g}_{lam_2:g}",
-        rho_1=werner_state(lam_1, s_label, e_label),
-        rho_2=werner_state(lam_2, s_label, e_label),
-        split=((s_label,), (e_label,)),
+        pair_id=f"werner_{float(lam_1):g}_{float(lam_2):g}",
+        rho_1=rho_1,
+        rho_2=rho_2,
+        split=(("s",), ("e",)),
     )
 
 

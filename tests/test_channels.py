@@ -1,4 +1,6 @@
 """Tests for unitaries, Kraus channels, dilation, and composability probes."""
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -321,6 +323,14 @@ def test_semigroup_defect_rejects_bad_interval():
         semigroup_defect(factorized_family(), _ground_env(), SPLIT, 1.3, 0.6, _plus_probe())
     with pytest.raises(BadInterval):
         semigroup_defect(factorized_family(), _ground_env(), SPLIT, 0.0, 0.6, _plus_probe())
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, "0.5", None], ids=str)
+def test_times_that_are_not_finite_reals_are_bad_intervals(t):
+    with pytest.raises(BadInterval):
+        factorized_family().at(t)
+    with pytest.raises(BadInterval):
+        semigroup_defect(factorized_family(), _ground_env(), SPLIT, 0.5, t, _plus_probe())
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,14 @@ def test_pointer_overlap_is_per_factor_product():
 
 
 @pytest.mark.parametrize("c", [math.nan, -1e-3, 1.0 + 1e-6])
-def test_pointer_overlap_refuses_values_outside_the_unit_interval(c):
-    model = default_model(overlap_fn=lambda g, t: 1.0 if t == 0.0 else c)
+def test_pointer_overlap_refuses_values_outside_the_unit_interval(c, monkeypatch):
+    """A zero rate over an infinite duration gives NaN; the out-of-range
+    values are reachable only through a replaced overlap."""
+    if math.isnan(c):
+        model = default_model(gamma_a=0.0, dt=math.inf)
+    else:
+        model = default_model()
+        monkeypatch.setattr(measurement, "exponential_overlap", lambda gamma, dt: c)
     with pytest.raises(ToleranceBreach):
         pointer_overlap(model, "apparatus")
 
@@ -78,8 +84,20 @@ def test_model_validation():
         default_model(n_a=-1)
     with pytest.raises(NotADistribution):
         default_model(gamma_a=-0.5)
-    with pytest.raises(ToleranceBreach):
-        default_model(overlap_fn=lambda g, t: 0.9)
+    with pytest.raises(NotADistribution):
+        default_model(gamma_e=math.inf)
+
+
+@pytest.mark.parametrize("value", [math.nan, -1.0, "1", 1j, None], ids=str)
+@pytest.mark.parametrize("which", ["gamma_a", "gamma_e", "dt"])
+def test_model_refuses_rates_and_durations_that_are_not_non_negative_reals(which, value):
+    with pytest.raises(NotADistribution):
+        default_model(**{which: value})
+
+
+def test_model_accepts_an_infinite_duration():
+    model = default_model(dt=math.inf)
+    assert pointer_overlap(model, "apparatus") == 0.0
 
 
 @pytest.mark.parametrize("count", [1.5, math.inf, -math.inf, math.nan, None, "3"])
@@ -238,15 +256,6 @@ def test_doubling_factors_squares_the_overlap():
     assert large.overlap_apparatus == pytest.approx(small.overlap_apparatus**2, rel=1e-12)
 
 
-def test_overlap_phases_change_nothing_but_phases():
-    model = default_model()
-    phases = np.array([[0.0, 0.8], [-0.8, 0.0]])
-    plain = simulate_measurement(model, lopsided_qubit())
-    turned = simulate_measurement(model, lopsided_qubit(), overlap_phases=phases)
-    assert abs(np.abs(turned.rho_s.matrix[0, 1]) - np.abs(plain.rho_s.matrix[0, 1])) < 1e-18
-    assert np.allclose(np.diag(turned.rho_s.matrix), np.diag(plain.rho_s.matrix))
-
-
 def test_measurement_rejects_wrong_state_dimension():
     psi = PureState(HilbertSpace.of(("s", 3)), np.array([1.0, 0.0, 0.0]))
     with pytest.raises(SpaceMismatch):
@@ -333,19 +342,6 @@ def test_each_duration_gets_its_own_report():
     assert long.overlap_apparatus == pytest.approx(short.overlap_apparatus**2, rel=1e-12)
 
 
-def test_signed_zero_overlaps_get_their_own_reports():
-    def vanishing(zero: float):
-        return lambda gamma, dt: 1.0 if dt == 0.0 else zero
-
-    psi = lopsided_qubit()
-    plus = simulate_measurement(default_model(overlap_fn=vanishing(0.0)), psi)
-    # an odd power keeps the sign of -0.0
-    minus = simulate_measurement(default_model(overlap_fn=vanishing(-0.0), n_a=1), psi)
-    assert minus is not plus
-    assert math.copysign(1.0, plus.overlap_apparatus) == 1.0
-    assert math.copysign(1.0, minus.overlap_apparatus) == -1.0
-
-
 def test_sweep_leaves_at_most_one_report_on_the_state(monkeypatch):
     """Each N has its own overlaps, so a kept report per N would only pile up."""
     made = []
@@ -368,37 +364,6 @@ def test_sweep_leaves_at_most_one_report_on_the_state(monkeypatch):
     last = default_model(subject_dim=16, n_a=points[-1].n_a, n_e=points[-1].n_e, dt=0.3)
     assert simulate_measurement(last, psi) is alive[0]
     assert len(made) == 5
-
-
-class UnhashableOverlap:
-    """exponential_overlap as a callable object that cannot be hashed."""
-
-    __hash__ = None
-
-    def __call__(self, gamma: float, dt: float) -> float:
-        return exponential_overlap(gamma, dt)
-
-
-def test_unhashable_overlap_fn_still_measures():
-    model = default_model(overlap_fn=UnhashableOverlap())
-    with pytest.raises(TypeError):
-        hash(model)
-    psi = lopsided_qubit()
-    report = simulate_measurement(model, psi)
-    assert simulate_measurement(model, psi) is report
-    assert_same_bits(report, simulate_measurement(default_model(), lopsided_qubit()))
-
-
-def test_overlap_phases_compute_on_every_call(monkeypatch):
-    model, psi = default_model(), lopsided_qubit()
-    phases = np.array([[0.0, 0.8], [-0.8, 0.0]])
-    eigh = count_calls(monkeypatch, "eigh")
-    first = simulate_measurement(model, psi, overlap_phases=phases)
-    second = simulate_measurement(model, psi, overlap_phases=phases)
-    assert second is not first
-    assert len(eigh) == 2
-    assert_same_bits(first, second)
-    assert simulate_measurement(model, psi) is not first
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -474,6 +439,12 @@ def test_error_entropy_bound_satisfied_flag():
             error_entropy_bound(model, deviation)
     assert error_entropy_bound(model, 1.0).satisfied
     assert not error_entropy_bound(model, -0.0).satisfied
+
+
+@pytest.mark.parametrize("deviation", [None, "0.1", 0.1j], ids=str)
+def test_error_entropy_bound_refuses_deviations_that_are_not_real(deviation):
+    with pytest.raises(NotADistribution):
+        error_entropy_bound(default_model(), deviation)
 
 
 def test_correlational_entropy_values():

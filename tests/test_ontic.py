@@ -445,10 +445,6 @@ def test_table_validation():
         (lambda: MeasurementModel(2, 1, 1, 1.0, 1.0, np.nan), NotADistribution),
         (lambda: MeasurementModel(np.nan, 1, 1, 1.0, 1.0, 0.1), SpaceMismatch),
         (
-            lambda: MeasurementModel(2, 1, 1, 1.0, 1.0, 0.1, overlap_fn=lambda g, t: np.nan),
-            ToleranceBreach,
-        ),
-        (
             lambda: markov_chain_from_repeated_interaction(
                 SWAP,
                 basis_state(HilbertSpace.of(("e", 2)), 0).density_matrix(),
@@ -481,7 +477,7 @@ def test_table_validation():
         "unitary_family", "kraus_channel", "conditioning_projector",
         "factorization_projector", "trajectory_times", "chain_times",
         "correlational_entropy", "measurement_gamma_a", "measurement_gamma_e",
-        "measurement_dt", "measurement_subject_dim", "measurement_overlap_fn",
+        "measurement_dt", "measurement_subject_dim",
         "repeated_interaction_step",
         "check", "hermiticity_defect", "isometry_defect", "negativity",
         "negativity_diagonal_nan",

@@ -1,4 +1,6 @@
 """Tests for conditioned channels, factorization checks, and the witness."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,17 @@ def test_werner_state_validation():
         werner_state(1.5)
     rho = werner_state(0.5)
     assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
+    assert witness_pair_werner(Fraction(1, 2), 0.2).pair_id == "werner_0.5_0.2"
+
+
+@pytest.mark.parametrize("lam", ["0.5", None, 0.5j, np.nan], ids=str)
+def test_werner_weights_that_are_not_reals_in_the_unit_interval_are_refused(lam):
+    with pytest.raises(NotAWitnessPair):
+        werner_state(lam)
+    with pytest.raises(NotAWitnessPair):
+        witness_pair_werner(lam, 0.2)
+    with pytest.raises(NotAWitnessPair):
+        witness_pair_werner(0.2, lam)
 
 
 def test_witness_report_json_fields():

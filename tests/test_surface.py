@@ -16,19 +16,10 @@ NOT_REEXPORTED = {"cli"}
 PUBLIC_DEFAULTS = {
     "channels.QuantumChannel": ("validate",),
     "channels.channel_from_json": ("validate",),
-    "channels.entangling_cnot_family": ("s_label", "e_label"),
-    "channels.factorized_family": ("s_label", "e_label"),
-    "channels.swap_refactorizing_family": ("s_label", "e_label"),
     "cli.ScenarioConfig": ("params", "seed", "output_path", "format"),
     "cli.main": ("argv",),
     "cli.parse_config": ("scenario",),
-    "measurement.MeasurementModel": ("overlap_fn",),
-    "measurement.simulate_measurement": ("overlap_phases",),
     "ontic.ConditionalProbabilityTable": ("splits",),
-    "opendyn.bell_state": ("s_label", "e_label"),
-    "opendyn.werner_state": ("s_label", "e_label"),
-    "opendyn.witness_pair_bell_vs_product": ("s_label", "e_label"),
-    "opendyn.witness_pair_werner": ("s_label", "e_label"),
 }
 
 # deleted with no shim: no module may define them again
@@ -39,6 +30,9 @@ REMOVED = (
     "density_matrix_to_json",
     "density_matrix_from_json",
 )
+
+# parameters deleted with no shim: no public callable may take them again, with or without a default
+REMOVED_PARAMETERS = ("overlap_fn", "overlap_phases", "s_label", "e_label")
 
 
 def module_names():
@@ -64,8 +58,8 @@ def test_package_reexports_exactly_the_module_exports_and_errors():
     assert public == exported | error_classes
 
 
-def test_public_defaults_are_pinned():
-    """A new option on a public function or dataclass is a visible edit here."""
+def public_parameters():
+    """module.name -> the signature parameters of every public callable but the error classes."""
     found = {}
     for name in module_names():
         module = importlib.import_module(f"onticsim.{name}")
@@ -73,11 +67,28 @@ def test_public_defaults_are_pinned():
             value = getattr(module, export)
             if not callable(value) or (isinstance(value, type) and issubclass(value, Exception)):
                 continue
-            params = inspect.signature(value).parameters.values()
-            defaults = tuple(p.name for p in params if p.default is not p.empty)
-            if defaults:
-                found[f"{name}.{export}"] = defaults
+            found[f"{name}.{export}"] = tuple(inspect.signature(value).parameters.values())
+    return found
+
+
+def test_public_defaults_are_pinned():
+    """A new option on a public function or dataclass is a visible edit here."""
+    found = {}
+    for dotted, params in public_parameters().items():
+        defaults = tuple(p.name for p in params if p.default is not p.empty)
+        if defaults:
+            found[dotted] = defaults
     assert found == PUBLIC_DEFAULTS
+
+
+def test_removed_parameters_stay_removed():
+    found = [
+        f"{dotted}({p.name})"
+        for dotted, params in public_parameters().items()
+        for p in params
+        if p.name in REMOVED_PARAMETERS
+    ]
+    assert found == []
 
 
 def test_removed_names_stay_removed():
