@@ -11,7 +11,14 @@ per-factor overlaps,
 
 The reduced state is assembled in closed form rather than by
 materializing the full joint space, so environment sizes are limited
-only by floating-point range.  Eigenvalues of the decohered state then
+only by floating-point range.  It is psi psi^dag o (c J + (1 - c) I) with
+c the product of the overlaps: a Schur product of two positive matrices,
+so positive.  The measurement is written for a stack of such states, one
+per overlap pair: they are admitted (Hermiticity and trace) and decomposed
+together, each check once over the stack, and the decomposing eigh gives
+each state its positivity verdict.  A single measurement is a stack of
+one, and a sweep over record counts is one stack per block of states.
+Eigenvalues of the decohered state then
 deviate from the Born weights at second order in the total overlap, and
 the achievable deviation is floored by the exponential of the apparatus
 record entropy.
@@ -22,13 +29,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
 from . import tolerances as tol
 from .errors import NotADistribution, SpaceMismatch, ToleranceBreach
-from .ontic import OnticDecomposition, _quadratic_forms, ontic_decomposition
-from .qcore import DensityMatrix, PureState, _integral, _memo
+from .ontic import OnticDecomposition, _decompositions, _quadratic_forms
+from .qcore import _BLOCK_ENTRIES, DensityMatrix, PureState, _derived, _integral, _memo
 
 __all__ = [
     "MeasurementModel",
@@ -46,8 +54,10 @@ __all__ = [
 
 
 def exponential_overlap(gamma: float, dt: float) -> float:
-    """Per-factor record overlap, exp(-gamma * dt)."""
-    return math.exp(-gamma * dt)
+    """Per-factor record overlap, exp(-gamma * dt).  A zero rate records
+    nothing, so its overlap is 1 at every duration, the infinite one included,
+    where 0 * inf would be NaN."""
+    return 1.0 if gamma == 0 and dt == math.inf else math.exp(-gamma * dt)
 
 
 @dataclass(frozen=True)
@@ -56,7 +66,8 @@ class MeasurementModel:
 
     Each record factor overlaps its counterpart by exponential_overlap of
     its keeper's rate and the duration.  Rates must be finite,
-    non-negative real numbers, and the duration a non-negative real number.
+    non-negative real numbers, and the duration a non-negative real number;
+    an infinite duration with a zero rate gives that keeper overlap 1.
     """
 
     subject_dim: int
@@ -92,7 +103,6 @@ def pointer_overlap(model: MeasurementModel, which: str) -> float:
         gamma, n = model.gamma_e, model.n_e
     else:
         raise NotADistribution(f"which must be 'apparatus' or 'environment', got {which!r}")
-    # NaN at a zero rate and an infinite duration
     c = exponential_overlap(gamma, model.dt)
     tol.check(max(-c, c - 1.0), tol.CONSTRUCTION, ToleranceBreach, "overlap distance from [0, 1]")
     return float(min(max(c, 0.0), 1.0) ** n)
@@ -146,39 +156,87 @@ def simulate_measurement(model: MeasurementModel, psi: PureState) -> Measurement
     The report depends only on psi and the two pointer overlaps, so it is
     computed once per (state object, overlaps), and a repeat call with the
     same ones returns the same read-only report.  The state keeps only its
-    latest report.
+    latest report.  It is a stack of one for `_measure`.
     """
+    (report,) = _reports(psi, [_overlap_pair(model, psi)])
+    return report
+
+
+def _overlap_pair(model: MeasurementModel, psi: PureState) -> tuple[float, float]:
+    """The apparatus and environment overlaps of a model, for a state it can measure."""
     d = model.subject_dim
     if psi.space.total_dim != d:
         raise SpaceMismatch(f"state dimension {psi.space.total_dim}, model wants {d}")
-    c_a = pointer_overlap(model, "apparatus")
-    c_e = pointer_overlap(model, "environment")
-    return _memo(psi, "report", (c_a, c_e), lambda: _measure(psi, c_a, c_e))
+    return pointer_overlap(model, "apparatus"), pointer_overlap(model, "environment")
 
 
-def _measure(psi: PureState, c_a: float, c_e: float) -> MeasurementReport:
+def _reports(psi: PureState, pairs: list[tuple[float, float]]) -> Iterator[MeasurementReport]:
+    """One report per overlap pair, in order, one stacked `_measure` per block
+    of states with _BLOCK_ENTRIES entries, so only one block is alive at once.
+
+    The last pair's report goes through the state's memo, which keeps it: when
+    it is already the kept report it is returned, and not measured again.  A
+    report's arrays are views of its block's, so the kept one holds its block.
+    """
+    if not pairs:
+        return
+    size = max(1, _BLOCK_ENTRIES // psi.space.total_dim**2)
+    final = (len(pairs) - 1) // size * size
+    for first in range(0, final, size):
+        yield from _measure(psi, pairs[first : first + size])
+    block, fresh = pairs[final:], []
+
+    def measured() -> MeasurementReport:
+        fresh.extend(_measure(psi, block))
+        return fresh[-1]
+
+    kept = _memo(psi, "report", block[-1], measured)
+    if not fresh and len(block) > 1:
+        fresh.extend(_measure(psi, block[:-1]))
+    yield from fresh[: len(block) - 1]
+    yield kept
+
+
+def _measure(psi: PureState, pairs: list[tuple[float, float]]) -> list[MeasurementReport]:
+    """Reports for a block of overlap pairs (c_a, c_e), from one stacked pass.
+
+    With c = c_a c_e, state k is psi psi^dag o (c J + (1 - c) I), a Schur
+    product of two positive matrices, so it is positive.  The block is
+    admitted by one `_derived` (Hermiticity and trace, no Cholesky) and
+    decomposed by one `_decompositions`, whose eigh gives each state its
+    positivity verdict; then each state's outcomes are matched.
+    """
     d = psi.space.total_dim
-    suppression = np.full((d, d), c_a * c_e, dtype=np.complex128)
-    np.fill_diagonal(suppression, 1.0)
-    rho = np.outer(psi.amplitudes, psi.amplitudes.conjugate()) * suppression
-    rho_s = DensityMatrix(psi.space, rho)
-    dec = ontic_decomposition(rho_s)
-    born = np.abs(psi.amplitudes) ** 2
+    amps = psi.amplitudes
+    diagonal = np.arange(d)
+    states = np.empty((len(pairs), d, d), dtype=np.complex128)
+    states[:] = np.array([c_a * c_e for c_a, c_e in pairs])[:, None, None]
+    states[:, diagonal, diagonal] = 1.0
+    np.multiply(np.outer(amps, amps.conjugate()), states, out=states)
+    rhos = _derived(psi.space, states)
+    decs = _decompositions(psi.space, states)
+    off = np.abs(states)
+    off[:, diagonal, diagonal] = 0.0
+    max_offdiag = off.max(axis=(1, 2)).tolist()
+    born = np.abs(amps) ** 2
     born.setflags(write=False)
-    outcome_of_entry = _assign_outcomes(dec.vectors)
-    deviations = np.abs(dec.probabilities - born[list(outcome_of_entry)])
-    off = rho.copy()
-    np.fill_diagonal(off, 0.0)
-    return MeasurementReport(
-        rho_s=rho_s,
-        decomposition=dec,
-        born_targets=born,
-        outcome_of_entry=outcome_of_entry,
-        max_born_deviation=float(deviations.max()),
-        max_offdiag=float(np.max(np.abs(off))),
-        overlap_apparatus=c_a,
-        overlap_environment=c_e,
-    )
+    reports = []
+    for rho_s, (dec, _), (c_a, c_e), offdiag in zip(rhos, decs, pairs, max_offdiag):
+        outcome_of_entry = _assign_outcomes(dec.vectors)
+        deviations = np.abs(dec.probabilities - born[list(outcome_of_entry)])
+        reports.append(
+            MeasurementReport(
+                rho_s=rho_s,
+                decomposition=dec,
+                born_targets=born,
+                outcome_of_entry=outcome_of_entry,
+                max_born_deviation=float(deviations.max()),
+                max_offdiag=offdiag,
+                overlap_apparatus=c_a,
+                overlap_environment=c_e,
+            )
+        )
+    return reports
 
 
 def born_conditional_check(model: MeasurementModel, psi: PureState) -> float:
@@ -216,20 +274,27 @@ def decoherence_scaling_sweep(
 
     The template model's apparatus/environment ratio is preserved
     (rounded) at each total count; rates and duration carry over unchanged.
+    Every count is validated before anything is measured.  The states are
+    measured in blocks of _BLOCK_ENTRIES entries, one stacked pass each, so
+    a sweep holds one block at a time; each point is bit for bit the one a
+    per-count simulate_measurement gives.  The state keeps the last count's
+    report, as simulate_measurement would leave it.
     """
     n0 = model.n_a + model.n_e
-    points = []
+    variants, pairs = [], []
     for raw in n_values:
         n = _integral(raw)
         if n is None or n < 0:
             raise NotADistribution(f"factor count {raw!r} is not a non-negative integer")
         n_a = round(n * model.n_a / n0) if n0 > 0 else n - n // 2
-        variant = replace(model, n_a=n_a, n_e=n - n_a)
-        report = simulate_measurement(variant, psi)
+        variants.append(replace(model, n_a=n_a, n_e=n - n_a))
+        pairs.append(_overlap_pair(variants[-1], psi))
+    points = []
+    for variant, report in zip(variants, _reports(psi, pairs)):
         bound = error_entropy_bound(variant, report.max_born_deviation)
         points.append(
             SweepPoint(
-                n=n,
+                n=variant.n_a + variant.n_e,
                 n_a=variant.n_a,
                 n_e=variant.n_e,
                 overlap_a=report.overlap_apparatus,

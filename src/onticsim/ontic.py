@@ -101,18 +101,26 @@ def ontic_decomposition(rho: DensityMatrix) -> OnticDecomposition:
 def _eigensystem(rho: DensityMatrix) -> tuple[OnticDecomposition, np.ndarray]:
     """The memoized decomposition and rho's unclipped eigenvalues in its order:
     sum_w lambda_w |w><w| is rho even where the clip drops an admitted lambda < 0."""
-    return _memo(rho, "decomposition", None, lambda: _decompose(rho.space, rho.matrix))
+    return _memo(
+        rho, "decomposition", None, lambda: _decompositions(rho.space, rho.matrix[None])[0]
+    )
 
 
-def _decompose(space: HilbertSpace, matrix: np.ndarray) -> tuple[OnticDecomposition, np.ndarray]:
-    (probs,), (vecs,), (evals,) = _spectra(matrix[None])
+def _decompositions(
+    space: HilbertSpace, matrices: np.ndarray
+) -> list[tuple[OnticDecomposition, np.ndarray]]:
+    """(decomposition, unclipped eigenvalues) of each matrix of an (n, d, d)
+    stack on `space`, from one `_spectra`: its eigh gives each matrix its
+    positivity verdict.  The arrays are read-only views of the stacked ones."""
+    probs, vecs, evals = _spectra(matrices)
     probs.setflags(write=False)
     vecs.setflags(write=False)
-    # _spectra has run every check of __post_init__: set the fields without it
-    dec = object.__new__(OnticDecomposition)
-    for name, value in zip(("source_space", "probabilities", "vectors"), (space, probs, vecs)):
-        object.__setattr__(dec, name, value)
-    return dec, evals
+    decs = [object.__new__(OnticDecomposition) for _ in matrices]
+    for dec, fields in zip(decs, zip(probs, vecs)):
+        # _spectra has run every check of __post_init__: set the fields without it
+        for name, value in zip(("source_space", "probabilities", "vectors"), (space, *fields)):
+            object.__setattr__(dec, name, value)
+    return list(zip(decs, evals))
 
 
 def _spectra(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -288,7 +296,7 @@ def _tabulate(
         state.setflags(write=False)
         _admit(state[None])
         reduced_states.append(state)
-        reduced_decs.append(_decompose(space, state)[0])
+        reduced_decs.append(_decompositions(space, state[None])[0][0])
     del weighted, x, y  # freed before the kernel's own temporaries
     groups = [(dec.source_space.labels, dec.vectors[None]) for dec in reduced_decs]
     (table,) = _kernel_table(out, amp[None], groups, split_labels)

@@ -59,6 +59,11 @@ def _integral(raw) -> int | None:
     return value if value == raw else None
 
 
+# matrix entries per block of a stacked pass (the chain builder's Kraus
+# amplitudes, a sweep's measurement states): 1 MiB of complex128
+_BLOCK_ENTRIES = 2**16
+
+
 def _memo(owner, kind, key, compute):
     """`compute()` once per (owner, kind, key); repeating a kind's last key returns the same object.
 
@@ -214,7 +219,10 @@ class PureState:
         return np.outer(self.amplitudes, self.amplitudes.conjugate())
 
     def density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(self.space, self.projector())
+        """|psi><psi|, positive by construction: admitted by `_derived`, with no
+        Cholesky.  Rounding moves its smallest eigenvalue by at most about
+        d eps, far inside the eigenvalue floor."""
+        return _derived(self.space, self.projector()[None])[0]
 
 
 def basis_state(space: HilbertSpace, index: int) -> PureState:
@@ -236,9 +244,13 @@ class DensityMatrix:
 
     All three conditions are checked at construction, the trust boundary:
     Hermiticity and trace by `_admit`, positivity to the eigenvalue floor by
-    a Cholesky certificate, or by the eigensolve where it fails.  The state is
-    immutable, so its ontic decomposition is computed once per state object,
-    and its table core once per channel object and splits; each is kept on it.
+    a Cholesky certificate, or by the eigensolve where it fails.  Two derived
+    kinds are built by `_derived` instead, which keeps the Hermiticity and
+    trace checks but neither copies nor certifies: a pure state's projector,
+    positive by construction, and a measurement state, whose verdict comes
+    from the eigh that decomposes it.  The state is immutable, so its ontic
+    decomposition is computed once per state object, and its table core once
+    per channel object and splits; each is kept on it.
     """
 
     space: HilbertSpace
@@ -263,6 +275,20 @@ def _admit(matrices: np.ndarray) -> None:
     tol.check(herm, tol.CONSTRUCTION, ToleranceBreach, "Hermiticity defect")
     trace = float(np.abs(matrices.trace(axis1=1, axis2=2) - 1.0).max())
     tol.check(trace, tol.CONSTRUCTION, ToleranceBreach, "trace defect")
+
+
+def _derived(space: HilbertSpace, matrices: np.ndarray) -> list[DensityMatrix]:
+    """States on `space` for an (n, d, d) stack of derived matrices, made
+    read-only, each state a view of its slice.  The stack is admitted once by
+    `_admit`; there is no copy and no Cholesky, so each matrix must be positive
+    by construction, or its caller must read the verdict off its eigh."""
+    _admit(matrices)
+    matrices.setflags(write=False)
+    states = [object.__new__(DensityMatrix) for _ in matrices]
+    for state, matrix in zip(states, matrices):
+        object.__setattr__(state, "space", space)
+        object.__setattr__(state, "matrix", matrix)
+    return states
 
 
 def maximally_mixed(space: HilbertSpace) -> DensityMatrix:

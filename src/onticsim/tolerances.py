@@ -102,7 +102,11 @@ def hermiticity_defect(a: np.ndarray) -> float:
     """max |A - A^dag| of a matrix, or the largest over an (n, d, d) stack."""
     # matrix index in the middle, (d, n, d): reversing all axes transposes each matrix
     b = a.reshape(-1, *a.shape[-2:]).swapaxes(0, 1)
-    return float(np.max(np.abs(b - b.conjugate().T)))
+    # A - A^dag written into a conjugate copy: one complex and one real temporary.
+    # np.conjugate always copies; a real array's .conjugate() is the array itself
+    diff = np.conjugate(b).T
+    np.subtract(b, diff, out=diff)
+    return float(np.max(np.abs(diff)))
 
 
 def isometry_defect(v: np.ndarray) -> float:

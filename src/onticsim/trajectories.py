@@ -47,7 +47,7 @@ from .errors import (
     TooManyTrajectories,
 )
 from .ontic import ConditionalProbabilityTable, _kernel_table, _spectra
-from .qcore import DensityMatrix, _admit, _csv_text, _integral
+from .qcore import _BLOCK_ENTRIES, DensityMatrix, _admit, _csv_text, _integral
 
 __all__ = [
     "OnticTrajectory",
@@ -67,8 +67,6 @@ ENUMERATION_GUARD = 1_000_000
 
 # most steps a repeated-interaction chain builds; the CLI caps its config with it
 _MAX_STEPS = 10**4
-# amplitude entries K_k W per block of chain states, n_k d**2 a state: 1 MiB
-_BLOCK_ENTRIES = 2**16
 
 
 def _grid(raw) -> tuple[float, ...]:

@@ -1,6 +1,7 @@
 """Tests for the decoherence measurement model and its scaling diagnostics."""
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -64,15 +65,31 @@ def test_pointer_overlap_is_per_factor_product():
 
 @pytest.mark.parametrize("c", [math.nan, -1e-3, 1.0 + 1e-6])
 def test_pointer_overlap_refuses_values_outside_the_unit_interval(c, monkeypatch):
-    """A zero rate over an infinite duration gives NaN; the out-of-range
-    values are reachable only through a replaced overlap."""
-    if math.isnan(c):
-        model = default_model(gamma_a=0.0, dt=math.inf)
-    else:
-        model = default_model()
-        monkeypatch.setattr(measurement, "exponential_overlap", lambda gamma, dt: c)
+    """No model's overlap leaves [0, 1]; these values are reachable only
+    through a replaced overlap."""
+    model = default_model()
+    monkeypatch.setattr(measurement, "exponential_overlap", lambda gamma, dt: c)
     with pytest.raises(ToleranceBreach):
         pointer_overlap(model, "apparatus")
+
+
+def test_a_zero_rate_keeps_overlap_one_over_an_infinite_duration():
+    """exp(-0 * inf) is NaN; a keeper with a zero rate records nothing, so its
+    overlap is 1 at every duration, and the model measures."""
+    assert exponential_overlap(0.0, math.inf) == exponential_overlap(0, math.inf) == 1.0
+    assert exponential_overlap(0.0, 7.0) == 1.0
+    assert exponential_overlap(1.0, math.inf) == 0.0
+    for n_a in (0, 3):
+        model = default_model(gamma_a=0.0, n_a=n_a, dt=math.inf)
+        assert pointer_overlap(model, "apparatus") == 1.0
+        assert pointer_overlap(model, "environment") == 0.0
+        report = simulate_measurement(model, lopsided_qubit())
+        assert (report.overlap_apparatus, report.overlap_environment) == (1.0, 0.0)
+        assert report.max_offdiag == 0.0
+        assert report.max_born_deviation <= 1e-15
+    untouched = default_model(gamma_a=0.0, gamma_e=0.0, dt=math.inf)
+    coherent = simulate_measurement(untouched, lopsided_qubit())
+    assert abs(coherent.max_offdiag - math.sqrt(0.21)) < 1e-15
 
 
 def test_model_validation():
@@ -260,6 +277,12 @@ def test_measurement_rejects_wrong_state_dimension():
     psi = PureState(HilbertSpace.of(("s", 3)), np.array([1.0, 0.0, 0.0]))
     with pytest.raises(SpaceMismatch):
         simulate_measurement(default_model(), psi)
+    # a sweep refuses count by count, in order, as per-count measurements did
+    with pytest.raises(SpaceMismatch):
+        decoherence_scaling_sweep(default_model(), psi, [4, math.nan])
+    with pytest.raises(NotADistribution):
+        decoherence_scaling_sweep(default_model(), psi, [math.nan, 4])
+    assert decoherence_scaling_sweep(default_model(), psi, []) == []
 
 
 def test_born_check_agrees_with_report():
@@ -312,14 +335,14 @@ def test_born_check_reuses_the_measurement_of_the_same_state(monkeypatch):
     report = simulate_measurement(model, psi)
     check = born_conditional_check(model, psi)
     assert simulate_measurement(model, psi) is report
-    # the subject's state is admitted by its Cholesky certificate, without eigvalsh
-    assert (len(eigh), len(eigvalsh), len(cholesky)) == (1, 0, 1)
+    # the subject's state takes its positivity verdict from the eigh that decomposes it
+    assert (len(eigh), len(eigvalsh), len(cholesky)) == (1, 0, 0)
     fresh = PureState(SIXTEEN, psi.amplitudes)
     again = simulate_measurement(model, fresh)
     assert again is not report
     assert_same_bits(report, again)
     assert born_conditional_check(model, fresh) == check
-    assert (len(eigh), len(eigvalsh), len(cholesky)) == (2, 0, 2)
+    assert (len(eigh), len(eigvalsh), len(cholesky)) == (2, 0, 0)
 
 
 def test_report_arrays_are_read_only():
@@ -347,9 +370,9 @@ def test_sweep_leaves_at_most_one_report_on_the_state(monkeypatch):
     made = []
 
     def tracked(*args):
-        report = original(*args)
-        made.append(weakref.ref(report))
-        return report
+        reports = original(*args)
+        made.extend(map(weakref.ref, reports))
+        return reports
 
     original = measurement._measure
     monkeypatch.setattr(measurement, "_measure", tracked)
@@ -364,6 +387,133 @@ def test_sweep_leaves_at_most_one_report_on_the_state(monkeypatch):
     last = default_model(subject_dim=16, n_a=points[-1].n_a, n_e=points[-1].n_e, dt=0.3)
     assert simulate_measurement(last, psi) is alive[0]
     assert len(made) == 5
+
+
+def tied_state(d: int) -> PureState:
+    """Moduli 1, 1, 2, 2, ...: once the overlap underflows to 0 the state is
+    diagonal with exact ties, so the decomposition's lexsort tie-break runs."""
+    rng = np.random.default_rng(SEED + d)
+    # phases from {1, i, -1, -i}: multiplying by one keeps a modulus exact
+    amps = (np.arange(d) // 2 + 1.0) * np.array([1, 1j, -1, -1j])[rng.integers(0, 4, size=d)]
+    return PureState(HilbertSpace.of(("s", d)), amps / np.linalg.norm(amps))
+
+
+def collect_reports(monkeypatch) -> list:
+    """Every report `_measure` makes from here on, in order."""
+    made, original = [], measurement._measure
+
+    def tracked(*args):
+        reports = original(*args)
+        made.extend(reports)
+        return reports
+
+    monkeypatch.setattr(measurement, "_measure", tracked)
+    return made
+
+
+# (d, counts, block entries): 2000 factors underflow the overlap product to 0,
+# a count repeats, and d = 300 or a small block spans several blocks
+SWEEP_CASES = [
+    (2, [0, 1, 4, 4, 2000, 7], None),
+    (16, [0, 3, 2000, 16, 3, 2000], None),
+    (64, [2000, 5, 5, 0], None),
+    (300, [4, 2000, 4], None),
+    (16, [1, 2, 3, 4, 5, 2000, 7, 2000], 3 * 16**2),
+]
+
+
+@pytest.mark.parametrize("d, counts, block_entries", SWEEP_CASES)
+def test_sweep_points_are_per_count_measurements_bit_for_bit(d, counts, block_entries, monkeypatch):
+    """A sweep's stacked blocks give each count the report, and so the point,
+    that simulate_measurement gives it on a fresh state, bit for bit."""
+    if block_entries is not None:
+        monkeypatch.setattr(measurement, "_BLOCK_ENTRIES", block_entries)
+    lexsorts = count_calls_in(monkeypatch, np, "lexsort")
+    model = default_model(subject_dim=d, n_a=2, n_e=3, dt=0.5)
+    made = collect_reports(monkeypatch)
+    points = decoherence_scaling_sweep(model, tied_state(d), counts)
+    assert [pt.n for pt in points] == counts and len(made) == len(counts)
+    assert lexsorts, "no exact tie reached the lexsort tie-break"
+    for point, swept in zip(points, made):
+        variant = default_model(subject_dim=d, n_a=point.n_a, n_e=point.n_e, dt=0.5)
+        alone = simulate_measurement(variant, tied_state(d))
+        assert_same_bits(swept, alone)
+        bound = error_entropy_bound(variant, alone.max_born_deviation)
+        expected = [alone.overlap_apparatus, alone.overlap_environment, alone.max_offdiag,
+                    alone.max_born_deviation, bound.s_max, bound.bound]
+        got = [point.overlap_a, point.overlap_e, point.max_offdiag,
+               point.max_born_deviation, point.s_max, point.bound]
+        assert np.array_equal(bits(np.array(got)), bits(np.array(expected)))
+    assert any(pt.overlap_a * pt.overlap_e == 0.0 for pt in points)
+
+
+def count_calls_in(monkeypatch, module, name: str) -> list:
+    """Record each call of module.<name> from here on."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_sweep_block_is_one_eigh_and_no_cholesky(monkeypatch):
+    """64 counts at d = 16 fit one block: one admission, one eigh, and the
+    states' positivity comes from that eigh, so no Cholesky and no eigvalsh.
+    The state then keeps the last count's report, so a measurement there is
+    a memo hit; a sweep ending on the kept report measures only the rest."""
+    psi = random_sixteen()
+    model = default_model(subject_dim=16, n_a=2, n_e=3, dt=0.3)
+    eigh, eigvalsh = count_calls(monkeypatch, "eigh"), count_calls(monkeypatch, "eigvalsh")
+    cholesky = count_calls(monkeypatch, "cholesky")
+    admits = count_calls_in(monkeypatch, measurement, "_derived")
+    counts = list(range(1, 65))
+    points = decoherence_scaling_sweep(model, psi, counts)
+    assert (len(eigh), len(eigvalsh), len(cholesky), len(admits)) == (1, 0, 0, 1)
+    last = default_model(subject_dim=16, n_a=points[-1].n_a, n_e=points[-1].n_e, dt=0.3)
+    kept = simulate_measurement(last, psi)
+    born_conditional_check(last, psi)
+    assert len(eigh) == 1
+    again = decoherence_scaling_sweep(model, psi, counts)
+    assert again == points and len(eigh) == 2
+    assert simulate_measurement(last, psi) is kept
+
+
+def test_sweep_memory_does_not_grow_with_the_number_of_counts():
+    """At d = 128 a block holds 4 states (2^16 entries, 1 MiB): a sweep over
+    24 counts peaks where one over 8 does, since only one block is alive,
+    about 7 blocks with the stacked decomposition's temporaries."""
+    d = 128
+    model = default_model(subject_dim=d, n_a=1, n_e=1, dt=0.05)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for counts in (list(range(8)), list(range(24))):
+            psi = tied_state(d)
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            decoherence_scaling_sweep(model, psi, counts)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    block = 4 * d * d * 16
+    assert peaks[1] <= peaks[0] + block / 8
+    assert peaks[0] <= 8 * block
+
+
+def test_a_nan_reaching_the_measurement_state_fails_its_hermiticity_check(monkeypatch):
+    """The measurement state keeps the Hermiticity and trace checks: a NaN
+    overlap, reachable only through a replaced pointer_overlap, is refused
+    there, with the class and message of the DensityMatrix constructor."""
+    monkeypatch.setattr(measurement, "pointer_overlap", lambda model, which: math.nan)
+    eigh = count_calls(monkeypatch, "eigh")
+    with pytest.raises(ToleranceBreach, match=r"^Hermiticity defect nan exceeds 1e-12$"):
+        simulate_measurement(default_model(), lopsided_qubit())
+    with pytest.raises(ToleranceBreach, match=r"^Hermiticity defect nan exceeds 1e-12$"):
+        decoherence_scaling_sweep(default_model(), lopsided_qubit(), [2, 4])
+    assert eigh == []
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

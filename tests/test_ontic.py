@@ -870,13 +870,27 @@ def test_one_table_core():
 def test_one_positivity_verdict_per_matrix():
     """Cholesky runs only at the trust boundary, on a matrix from outside;
     _admit checks Hermiticity and trace alone, and a derived stack takes its
-    positivity verdict off the eigh that decomposes it."""
+    positivity verdict off the eigh that decomposes it.  The one derived-state
+    constructor, _derived, builds a pure state's projector, positive by
+    construction, and the measurement states, decomposed next."""
     assert _callers("cholesky") == {("tolerances", "psd_certified")}
     assert _callers("psd_certified") == {("qcore", "DensityMatrix.__post_init__")}
     assert _callers("_admit") == {
         ("qcore", "DensityMatrix.__post_init__"),
+        ("qcore", "_derived"),
         ("ontic", "_tabulate"),
         ("trajectories", "markov_chain_from_repeated_interaction"),
+    }
+    assert _callers("_derived") == {
+        ("qcore", "PureState.density_matrix"),
+        ("measurement", "_measure"),
+    }
+    assert _unchecked_constructions("DensityMatrix") == {("qcore", "_derived")}
+    # a measurement block is decomposed by one stacked pass: its eigh is each state's verdict
+    assert _callers("_decompositions") == {
+        ("ontic", "_eigensystem"),
+        ("ontic", "_tabulate"),
+        ("measurement", "_measure"),
     }
     qcore_defs = ast.parse((SRC / "qcore.py").read_text()).body
     (args,) = (f.args for f in qcore_defs if getattr(f, "name", None) == "_admit")
@@ -910,9 +924,8 @@ def test_one_quadratic_form():
     }
 
 
-def test_only_the_kernel_builds_tables_unchecked():
-    """object.__new__(ConditionalProbabilityTable) skips the table checks; only
-    _kernel_table, which runs them once over its stack, may do that."""
+def _unchecked_constructions(cls: str) -> set:
+    """(module, top-level name) of each object.__new__(cls) in the package."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -922,10 +935,16 @@ def test_only_the_kernel_builds_tables_unchecked():
                     isinstance(node, ast.Call)
                     and getattr(func, "attr", None) == "__new__"
                     and getattr(getattr(func, "value", None), "id", None) == "object"
-                    and any(getattr(a, "id", None) == "ConditionalProbabilityTable" for a in node.args)
+                    and any(getattr(a, "id", None) == cls for a in node.args)
                 ):
                     found.add((path.stem, getattr(top, "name", None)))
-    assert found == {("ontic", "_kernel_table")}
+    return found
+
+
+def test_only_the_kernel_builds_tables_unchecked():
+    """object.__new__(ConditionalProbabilityTable) skips the table checks; only
+    _kernel_table, which runs them once over its stack, may do that."""
+    assert _unchecked_constructions("ConditionalProbabilityTable") == {("ontic", "_kernel_table")}
 
 
 def kernel_table_reference(out, amp, groups, splits):

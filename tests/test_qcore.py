@@ -208,6 +208,38 @@ def test_basis_state_refuses_an_index_outside_the_space(index):
         assert basis_state(space, whole).amplitudes.tolist() == [0, 0, 1]
 
 
+# complex amplitudes up to d = 512; at 1024 and 2048 real ones, whose eigensolve is a fraction
+RANK_ONE_CASES = [(d, True) for d in (2, 3, 16, 128, 512)] + [(1024, False), (2048, False)]
+
+
+@pytest.mark.parametrize("d, complex_amplitudes", RANK_ONE_CASES)
+def test_a_pure_state_density_is_positive_by_construction(d, complex_amplitudes, monkeypatch):
+    """density_matrix() runs no Cholesky and no eigensolve: v v^dag is
+    positive, and rounding moves its smallest eigenvalue by at most
+    d eps |v|^2 (4.5e-13 at d = 2048), far inside -EIG_FLOOR = 1e-10.  It keeps
+    the Hermiticity and trace checks, and a NaN amplitude is still refused."""
+    rng = np.random.default_rng(SEED + d)
+    v = rng.normal(size=d) + (1j * rng.normal(size=d) if complex_amplitudes else 0.0)
+    psi = PureState(HilbertSpace.of(("s", d)), v / np.linalg.norm(v))
+    solvers = ("cholesky", "eigh", "eigvalsh")
+    called = {name: getattr(np.linalg, name) for name in solvers}
+    for name in solvers:
+        monkeypatch.setattr(np.linalg, name, lambda *a, **k: pytest.fail("a solver ran"))
+    rho = psi.density_matrix()
+    monkeypatch.undo()
+    assert not rho.matrix.flags.writeable
+    assert np.array_equal(rho.matrix, psi.projector())
+    matrix = rho.matrix if complex_amplitudes else rho.matrix.real
+    assert complex_amplitudes or not rho.matrix.imag.any()
+    lowest = float(called["eigvalsh"](matrix)[0])
+    norm_sq = float(np.linalg.norm(psi.amplitudes) ** 2)
+    assert -lowest <= d * np.finfo(float).eps * norm_sq <= 4.6e-13 < -tol.EIG_FLOOR
+    bad = psi.amplitudes.copy()
+    bad[d // 2] = np.nan
+    with pytest.raises(ToleranceBreach, match="^state norm defect nan exceeds 1e-12$"):
+        PureState(psi.space, bad)
+
+
 def test_pure_state_phase_fuzz():
     rng = np.random.default_rng(SEED)
     space = HilbertSpace.of(("s", 4))

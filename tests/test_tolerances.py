@@ -1,5 +1,6 @@
 """Tests for the one invariant check and the defect formulas in tolerances."""
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from onticsim.errors import NotADistribution, NotAWitnessPair, NotUnitary, Toler
 QUBIT = HilbertSpace.of(("s", 2))
 PAIR = HilbertSpace.of(("s", 2), ("e", 2))
 SRC = Path(onticsim.__file__).parent
+SEED = 20260901
 
 
 def test_check_names_the_defect_and_the_bound():
@@ -42,6 +44,58 @@ def test_defect_formulas_on_known_matrices():
     assert tol.negativity(np.diag([-0.25, 1.0])) == 0.25
     kraus = np.stack([np.eye(2), np.eye(2)]) / np.sqrt(2.0)
     assert tol.isometry_defect(kraus.reshape(-1, 2)) <= 1e-15
+
+
+def hermiticity_defect_reference(a: np.ndarray) -> float:
+    """The out-of-place formula: a conjugate transpose copy, a difference and an abs."""
+    b = a.reshape(-1, *a.shape[-2:]).swapaxes(0, 1)
+    return float(np.max(np.abs(b - b.conjugate().T)))
+
+
+HERMITICITY_CASES = [(1, 2), (1, 7), (5, 3), (3, 16), (40, 2), (2, 65)]
+
+
+@pytest.mark.parametrize("n, d", HERMITICITY_CASES)
+def test_hermiticity_defect_is_the_out_of_place_formula_bit_for_bit(n, d):
+    """On random stacks, near-Hermitian ones, a transposed view, a real matrix
+    and a NaN, the in-place defect is the old formula's float, the input is
+    left as it was, and a NaN still fails the check."""
+    rng = np.random.default_rng(SEED + 31 * n + d)
+    raw = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    near = (raw + raw.conjugate().swapaxes(1, 2)) / 2 + 1e-13 * rng.normal(size=(n, d, d))
+    cases = [raw, near, raw[0], raw.swapaxes(1, 2), raw.real.copy(), raw[0].real.copy()]
+    for a in cases:
+        kept = a.copy()
+        assert np.array_equal(
+            np.array([tol.hermiticity_defect(a)]).view(np.uint64),
+            np.array([hermiticity_defect_reference(a)]).view(np.uint64),
+        )
+        assert np.array_equal(a, kept)
+    spoiled = raw.copy()
+    spoiled[n - 1, d - 1, 0] = np.nan
+    assert np.isnan(tol.hermiticity_defect(spoiled))
+    with pytest.raises(ToleranceBreach, match="^Hermiticity defect nan exceeds"):
+        tol.check(tol.hermiticity_defect(spoiled), tol.CONSTRUCTION, ToleranceBreach, "Hermiticity defect")
+
+
+def test_hermiticity_defect_holds_one_complex_and_one_real_temporary():
+    """The difference is written into the conjugate copy: at d = 256 the peak
+    beyond the input is 24 bytes an entry (16 + 8), not the 32 of the
+    out-of-place formula, whose copy and difference are alive together."""
+    d = 256
+    rng = np.random.default_rng(SEED)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    tracemalloc.start()
+    try:
+        peaks = []
+        for defect in (tol.hermiticity_defect, hermiticity_defect_reference):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            defect(a)
+            peaks.append((tracemalloc.get_traced_memory()[1] - start) / d**2)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= 24.5 < 32.0 <= peaks[1]
 
 
 def _witness_pair_mismatch():
@@ -83,8 +137,8 @@ def test_failing_guard_message_names_its_bound(module):
 
 
 def _conjugate_transpose_operand(node):
-    """X when node is X.conjugate().T or, the per-matrix form for a stack,
-    X.conjugate().swapaxes(-1, -2); else None."""
+    """X when node is X.conjugate().T, np.conjugate(X).T or, the per-matrix
+    form for a stack, X.conjugate().swapaxes(-1, -2); else None."""
     if isinstance(node, ast.Attribute) and node.attr == "T":
         conjugated = node.value
     elif (
@@ -101,6 +155,8 @@ def _conjugate_transpose_operand(node):
         and isinstance(conjugated.func, ast.Attribute)
         and conjugated.func.attr == "conjugate"
     ):
+        if getattr(conjugated.func.value, "id", None) == "np" and len(conjugated.args) == 1:
+            return conjugated.args[0]
         return conjugated.func.value
     return None
 
@@ -112,7 +168,23 @@ def _same(a, b) -> bool:
 def _guard_forms(path: Path) -> list[str]:
     """Inline guard forms written in one source file."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text())):
+    tree = ast.parse(path.read_text())
+    # name -> assigned value, so an in-place np.subtract(a, c, out=c) is read through c
+    assigned = {
+        node.targets[0].id: node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "subtract"
+            and len(node.args) == 2
+        ):
+            right = node.args[1]
+            right = assigned.get(right.id) if isinstance(right, ast.Name) else right
+            if _same(node.args[0], _conjugate_transpose_operand(right)):
+                found.append("a - a.conjugate().T")
         if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
             if getattr(node.exc.func, "id", None) == "ToleranceBreach":
                 found.append("raise ToleranceBreach(...)")
