@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -717,7 +718,10 @@ def run(config: ScenarioConfig) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls:
+    each parse_args makes a fresh namespace, so no call's flags reach another."""
     parser = argparse.ArgumentParser(
         prog="onticsim",
         description="Scenario runner for configuration-level quantum dynamics.",

@@ -13,15 +13,18 @@ The reduced state is assembled in closed form rather than by
 materializing the full joint space, so environment sizes are limited
 only by floating-point range.  It is psi psi^dag o (c J + (1 - c) I) with
 c the product of the overlaps: a Schur product of two positive matrices,
-so positive.  The measurement is written for a stack of such states, one
-per overlap pair: they are admitted (Hermiticity and trace) and decomposed
-together, each check once over the stack, and the decomposing eigh gives
-each state its positivity verdict.  A single measurement is a stack of
-one, and a sweep over record counts is one stack per block of states.
-Eigenvalues of the decohered state then
-deviate from the Born weights at second order in the total overlap, and
-the achievable deviation is floored by the exponential of the apparatus
-record entropy.
+so positive.  It is also Phi R Phi^dag, with Phi = diag(psi_i / |psi_i|)
+a diagonal unitary and R = |psi| |psi|^T o (c J + (1 - c) I) real
+symmetric: its spectrum is R's, whatever psi's phases.  The measurement
+is written for a stack of such states, one per overlap pair: they are
+admitted (Hermiticity and trace) together, then solved in the real form by
+one real symmetric eigh over the stack of R, whose eigenvalues give each
+state its positivity verdict; the eigenvectors are Phi Q, checked against
+the complex states.  A single measurement is a stack of one, and a sweep
+over record counts is one stack per block of states.  Eigenvalues of the
+decohered state then deviate from the Born weights at second order in the
+total overlap, and the achievable deviation is floored by the exponential
+of the apparatus record entropy.
 """
 
 from __future__ import annotations
@@ -202,19 +205,19 @@ def _measure(psi: PureState, pairs: list[tuple[float, float]]) -> list[Measureme
 
     With c = c_a c_e, state k is psi psi^dag o (c J + (1 - c) I), a Schur
     product of two positive matrices, so it is positive.  The block is
-    admitted by one `_derived` (Hermiticity and trace, no Cholesky) and
-    decomposed by one `_decompositions`, whose eigh gives each state its
-    positivity verdict; then each state's outcomes are matched.
+    admitted by one `_derived` (Hermiticity and trace, no Cholesky) before
+    anything is solved, then decomposed by one `_decompositions` on the
+    eigensystems of `_real_form`: one real symmetric eigh for the block.  The
+    positivity verdict comes from those eigenvalues, and the drift check
+    holds the rotated eigenvectors to the admitted complex states.  Then each
+    state's outcomes are matched.
     """
-    d = psi.space.total_dim
     amps = psi.amplitudes
-    diagonal = np.arange(d)
-    states = np.empty((len(pairs), d, d), dtype=np.complex128)
-    states[:] = np.array([c_a * c_e for c_a, c_e in pairs])[:, None, None]
-    states[:, diagonal, diagonal] = 1.0
-    np.multiply(np.outer(amps, amps.conjugate()), states, out=states)
+    diagonal = np.arange(amps.size)
+    overlaps = np.array([c_a * c_e for c_a, c_e in pairs])
+    states = _decohered(amps, amps.conjugate(), overlaps)
     rhos = _derived(psi.space, states)
-    decs = _decompositions(psi.space, states)
+    decs = _decompositions(psi.space, states, lambda: _real_form(amps, overlaps))
     off = np.abs(states)
     off[:, diagonal, diagonal] = 0.0
     max_offdiag = off.max(axis=(1, 2)).tolist()
@@ -237,6 +240,35 @@ def _measure(psi: PureState, pairs: list[tuple[float, float]]) -> list[Measureme
             )
         )
     return reports
+
+
+def _real_form(amps: np.ndarray, overlaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvector columns of each state
+    psi psi^dag o (c J + (1 - c) I), one per overlap c, from its real form.
+
+    That state is Phi R Phi^dag with Phi = diag(psi_i / |psi_i|), a diagonal
+    unitary (phase 1 where psi_i = 0), and R = |psi| |psi|^T o (c J + (1 - c) I)
+    real symmetric.  So the states share R's eigenvalues, and their
+    eigenvectors are Phi Q for R's Q: one real eigh solves the stack.
+    """
+    moduli = np.hypot(amps.real, amps.imag)
+    phases = np.ones(amps.size, dtype=np.complex128)
+    np.divide(amps, moduli, out=phases, where=moduli > 0.0)
+    real = _decohered(moduli, moduli, overlaps)
+    evals, rotations = np.linalg.eigh(real)
+    # R goes before the complex eigenvectors are made: a block peaks lower
+    del real
+    return evals, phases[:, None] * rotations
+
+
+def _decohered(column: np.ndarray, row: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
+    """The stack column row^T o (c J + (1 - c) I), one matrix per overlap c."""
+    d = column.size
+    diagonal = np.arange(d)
+    stack = np.empty((overlaps.size, d, d), dtype=np.result_type(column, row))
+    stack[:] = overlaps[:, None, None]
+    stack[:, diagonal, diagonal] = 1.0
+    return np.multiply(np.outer(column, row), stack, out=stack)
 
 
 def born_conditional_check(model: MeasurementModel, psi: PureState) -> float:
@@ -273,36 +305,42 @@ def decoherence_scaling_sweep(
     """Re-run the measurement across total factor counts.
 
     The template model's apparatus/environment ratio is preserved
-    (rounded) at each total count; rates and duration carry over unchanged.
-    Every count is validated before anything is measured.  The states are
-    measured in blocks of _BLOCK_ENTRIES entries, one stacked pass each, so
-    a sweep holds one block at a time; each point is bit for bit the one a
-    per-count simulate_measurement gives.  The state keeps the last count's
-    report, as simulate_measurement would leave it.
+    (rounded) at each total count; rates and duration carry over unchanged,
+    so each count's overlaps are the template's per-factor ones raised to
+    its factor counts, and its entropy floor is error_entropy_bound's.
+    Every count is validated before anything is measured, in order, the
+    state's dimension with the first.  The states are measured in blocks of
+    _BLOCK_ENTRIES entries, one stacked pass each, so a sweep holds one block
+    at a time; each point is bit for bit the one a per-count
+    simulate_measurement gives.  The state keeps the last count's report, as
+    simulate_measurement would leave it.
     """
     n0 = model.n_a + model.n_e
-    variants, pairs = [], []
+    splits, per_factor = [], None
     for raw in n_values:
         n = _integral(raw)
         if n is None or n < 0:
             raise NotADistribution(f"factor count {raw!r} is not a non-negative integer")
+        if per_factor is None:
+            # a one-factor model's pointer overlaps: the clamped, range-checked per-factor ones
+            per_factor = _overlap_pair(replace(model, n_a=1, n_e=1), psi)
         n_a = round(n * model.n_a / n0) if n0 > 0 else n - n // 2
-        variants.append(replace(model, n_a=n_a, n_e=n - n_a))
-        pairs.append(_overlap_pair(variants[-1], psi))
+        splits.append((n_a, n - n_a))
+    pairs = [(per_factor[0] ** n_a, per_factor[1] ** n_e) for n_a, n_e in splits]
     points = []
-    for variant, report in zip(variants, _reports(psi, pairs)):
-        bound = error_entropy_bound(variant, report.max_born_deviation)
+    for (n_a, n_e), report in zip(splits, _reports(psi, pairs)):
+        s_max, bound = _entropy_floor(n_a)
         points.append(
             SweepPoint(
-                n=variant.n_a + variant.n_e,
-                n_a=variant.n_a,
-                n_e=variant.n_e,
+                n=n_a + n_e,
+                n_a=n_a,
+                n_e=n_e,
                 overlap_a=report.overlap_apparatus,
                 overlap_e=report.overlap_environment,
                 max_offdiag=report.max_offdiag,
                 max_born_deviation=report.max_born_deviation,
-                s_max=bound.s_max,
-                bound=bound.bound,
+                s_max=s_max,
+                bound=bound,
             )
         )
     return points
@@ -328,10 +366,15 @@ def error_entropy_bound(model: MeasurementModel, observed_deviation: float) -> B
         raise NotADistribution(f"Born deviation {observed_deviation!r} is not a real number")
     tol.check(-observed_deviation, 0.0, NotADistribution, "Born deviation negativity")
     tol.check(observed_deviation - 1.0, 0.0, NotADistribution, "Born deviation excess over 1")
-    s_max = model.n_a * math.log(2.0)
-    bound = math.exp(-s_max)
+    s_max, bound = _entropy_floor(model.n_a)
     satisfied = observed_deviation >= bound / tol.ENTROPY_SLACK
     return BoundReport(s_max=s_max, bound=bound, satisfied=satisfied)
+
+
+def _entropy_floor(n_a: int) -> tuple[float, float]:
+    """Record entropy N_A ln 2 of the apparatus, and the floor exp(-N_A ln 2)."""
+    s_max = n_a * math.log(2.0)
+    return s_max, math.exp(-s_max)
 
 
 def correlational_entropy(probs) -> float:

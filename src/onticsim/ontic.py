@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -107,12 +107,15 @@ def _eigensystem(rho: DensityMatrix) -> tuple[OnticDecomposition, np.ndarray]:
 
 
 def _decompositions(
-    space: HilbertSpace, matrices: np.ndarray
+    space: HilbertSpace,
+    matrices: np.ndarray,
+    eigensystem: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> list[tuple[OnticDecomposition, np.ndarray]]:
     """(decomposition, unclipped eigenvalues) of each matrix of an (n, d, d)
-    stack on `space`, from one `_spectra`: its eigh gives each matrix its
-    positivity verdict.  The arrays are read-only views of the stacked ones."""
-    probs, vecs, evals = _spectra(matrices)
+    stack on `space`, from one `_spectra` (which takes `eigensystem`): its
+    eigenvalues give each matrix its positivity verdict.  The arrays are
+    read-only views of the stacked ones."""
+    probs, vecs, evals = _spectra(matrices, eigensystem)
     probs.setflags(write=False)
     vecs.setflags(write=False)
     decs = [object.__new__(OnticDecomposition) for _ in matrices]
@@ -123,14 +126,21 @@ def _decompositions(
     return list(zip(decs, evals))
 
 
-def _spectra(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _spectra(
+    matrices: np.ndarray, eigensystem: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical eigensystems of an (n, d, d) stack of density matrices, by one
     stacked eigh: probabilities (n, d) clipped to [0, 1], phase-canonical
     eigenvector columns (n, d, d) and the eigenvalues (n, d) before the clip,
-    each matrix's in configuration order.  Checked, each check once over the
-    stack: positivity off this eigh, the sum and orthonormality of
-    `OnticDecomposition`, then the reconstruction drift."""
-    evals, evecs = np.linalg.eigh(matrices)
+    each matrix's in configuration order.  A caller that can solve the stack
+    more cheaply (the measurement's real form) passes `eigensystem`, called
+    with no argument for the ascending (eigenvalues, eigenvector columns) in
+    place of the eigh; only this function then holds the eigenvectors.
+    Checked, each check once over the stack: positivity off these
+    eigenvalues, the sum and orthonormality of `OnticDecomposition`, then the
+    drift of the rebuilt stack from `matrices`, which ties a solve of another
+    form to the matrices themselves."""
+    evals, evecs = np.linalg.eigh(matrices) if eigensystem is None else eigensystem()
     tol.check(-float(evals[..., 0].min()), -tol.EIG_FLOOR, ToleranceBreach, "eigenvalue negativity")
     count, d = matrices.shape[:2]
     probs = np.clip(evals, 0.0, 1.0).reshape(count, d)

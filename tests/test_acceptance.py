@@ -394,3 +394,32 @@ def test_a10_error_entropy_bound():
         f"suppression ratio {ratio:.10e} vs 2^-10 = {2.0 ** -10:.10e}, "
         f"bound {bound.bound:.10e}",
     )
+
+
+def test_a13_weyl_interlacing():
+    """The decohered state is Phi ((1 - c) diag(p) + c |psi| |psi|^T) Phi^dag,
+    Phi a diagonal unitary, so its spectrum is a rank-one positive update of
+    (1 - c) p: ascending, (1 - c) p_(i) <= lambda_(i) <= (1 - c) p_(i+1), and
+    lambda_max <= (1 - c) p_max + c.  This holds at any c, with no gap between
+    the Born weights assumed."""
+    rng = np.random.default_rng(SEED + 13)
+    tol = 64 * np.finfo(float).eps
+    slack = math.inf
+    for d in (2, 8, 64):
+        amps = rng.standard_normal(d) * np.exp(2j * np.pi * rng.random(d))
+        psi = PureState(HilbertSpace.of(("s", d)), amps / np.linalg.norm(amps))
+        for c in (0.5, 0.1, 0.01):
+            model = MeasurementModel(
+                subject_dim=d, n_a=1, n_e=0, gamma_a=1.0, gamma_e=1.0, dt=-math.log(c)
+            )
+            report = simulate_measurement(model, psi)
+            c = report.overlap_apparatus * report.overlap_environment
+            lam = np.sort(report.decomposition.probabilities)
+            floor = (1.0 - c) * np.sort(report.born_targets)
+            ceiling = np.append(floor[1:], floor[-1] + c)
+            slack = min(slack, (lam - floor).min(), (ceiling - lam).min())
+    _verdict(
+        "A13 Weyl interlacing",
+        slack >= -tol,
+        f"smallest slack {slack:.3e}, tolerance {tol:.3e}",
+    )

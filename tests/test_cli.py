@@ -332,6 +332,28 @@ def test_bad_flag_seed_is_validation_failure(tmp_path, monkeypatch):
     assert main(["helix", "--seed", "-3"]) == EXIT_VALIDATION
 
 
+def test_the_parser_is_built_once_and_no_flag_outlives_its_call(tmp_path, capsys, monkeypatch):
+    """main builds the argparse tree on its first call only, and each parse
+    fills a fresh namespace: a --seed given to one call does not reach the
+    next, which runs on the config's seed.  --help and a usage error exit as
+    before, 0 and 2, off the shared parser."""
+    monkeypatch.chdir(tmp_path)
+    cli._build_parser.cache_clear()
+    cfg = write_config(tmp_path, "mode = sample\nsteps = 4\n")
+    assert main(["trajectories", "--config", cfg, "--seed", "7"]) == 0
+    assert "seed=7" in capsys.readouterr().out
+    assert main(["trajectories", "--config", cfg]) == 0
+    assert "seed=0" in capsys.readouterr().out
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for argv, code in ([["--help"], 0], [["measure", "--help"], 0], [["bogus"], 2], [[], 2]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == code
+    assert "usage: onticsim" in capsys.readouterr().err
+    assert cli._build_parser.cache_info().misses == 1
+
+
 DOMAIN_ERRORS = [
     cls
     for cls in vars(errors).values()

@@ -305,6 +305,82 @@ def test_born_deviation_is_second_order_in_overlap():
 
 
 # ---------------------------------------------------------------------------
+# the real form: one real symmetric eigh per measurement stack
+# ---------------------------------------------------------------------------
+
+REAL_FORM_OVERLAPS = [0.9, 0.5, 0.1, 1e-2, 1e-4, 1e-8, 1e-12]
+MODULI = ("random", "zeros", "tied")
+
+
+def phased_state(d: int, moduli: str) -> PureState:
+    """Uniformly random phases on moduli that are random, random with every
+    third one from the second on exactly 0, or tied in pairs (1, 1, 2, 2, ...)."""
+    rng = np.random.default_rng([SEED, d, MODULI.index(moduli)])
+    if moduli == "tied":
+        mod = np.arange(d) // 2 + 1.0
+    else:
+        mod = rng.uniform(0.1, 1.0, d)
+        if moduli == "zeros":
+            mod[1::3] = 0.0
+    amps = mod * np.exp(2j * np.pi * rng.random(d))
+    return PureState(HilbertSpace.of(("s", d)), amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("moduli", MODULI)
+@pytest.mark.parametrize("d", [2, 3, 16, 64, 128, 300])
+def test_the_real_form_has_the_spectrum_of_the_complex_state(d, moduli):
+    """psi psi^dag o (c J + (1 - c) I) is Phi R Phi^dag, with Phi the diagonal
+    unitary of psi's phases (1 where psi_i = 0) and R real symmetric.  The
+    probabilities solved from R are the complex state's eigenvalues within
+    4 d eps, and each rotated eigenvector is an eigenvector of the complex
+    state within the same bound."""
+    psi = phased_state(d, moduli)
+    assert (moduli == "zeros") == (np.count_nonzero(psi.amplitudes == 0) > 0)
+    eps = np.finfo(float).eps
+    for report in measurement._measure(psi, [(c, 1.0) for c in REAL_FORM_OVERLAPS]):
+        rho = report.rho_s.matrix
+        complex_solve = np.sort(np.clip(np.linalg.eigh(rho)[0], 0.0, 1.0))
+        real_solve = np.sort(report.decomposition.probabilities)
+        assert np.abs(real_solve - complex_solve).max() <= 4 * d * eps
+        vecs, probs = report.decomposition.vectors, report.decomposition.probabilities
+        assert np.abs(rho @ vecs - vecs * probs).max() <= 4 * d * eps
+
+
+def test_a_real_qubit_has_the_bits_of_the_complex_eigenvalues():
+    """At d = 2 with real psi of either sign pattern, R's eigenvalues are the
+    complex eigh's bit for bit, and so are the reported probabilities."""
+    rng = np.random.default_rng(SEED + 2)
+    overlaps = np.array(REAL_FORM_OVERLAPS)
+    for amps in [np.array([math.sqrt(0.7), math.sqrt(0.3)]), *rng.standard_normal((40, 2))]:
+        psi = PureState(QUBIT, amps / np.linalg.norm(amps))
+        reports = measurement._measure(psi, [(c, 1.0) for c in REAL_FORM_OVERLAPS])
+        states = np.stack([report.rho_s.matrix for report in reports])
+        complex_evals = np.linalg.eigh(states)[0]
+        assert np.array_equal(bits(measurement._real_form(psi.amplitudes, overlaps)[0]),
+                              bits(complex_evals))
+        probs = np.stack([report.decomposition.probabilities for report in reports])
+        assert np.array_equal(bits(probs), bits(np.clip(complex_evals, 0.0, 1.0)[:, ::-1]))
+
+
+def test_a_measurement_is_one_real_eigh(monkeypatch):
+    """A measurement, and a sweep block, solves one float64 stack: one eigh,
+    no eigvalsh and no Cholesky."""
+    solved, original = [], np.linalg.eigh
+
+    def recorded(matrices):
+        solved.append((matrices.dtype, matrices.shape))
+        return original(matrices)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    eigvalsh, cholesky = count_calls(monkeypatch, "eigvalsh"), count_calls(monkeypatch, "cholesky")
+    model = default_model(subject_dim=16, n_a=2, n_e=3, dt=0.3)
+    simulate_measurement(model, random_sixteen())
+    decoherence_scaling_sweep(model, random_sixteen(), list(range(1, 65)))
+    assert solved == [(np.float64, (1, 16, 16)), (np.float64, (64, 16, 16))]
+    assert (eigvalsh, cholesky) == ([], [])
+
+
+# ---------------------------------------------------------------------------
 # one report per state object
 # ---------------------------------------------------------------------------
 
@@ -544,6 +620,24 @@ def test_sweep_preserves_factor_ratio():
     assert (points[0].n_a, points[0].n_e) == (3, 1)
     assert (points[1].n_a, points[1].n_e) == (6, 2)
     assert all(pt.n_a + pt.n_e == pt.n for pt in points)
+
+
+def test_a_sweep_builds_no_model_per_count(monkeypatch):
+    """A sweep derives each count's factor split, overlaps and entropy floor
+    from the template: one model for the per-factor overlaps, however many
+    counts, and no error_entropy_bound call."""
+    model, built, original = default_model(n_a=1, n_e=2), [], MeasurementModel.__post_init__
+
+    def counted(self):
+        built.append((self.n_a, self.n_e))
+        original(self)
+
+    monkeypatch.setattr(MeasurementModel, "__post_init__", counted)
+    bounds = count_calls_in(monkeypatch, measurement, "error_entropy_bound")
+    points = decoherence_scaling_sweep(model, lopsided_qubit(), list(range(64)))
+    assert len(points) == 64 and built == [(1, 1)] and bounds == []
+    assert decoherence_scaling_sweep(model, lopsided_qubit(), []) == []
+    assert built == [(1, 1)]
 
 
 @pytest.mark.parametrize(
