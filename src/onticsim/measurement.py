@@ -19,9 +19,11 @@ symmetric: its spectrum is R's, whatever psi's phases.  The measurement
 is written for a stack of such states, one per overlap pair: they are
 admitted (Hermiticity and trace) together, then solved in the real form by
 one real symmetric eigh over the stack of R, whose eigenvalues give each
-state its positivity verdict; the eigenvectors are Phi Q, checked against
-the complex states.  A single measurement is a stack of one, and a sweep
-over record counts is one stack per block of states.  Eigenvalues of the
+state its positivity verdict.  The eigenvectors are Phi Q, but they are
+checked in the real gauge, in float64: orthonormality on Q, drift on
+Q p Q^T - R, and a tie of R to the admitted complex states,
+max |Phi R Phi^dag - rho|.  A single measurement is a stack of one, and a
+sweep over record counts is one stack per block of states.  Eigenvalues of the
 decohered state then deviate from the Born weights at second order in the
 total overlap, and the achievable deviation is floored by the exponential
 of the apparatus record entropy.
@@ -68,9 +70,11 @@ class MeasurementModel:
     """Interaction parameters: factor counts, decay rates, duration.
 
     Each record factor overlaps its counterpart by exponential_overlap of
-    its keeper's rate and the duration.  Rates must be finite,
-    non-negative real numbers, and the duration a non-negative real number;
-    an infinite duration with a zero rate gives that keeper overlap 1.
+    its keeper's rate and the duration.  Factor counts must be non-negative
+    integers no larger than the largest float, since overlaps and entropy
+    floors take them as floats.  Rates must be finite, non-negative real
+    numbers, and the duration a non-negative real number; an infinite
+    duration with a zero rate gives that keeper overlap 1.
     """
 
     subject_dim: int
@@ -91,11 +95,24 @@ class MeasurementModel:
                 "factor counts must be non-negative integers, "
                 f"got n_a={self.n_a!r}, n_e={self.n_e!r}"
             )
+        _check_float_range(*counts)
         object.__setattr__(self, "n_a", counts[0])
         object.__setattr__(self, "n_e", counts[1])
         given = (self.gamma_a, self.gamma_e, self.dt)
         if not all(isinstance(x, numbers.Real) and x >= 0 for x in given) or math.inf in given[:2]:
             raise NotADistribution(f"need finite rates and a duration, all real >= 0, got {given}")
+
+
+# the largest float, as an int: overlaps and entropies take factor counts as floats
+_MAX_COUNT = 2**1024 - 2**971
+
+
+def _check_float_range(*counts: int) -> None:
+    """Refuse non-negative integer factor counts that no float can hold."""
+    if max(counts) > _MAX_COUNT:
+        raise NotADistribution(
+            f"factor counts above {_MAX_COUNT:.4g}, the largest float, are refused"
+        )
 
 
 def pointer_overlap(model: MeasurementModel, which: str) -> float:
@@ -208,9 +225,10 @@ def _measure(psi: PureState, pairs: list[tuple[float, float]]) -> list[Measureme
     admitted by one `_derived` (Hermiticity and trace, no Cholesky) before
     anything is solved, then decomposed by one `_decompositions` on the
     eigensystems of `_real_form`: one real symmetric eigh for the block.  The
-    positivity verdict comes from those eigenvalues, and the drift check
-    holds the rotated eigenvectors to the admitted complex states.  Then each
-    state's outcomes are matched.
+    positivity verdict comes from those eigenvalues.  Orthonormality and drift
+    are checked on R's eigenvectors Q and on R, in float64, and a tie term
+    holds R to the admitted complex states; only then are the eigenvectors
+    Phi Q made.  Then each state's outcomes are matched.
     """
     amps = psi.amplitudes
     diagonal = np.arange(amps.size)
@@ -242,9 +260,10 @@ def _measure(psi: PureState, pairs: list[tuple[float, float]]) -> list[Measureme
     return reports
 
 
-def _real_form(amps: np.ndarray, overlaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvector columns of each state
-    psi psi^dag o (c J + (1 - c) I), one per overlap c, from its real form.
+def _real_form(amps: np.ndarray, overlaps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The real form of each state psi psi^dag o (c J + (1 - c) I), one per
+    overlap c, solved: R's ascending eigenvalues and eigenvector columns Q,
+    Phi's diagonal and the stack R, as `_spectra` takes an eigensystem.
 
     That state is Phi R Phi^dag with Phi = diag(psi_i / |psi_i|), a diagonal
     unitary (phase 1 where psi_i = 0), and R = |psi| |psi|^T o (c J + (1 - c) I)
@@ -255,10 +274,7 @@ def _real_form(amps: np.ndarray, overlaps: np.ndarray) -> tuple[np.ndarray, np.n
     phases = np.ones(amps.size, dtype=np.complex128)
     np.divide(amps, moduli, out=phases, where=moduli > 0.0)
     real = _decohered(moduli, moduli, overlaps)
-    evals, rotations = np.linalg.eigh(real)
-    # R goes before the complex eigenvectors are made: a block peaks lower
-    del real
-    return evals, phases[:, None] * rotations
+    return (*np.linalg.eigh(real), phases, real)
 
 
 def _decohered(column: np.ndarray, row: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
@@ -321,6 +337,7 @@ def decoherence_scaling_sweep(
         n = _integral(raw)
         if n is None or n < 0:
             raise NotADistribution(f"factor count {raw!r} is not a non-negative integer")
+        _check_float_range(n)
         if per_factor is None:
             # a one-factor model's pointer overlaps: the clamped, range-checked per-factor ones
             per_factor = _overlap_pair(replace(model, n_a=1, n_e=1), psi)

@@ -85,7 +85,7 @@ class OnticDecomposition:
         vecs = _as_complex(self.vectors, (self.source_space.total_dim, probs.size), "vectors")
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "vectors", vecs)
-        _check_spectra(probs[None], vecs[None])
+        _check_spectra(probs[None], tol.isometry_defect(vecs[None]))
         tol.check(-probs.min(), tol.DERIVED, NotADistribution, "probability negativity")
 
 
@@ -109,7 +109,7 @@ def _eigensystem(rho: DensityMatrix) -> tuple[OnticDecomposition, np.ndarray]:
 def _decompositions(
     space: HilbertSpace,
     matrices: np.ndarray,
-    eigensystem: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None,
+    eigensystem: Callable[[], tuple[np.ndarray, ...]] | None = None,
 ) -> list[tuple[OnticDecomposition, np.ndarray]]:
     """(decomposition, unclipped eigenvalues) of each matrix of an (n, d, d)
     stack on `space`, from one `_spectra` (which takes `eigensystem`): its
@@ -127,25 +127,48 @@ def _decompositions(
 
 
 def _spectra(
-    matrices: np.ndarray, eigensystem: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None
+    matrices: np.ndarray, eigensystem: Callable[[], tuple[np.ndarray, ...]] | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical eigensystems of an (n, d, d) stack of density matrices, by one
     stacked eigh: probabilities (n, d) clipped to [0, 1], phase-canonical
     eigenvector columns (n, d, d) and the eigenvalues (n, d) before the clip,
-    each matrix's in configuration order.  A caller that can solve the stack
-    more cheaply (the measurement's real form) passes `eigensystem`, called
-    with no argument for the ascending (eigenvalues, eigenvector columns) in
-    place of the eigh; only this function then holds the eigenvectors.
-    Checked, each check once over the stack: positivity off these
-    eigenvalues, the sum and orthonormality of `OnticDecomposition`, then the
-    drift of the rebuilt stack from `matrices`, which ties a solve of another
-    form to the matrices themselves."""
-    evals, evecs = np.linalg.eigh(matrices) if eigensystem is None else eigensystem()
-    tol.check(-float(evals[..., 0].min()), -tol.EIG_FLOOR, ToleranceBreach, "eigenvalue negativity")
+    each matrix's in configuration order.
+
+    A caller whose matrices are Phi R Phi^dag, with Phi a diagonal unitary and
+    R real symmetric (the measurement's real form), passes `eigensystem`,
+    called with no argument for R's ascending eigenvalues and eigenvector
+    columns Q, Phi's diagonal and the stack R, in place of the eigh.  The
+    eigenvectors are then Phi Q, made here, so only this function holds them.
+
+    Checked, each check once over the stack: positivity off the eigenvalues,
+    then the probability sum, the orthonormality of the eigenvectors and the
+    drift of the rebuilt stack from `matrices`.  Without `eigensystem` the
+    last two are V^dag V - I and V lambda V^dag - rho on the complex
+    eigenvectors V.  With it they are taken in the real gauge, before Phi Q is
+    made (`_real_gauge_defects`), plus `_gauge_rounding(d)`, so neither reads
+    below the complex defect it replaces; the drift's tie term holds R to the
+    matrices themselves."""
     count, d = matrices.shape[:2]
+    if eigensystem is None:
+        evals, evecs = np.linalg.eigh(matrices)
+        # (d, n, d): every eigenvector of the stack as one column of a (d, n d) matrix
+        evecs = evecs.reshape(count, d, d).transpose(1, 0, 2)
+    else:
+        evals, rotations, phases, real = eigensystem()
+        # one complex buffer holds the tie term's temporary, then the eigenvectors:
+        # a fresh d = 128 complex matrix is above malloc's mmap threshold
+        evecs = np.empty((d, count, d), dtype=np.complex128)
+        gauge = _real_gauge_defects(
+            matrices, np.clip(evals, 0.0, 1.0), rotations, phases, real, evecs.reshape(count, d, d)
+        )
+        ortho, drift = (defect + _gauge_rounding(d) for defect in gauge)
+        # R goes before the eigenvectors are canonicalized: a block peaks lower
+        del real
+        np.multiply(phases[:, None, None], rotations.transpose(1, 0, 2), out=evecs)
+        del rotations
+    tol.check(-float(evals[..., 0].min()), -tol.EIG_FLOOR, ToleranceBreach, "eigenvalue negativity")
     probs = np.clip(evals, 0.0, 1.0).reshape(count, d)
-    # every eigenvector of the stack as one column of a (d, n d) matrix
-    columns = _canonical_phase(evecs.reshape(count, d, d).transpose(1, 0, 2).reshape(d, -1))
+    columns = _canonical_phase(evecs.reshape(d, -1))
     # a chain's stack holds every state it evolves: keep few copies of it alive
     del evecs
     offsets = d * np.arange(count)[:, None]
@@ -162,19 +185,58 @@ def _spectra(
     # C-ordered matrices, as every matrix here is: products with them round alike
     vecs = np.ascontiguousarray(ordered.transpose(1, 0, 2))
     del ordered
-    _check_spectra(ranked, vecs)
-    rebuilt = (vecs * ranked[:, None, :]) @ vecs.conjugate().swapaxes(1, 2)
-    drift = float(np.max(np.abs(rebuilt - matrices)))
+    if eigensystem is None:
+        rebuilt = (vecs * ranked[:, None, :]) @ vecs.conjugate().swapaxes(1, 2)
+        ortho, drift = tol.isometry_defect(vecs), float(np.max(np.abs(rebuilt - matrices)))
+    _check_spectra(ranked, ortho)
     tol.check(drift, tol.DERIVED, ToleranceBreach, "reconstruction drift")
     return ranked, vecs, evals.take(order + offsets)
 
 
-def _check_spectra(probs: np.ndarray, vecs: np.ndarray) -> None:
-    """Probability sum and orthonormality of an (n, m) and (n, d, m) stack of
-    eigensystems, each once for the whole stack."""
+def _real_gauge_defects(
+    matrices: np.ndarray,
+    probs: np.ndarray,
+    rotations: np.ndarray,
+    phases: np.ndarray,
+    real: np.ndarray,
+    tie: np.ndarray,
+) -> tuple[float, float]:
+    """Orthonormality and reconstruction drift of the eigenvectors Phi Q of an
+    (n, d, d) stack `matrices` = Phi R Phi^dag, in float64 where they can be:
+    max |Q^T Q - I|, and max |Q p Q^T - R| + max |Phi R Phi^dag - matrices|
+    for the clipped eigenvalues p.  Phi is a diagonal unitary, so
+    |Phi X Phi^dag| = |X| entrywise: in exact arithmetic the first is the
+    complex V^dag V - I of V = Phi Q, and by the triangle inequality the
+    second bounds V p V^dag - matrices.  The last term is formed in `tie`, an
+    (n, d, d) complex buffer the caller owns, and its moduli in the drift's
+    product: each temporary is worked on in place."""
+    ortho = tol.isometry_defect(rotations)
+    rebuilt = (rotations * probs[:, None, :]) @ rotations.swapaxes(1, 2)
+    rebuilt -= real
+    drift = float(np.max(np.abs(rebuilt, out=rebuilt)))
+    np.multiply(real, phases[:, None], out=tie)
+    tie *= phases.conjugate()
+    tie -= matrices
+    return ortho, drift + float(np.max(np.abs(tie, out=rebuilt)))
+
+
+def _gauge_rounding(d: int) -> float:
+    """A bound, to first order in the unit roundoff u = eps / 2, on how far a
+    complex defect of `_spectra` can read above its real-gauge counterpart
+    from `_real_gauge_defects` through rounding alone, at dimension d.  A
+    complex inner product of length d rounds within sqrt(2) (d + 2) u and a
+    real one within d u (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sections 3.1 and 3.6); making the phases, Phi Q,
+    its canonical phase and Phi R Phi^dag adds at most 34 u.  In all
+    sqrt(2) (d + 2) u + d u + 34 u, below 2 (d + 9) eps for every d >= 1."""
+    return 2 * (d + 9) * tol._EPS
+
+
+def _check_spectra(probs: np.ndarray, ortho: float) -> None:
+    """Probability sum of an (n, m) stack of eigensystems, once for the whole
+    stack, then their eigenvectors' orthonormality defect `ortho`."""
     total = float(np.abs(probs.sum(axis=1) - 1.0).max())
     tol.check(total, tol.DERIVED, ToleranceBreach, "probability sum defect")
-    ortho = tol.isometry_defect(vecs)
     tol.check(ortho, tol.DERIVED, ToleranceBreach, "eigenvector orthonormality defect")
 
 

@@ -458,6 +458,24 @@ def test_overflowing_psi_is_a_one_line_refusal(tmp_path, capsys, monkeypatch, sc
     assert [p.name for p in tmp_path.iterdir()] == ["scenario.cfg"]
 
 
+@pytest.mark.parametrize(
+    "scenario, entry", [("measure", "n_a ="), ("sweep", "n_values = 4,")], ids=["n_a", "n_values"]
+)
+def test_factor_counts_beyond_the_float_range_exit_three(
+    tmp_path, capsys, monkeypatch, scenario, entry
+):
+    """A 401-digit factor count parses as an int, but no overlap can be taken
+    to its power as a float: the model, or the sweep, refuses it."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, f"subject_dim = 2\n{entry} 1{'0' * 400}\n")
+    assert main([scenario, "--config", cfg, "--out", "artifact"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "validation error: NotADistribution: "
+        "factor counts above 1.798e+308, the largest float, are refused\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.cfg"]
+
+
 def test_outputs_are_byte_identical_across_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, "mode = sample\nsteps = 6\n")

@@ -8,27 +8,32 @@ import numpy as np
 import pytest
 
 from onticsim import (
+    SWAP,
     DensityMatrix,
     HilbertSpace,
     MeasurementModel,
     PureState,
+    basis_state,
     born_conditional_check,
+    conditional_probabilities,
     correlational_entropy,
     decoherence_scaling_sweep,
     error_entropy_bound,
     exponential_overlap,
+    markov_chain_from_repeated_interaction,
     maximally_mixed,
     ontic_decomposition,
     pointer_overlap,
     simulate_measurement,
 )
 from onticsim.errors import NotADistribution, SpaceMismatch, ToleranceBreach
-from onticsim import measurement
+from onticsim import measurement, ontic
+from onticsim import tolerances as tol
 from onticsim.measurement import _assign_outcomes
 from onticsim.ontic import _quadratic_forms
 
 import test_golden  # the golden cases; pytest puts tests/ on sys.path
-from test_ontic import bits, count_calls
+from test_ontic import bits, count_calls, random_density, three_factor_case
 
 SEED = 20260816
 
@@ -122,6 +127,23 @@ def test_model_accepts_an_infinite_duration():
 def test_model_refuses_factor_counts_that_are_not_integers(which, count):
     with pytest.raises(NotADistribution):
         default_model(**{which: count})
+
+
+def test_counts_beyond_the_float_range_are_refused():
+    """Overlaps and entropy floors take a factor count as a float, so a count
+    above the largest float is refused, as a model field and as a sweep
+    count; one at that bound is measured."""
+    huge = 10**400
+    for which in ("n_a", "n_e"):
+        with pytest.raises(NotADistribution, match="the largest float"):
+            default_model(**{which: huge})
+    with pytest.raises(NotADistribution, match="the largest float"):
+        decoherence_scaling_sweep(default_model(), lopsided_qubit(), [4, huge])
+    top = int(np.finfo(float).max)
+    model = default_model(n_a=top, n_e=top)
+    assert simulate_measurement(model, lopsided_qubit()).max_offdiag == 0.0
+    assert error_entropy_bound(model, 0.1).bound == 0.0
+    assert decoherence_scaling_sweep(default_model(), lopsided_qubit(), [top])[0].n == top
 
 
 def test_model_accepts_integral_counts_of_any_numeric_type():
@@ -378,6 +400,92 @@ def test_a_measurement_is_one_real_eigh(monkeypatch):
     decoherence_scaling_sweep(model, random_sixteen(), list(range(1, 65)))
     assert solved == [(np.float64, (1, 16, 16)), (np.float64, (64, 16, 16))]
     assert (eigvalsh, cholesky) == ([], [])
+
+
+@pytest.mark.parametrize("moduli", MODULI)
+@pytest.mark.parametrize("d", [2, 3, 16, 64, 128, 300])
+def test_the_real_gauge_defects_match_the_complex_ones(d, moduli):
+    """Orthonormality and drift taken in the real gauge, on (Q, R) plus the tie
+    of R to the complex states, read within 4 d eps of the defects of the
+    reported complex eigenvectors V, V^dag V - I and V p V^dag - rho, each
+    matrix on its own.  With `_gauge_rounding` added they never read below
+    those, so the real-gauge checks refuse every state the complex ones did,
+    at the same bound."""
+    psi = phased_state(d, moduli)
+    eps = np.finfo(float).eps
+    overlaps = np.array(REAL_FORM_OVERLAPS)
+    reports = measurement._measure(psi, [(c, 1.0) for c in overlaps])
+    states = np.stack([report.rho_s.matrix for report in reports])
+    vecs = np.stack([report.decomposition.vectors for report in reports])
+    probs = np.stack([report.decomposition.probabilities for report in reports])
+    # the complex checks' own formulas, over the stack
+    rebuilt = (vecs * probs[:, None, :]) @ vecs.conjugate().swapaxes(1, 2)
+    drifts = np.abs(rebuilt - states).max(axis=(1, 2))
+    evals, rotations, phases, real = measurement._real_form(psi.amplitudes, overlaps)
+    clipped = np.clip(evals, 0.0, 1.0)
+    for k in range(len(overlaps)):
+        one = slice(k, k + 1)
+        gauge = ontic._real_gauge_defects(
+            states[one], clipped[one], rotations[one], phases, real[one], np.empty_like(states[one])
+        )
+        for complex_defect, real_defect in zip((tol.isometry_defect(vecs[k]), drifts[k]), gauge):
+            assert abs(complex_defect - real_defect) <= 4 * d * eps
+            assert complex_defect <= real_defect + ontic._gauge_rounding(d)
+
+
+def test_the_real_gauge_refuses_what_the_complex_checks_refused(monkeypatch):
+    """An eigenvector 1e-9 off unit norm is refused as before, and so are
+    states moved 2e-10 off the closed form their real form solves: the tie
+    term holds R to them.  (A NaN overlap is still refused at admission,
+    before any solve, as the NaN test below pins.)"""
+    psi, model = random_sixteen(), default_model(subject_dim=16, n_a=2, n_e=3, dt=0.3)
+    original = np.linalg.eigh
+
+    def skewed(matrices):
+        evals, vecs = original(matrices)
+        vecs[..., 0] *= 1.0 + 1e-9
+        return evals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
+    with pytest.raises(ToleranceBreach, match="^eigenvector orthonormality defect"):
+        simulate_measurement(model, psi)
+    with pytest.raises(ToleranceBreach, match="^eigenvector orthonormality defect"):
+        decoherence_scaling_sweep(model, psi, list(range(1, 65)))
+    monkeypatch.setattr(np.linalg, "eigh", original)
+    amps, overlaps = psi.amplitudes, np.array([0.5, 1e-3, 1e-9])
+    states = measurement._decohered(amps, amps.conjugate(), overlaps)
+    states[:, 0, 1] += 2e-10
+    states[:, 1, 0] += 2e-10
+    with pytest.raises(ToleranceBreach, match="^reconstruction drift"):
+        ontic._decompositions(SIXTEEN, states, lambda: measurement._real_form(amps, overlaps))
+
+
+def test_each_path_checks_its_eigenvectors_in_its_own_gauge(monkeypatch):
+    """A measurement and a 64-count sweep block check orthonormality once, on
+    the float64 stack Q; a density matrix, a table and a chain check their
+    complex eigenvectors as before."""
+    model = default_model(subject_dim=16, n_a=2, n_e=3, dt=0.3)
+    channel, parent = three_factor_case()
+    env = basis_state(HilbertSpace.of(("e", 2)), 0).density_matrix()
+    rho = random_density(np.random.default_rng(SEED + 4), SIXTEEN)
+    checked, original = [], tol.isometry_defect
+
+    def recorded(v):
+        checked.append((v.dtype, v.shape))
+        return original(v)
+
+    monkeypatch.setattr(tol, "isometry_defect", recorded)
+    simulate_measurement(model, random_sixteen())
+    decoherence_scaling_sweep(model, random_sixteen(), list(range(1, 65)))
+    assert checked == [(np.float64, (1, 16, 16)), (np.float64, (64, 16, 16))]
+    for run in (
+        lambda: ontic_decomposition(rho),
+        lambda: conditional_probabilities(channel, parent, [["a"], ["b", "c"]]),
+        lambda: markov_chain_from_repeated_interaction(SWAP, env, maximally_mixed(QUBIT), 0.3, 4),
+    ):
+        checked.clear()
+        run()
+        assert checked and {dtype for dtype, _ in checked} == {np.dtype(np.complex128)}
 
 
 # ---------------------------------------------------------------------------
