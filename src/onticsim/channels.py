@@ -238,21 +238,28 @@ def choi_matrix(ch: QuantumChannel) -> np.ndarray:
 
 
 def verify_cptp(ch: QuantumChannel) -> CPTPReport:
-    """Completeness and Choi positivity of any finite Kraus set, however broken.
+    """Completeness and complete positivity of a Kraus set, however broken.
 
-    The O((d_in d_out)^3) Choi eigensolve runs here, never at construction.
-    Entries so large that the products overflow give an infinite defect, or
-    an eigensolve that does not converge, which raises OnticSimError.
+    Any finite Kraus set is completely positive: its Choi matrix is
+    sum_k vec(K_k) vec(K_k)^dag (Choi 1975).  So the verdict is that every
+    entry is finite, and not the sign of an eigenvalue, whose rounding can
+    fall below EIG_FLOOR for a large or rank-deficient set.  The
+    O((d_in d_out)^3) Choi eigensolve still runs here, never at construction,
+    for the smallest Choi eigenvalue it reports; a set with a NaN or
+    infinite entry has no Choi spectrum and reports NaN.  Finite entries so
+    large that the products overflow give an infinite defect, or an
+    eigensolve that does not converge, which raises OnticSimError.
     """
+    finite = bool(np.isfinite(ch.kraus).all())
     with np.errstate(over="ignore", invalid="ignore"):
         defect = tol.isometry_defect(ch.kraus.reshape(-1, ch.in_space.total_dim))
         try:
-            negativity = tol.negativity(choi_matrix(ch))
+            negativity = tol.negativity(choi_matrix(ch)) if finite else math.nan
         except np.linalg.LinAlgError as err:
             raise OnticSimError(f"Choi eigensolve failed: {err}") from err
     return CPTPReport(
         trace_preserving=defect <= tol.DERIVED,
-        completely_positive=negativity <= -tol.EIG_FLOOR,
+        completely_positive=finite,
         min_choi_eigenvalue=-negativity,
         completeness_defect=defect,
     )

@@ -17,16 +17,23 @@ so positive.  It is also Phi R Phi^dag, with Phi = diag(psi_i / |psi_i|)
 a diagonal unitary and R = |psi| |psi|^T o (c J + (1 - c) I) real
 symmetric: its spectrum is R's, whatever psi's phases.  The measurement
 is written for a stack of such states, one per overlap pair: they are
-admitted (Hermiticity and trace) together, then solved in the real form by
-one real symmetric eigh over the stack of R, whose eigenvalues give each
-state its positivity verdict.  The eigenvectors are Phi Q, but they are
-checked in the real gauge, in float64: orthonormality on Q, drift on
-Q p Q^T - R, and a tie of R to the admitted complex states,
-max |Phi R Phi^dag - rho|.  A single measurement is a stack of one, and a
-sweep over record counts is one stack per block of states.  Eigenvalues of the
-decohered state then deviate from the Born weights at second order in the
-total overlap, and the achievable deviation is floored by the exponential
-of the apparatus record entropy.
+admitted (Hermiticity and trace) together, then solved in the real form,
+whose eigenvalues give each state its positivity verdict.  R is
+(1 - c) diag(|psi|^2) plus the rank-one c |psi| |psi|^T, so its eigenvalues
+are the roots of a secular equation, one between each two neighbouring
+poles (1 - c) |psi_j|^2.  Below a crossover dimension one real symmetric
+eigh solves the stack of R; from it up each R is solved from its secular
+equation in O(d^2), with its eigenvectors by the Loewner formula.  Both
+give R's ascending eigenvalues and eigenvectors Q to the same checks.  The
+eigenvectors are Phi Q, but they are checked in the real gauge, in float64:
+orthonormality on Q, drift on Q p Q^T - R, and a tie of R to the admitted
+complex states, max |Phi R Phi^dag - rho|.  A single measurement is a stack
+of one, and a sweep over record counts is one stack per block of states.
+Eigenvalues of the decohered state then deviate from the Born weights at
+second order in the total overlap, lambda_i - p_i = c^2 p_i sum_{j != i}
+p_j / (p_i - p_j), with a relative error of order c over the smallest gap
+between Born weights, so where c is below that gap; the achievable
+deviation is floored by the exponential of the apparatus record entropy.
 """
 
 from __future__ import annotations
@@ -224,7 +231,8 @@ def _measure(psi: PureState, pairs: list[tuple[float, float]]) -> list[Measureme
     product of two positive matrices, so it is positive.  The block is
     admitted by one `_derived` (Hermiticity and trace, no Cholesky) before
     anything is solved, then decomposed by one `_decompositions` on the
-    eigensystems of `_real_form`: one real symmetric eigh for the block.  The
+    eigensystems of `_real_form`: one real symmetric eigh for the block below
+    the crossover dimension, one secular solve per state from it up.  The
     positivity verdict comes from those eigenvalues.  Orthonormality and drift
     are checked on R's eigenvectors Q and on R, in float64, and a tie term
     holds R to the admitted complex states; only then are the eigenvectors
@@ -260,6 +268,11 @@ def _measure(psi: PureState, pairs: list[tuple[float, float]]) -> list[Measureme
     return reports
 
 
+# from this dimension up the real form is solved by `_secular_eigh`; below it
+# LAPACK's eigh is the faster (the crossover was read off a timing ladder)
+_SECULAR_DIM = 96
+
+
 def _real_form(amps: np.ndarray, overlaps: np.ndarray) -> tuple[np.ndarray, ...]:
     """The real form of each state psi psi^dag o (c J + (1 - c) I), one per
     overlap c, solved: R's ascending eigenvalues and eigenvector columns Q,
@@ -268,13 +281,167 @@ def _real_form(amps: np.ndarray, overlaps: np.ndarray) -> tuple[np.ndarray, ...]
     That state is Phi R Phi^dag with Phi = diag(psi_i / |psi_i|), a diagonal
     unitary (phase 1 where psi_i = 0), and R = |psi| |psi|^T o (c J + (1 - c) I)
     real symmetric.  So the states share R's eigenvalues, and their
-    eigenvectors are Phi Q for R's Q: one real eigh solves the stack.
+    eigenvectors are Phi Q for R's Q.  Below _SECULAR_DIM one real eigh
+    solves the stack; from it up each R, which is (1 - c) diag(|psi|^2) plus
+    the rank-one c |psi| |psi|^T, is solved by `_secular_eigh` in O(d^2).
     """
     moduli = np.hypot(amps.real, amps.imag)
     phases = np.ones(amps.size, dtype=np.complex128)
     np.divide(amps, moduli, out=phases, where=moduli > 0.0)
     real = _decohered(moduli, moduli, overlaps)
-    return (*np.linalg.eigh(real), phases, real)
+    if amps.size < _SECULAR_DIM:
+        return (*np.linalg.eigh(real), phases, real)
+    evals, rotations = np.empty(real.shape[:2]), np.zeros(real.shape)
+    for c, lam, q in zip(overlaps.tolist(), evals, rotations):
+        lam[:] = _secular_eigh(moduli, c, q)
+    return evals, rotations, phases, real
+
+
+def _secular_eigh(moduli: np.ndarray, c: float, q: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of R = D + c u u^T, D = (1 - c) diag(u^2) for the
+    moduli u, with their eigenvector columns written into the zeroed (d, d) q.
+
+    The poles (1 - c) u_j^2 are sorted, then deflated as LAPACK's dlaed2
+    deflates them, at tol = 8 eps max(max D, c): a pole whose c |u_j| is at
+    most tol (a zero modulus, or every pole at c = 0) is an eigenvalue, with
+    eigenvector e_j; of two neighbouring poles whose Givens rotation, which
+    moves u_j's weight onto its neighbour, leaves an off-diagonal at most tol
+    (exact and near ties, every pole at c = 1), the first is.  The rest are
+    the poles of the secular equation, solved by `_secular_roots`.
+    """
+    d = moduli.size
+    order = np.argsort(moduli, kind="stable")
+    z = moduli[order]
+    poles = (1.0 - c) * (z * z)
+    negligible = 8.0 * tol._EPS * max(float(poles[-1]), c)
+    keep = c * z > negligible
+    kept = np.flatnonzero(keep)
+    rotations = []
+    # the rotation leaves (poles_nj - poles_pj) cs sn, at most half the gap
+    for i in np.flatnonzero(np.diff(poles[kept]) <= 2.0 * negligible).tolist():
+        pj, nj = kept[i], kept[i + 1]
+        norm = math.hypot(z[pj], z[nj])
+        cs, sn = z[nj] / norm, -z[pj] / norm
+        if abs((poles[nj] - poles[pj]) * cs * sn) <= negligible:
+            a, b = poles[pj], poles[nj]
+            poles[pj], poles[nj] = a * cs * cs + b * sn * sn, a * sn * sn + b * cs * cs
+            z[nj] = norm
+            keep[pj] = False
+            rotations.append((order[pj], order[nj], cs, sn))
+    kept, deflated = np.flatnonzero(keep), np.flatnonzero(~keep)
+    roots, vectors = _secular_roots(poles[kept], z[kept], c)
+    values = np.concatenate([poles[deflated], roots])
+    rank = np.argsort(values, kind="stable")
+    column = np.empty(d, dtype=np.intp)
+    column[rank] = np.arange(d)
+    q[order[deflated], column[: deflated.size]] = 1.0
+    if deflated.size:
+        q[np.ix_(order[kept], column[deflated.size :])] = vectors.T
+    else:  # every pole is a root's, and the roots ascend as the poles do
+        q[order] = vectors.T
+    for i, j, cs, sn in reversed(rotations):
+        q[[i, j]] = np.array([[cs, -sn], [sn, cs]]) @ q[[i, j]]
+    return values[rank]
+
+
+def _secular_roots(poles: np.ndarray, w: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """The roots of g(lam) = 1 / rho + sum_j w_j^2 / (poles_j - lam), for
+    ascending poles and w > 0, and their Loewner eigenvectors, one row each.
+
+    Root i lies in (poles_i, poles_i+1), and the last in (poles_-1, poles_-1
+    + rho |w|^2].  Each is found as tau = lam - (its nearer pole), the
+    origin, so it keeps its relative accuracy near that pole (LAPACK's
+    dlaed4, after Li 1993, LAPACK Working Note 89): from the root of the
+    bracket's two-pole model with the other terms frozen at the midpoint,
+    by the "middle way" step, which fits each side of the sum by one pole
+    and matches g and g' there.  A step that leaves the bracket halves it
+    instead, and only the roots not yet converged are iterated.  Root i's
+    eigenvector is zhat_j / (poles_j - lam_i), normalized, for the zhat of
+    which the computed roots are the exact ones (Gu and Eisenstat, SIAM J.
+    Matrix Anal. Appl. 15 (1994) 1266), so they are orthogonal to rounding.
+    """
+    k = poles.size
+    if k < 2:
+        return poles + rho * w * w, np.ones((k, k))
+    w2 = w * w
+    inv = 1.0 / rho
+    spread = poles[None, :] - poles[:, None]  # spread[i, j] = poles_j - poles_i
+    half = np.append(0.5 * np.diff(poles), 0.5 * rho * w2.sum())
+    rows = np.arange(k)
+    upper = np.minimum(rows + 1, k - 1)  # the model's poles: upper - 1 and upper
+    work = np.empty((2, k, k))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.subtract(spread, half[:, None], out=work[0])
+        mid = inv + np.divide(w2, work[0], out=work[0]).sum(axis=1)
+        left = mid >= 0.0
+        left[-1] = True
+        origin = rows + ~left
+        shift = spread[origin]  # shift[i, j] = poles_j - poles_origin
+        lo, hi = np.where(left, 0.0, -half), np.where(left, half, 0.0)
+        if mid[-1] < 0.0:
+            lo[-1], hi[-1] = half[-1], 2.0 * half[-1]
+        at_mid = np.where(left, half, -half)
+        near, far = shift[rows, upper - 1], shift[rows, upper]
+        frozen = mid - w2[upper - 1] / (near - at_mid) - w2[upper] / (far - at_mid)
+        tau = _model_root(frozen, w2[upper - 1], w2[upper], near, far, lo, hi)
+        live = np.ones(k, dtype=bool)
+        # convergence is quadratic, in 2 to 6 passes; a root still live after
+        # 64 keeps its last iterate, and `_spectra`'s checks judge the result
+        for _ in range(64):
+            sel = np.flatnonzero(live)
+            m = sel.size
+            if m == 0:
+                break
+            t, a, b = tau[sel], near[sel], far[sel]
+            d_lo, d_hi = a - t, b - t
+            ratio, below = work[0, :m], work[1, :m]
+            np.subtract(shift if m == k else shift[sel], t[:, None], out=ratio)
+            np.divide(w, ratio, out=ratio)
+            # a middle root's poles left of it give g's negative terms; the
+            # last root's model splits off the last pole's term
+            np.minimum(ratio, 0.0, out=below)
+            ratio -= below
+            psi, phi = below @ w, ratio @ w
+            dpsi, dphi = np.einsum("ij,ij->i", below, below), np.einsum("ij,ij->i", ratio, ratio)
+            if sel[-1] == k - 1:
+                tail = w[-1] / d_hi[-1]
+                psi[-1], phi[-1] = psi[-1] - tail * w[-1], tail * w[-1]
+                dpsi[-1], dphi[-1] = dpsi[-1] - tail * tail, tail * tail
+            g = inv + psi + phi
+            ends, tops = np.where(g < 0.0, t, lo[sel]), np.where(g > 0.0, t, hi[sel])
+            lo[sel], hi[sel] = ends, tops
+            # dlaed4's test: |g| within the rounding of its evaluation
+            bound = 8.0 * (np.abs(psi) + np.abs(phi)) + 2.0 * inv + np.abs(t) * (dpsi + dphi)
+            narrow = tops - ends <= 4.0 * tol._EPS * np.abs(t)
+            done = (np.abs(g) <= tol._EPS * bound) | narrow
+            model = g - d_lo * dpsi - d_hi * dphi
+            step = _model_root(model, d_lo * d_lo * dpsi, d_hi * d_hi * dphi, a, b, ends, tops)
+            tau[sel] = np.where(done, t, step)
+            live[sel[done]] = False
+        delta = np.subtract(shift, tau[:, None], out=work[0])  # poles_j - lam_i
+        # lam_i - poles_j pairs with poles_i - poles_j left of pole j, and with
+        # poles_i+1 - poles_j from it on: each ratio lies in (0, 1)
+        pairs = np.divide(delta[:-1], spread[:-1], out=work[1, :-1])
+        np.divide(delta[:-1], spread[1:], out=pairs, where=rows[:-1, None] >= rows)
+        zhat = np.sqrt(np.prod(pairs, axis=0) * (-delta[-1] / rho))
+        vectors = np.divide(zhat, delta, out=work[1])
+    vectors /= np.sqrt(np.einsum("ij,ij->i", vectors, vectors))[:, None]
+    return poles[origin] + tau, vectors
+
+
+def _model_root(
+    c: np.ndarray, wa: np.ndarray, wb: np.ndarray, a: np.ndarray, b: np.ndarray,
+    lo: np.ndarray, hi: np.ndarray,
+) -> np.ndarray:
+    """The root x in (lo, hi) of c + wa / (a - x) + wb / (b - x), each root
+    of the quadratic taken in its cancellation-free form, else (lo + hi) / 2."""
+    qb = -(c * (a + b) + wa + wb)
+    qc = c * a * b + wa * b + wb * a
+    q = -0.5 * (qb + np.copysign(np.sqrt(np.abs(qb * qb - 4.0 * c * qc)), qb))
+    small, large = qc / q, q / c
+    inside = (large > lo) & (large < hi)
+    step = np.where(inside, large, 0.5 * (lo + hi))
+    return np.where((small > lo) & (small < hi), small, step)
 
 
 def _decohered(column: np.ndarray, row: np.ndarray, overlaps: np.ndarray) -> np.ndarray:

@@ -423,3 +423,35 @@ def test_a13_weyl_interlacing():
         slack >= -tol,
         f"smallest slack {slack:.3e}, tolerance {tol:.3e}",
     )
+
+
+def test_a13_second_order_law():
+    """Below the Born gaps the decohered eigenvalues move at second order in
+    the overlap c: lambda_i - p_i = c^2 p_i sum_{j != i} p_j / (p_i - p_j), up
+    to a relative error of order c / gap, here within 4 c / gap.  Weights
+    (0.7, 0.3) for the qubit and p_i proportional to i at d = 8, 64 and 128,
+    whose smallest gap is p_1; d = 128 runs on the secular solve."""
+    worst = 0.0
+    for d in (2, 8, 64, 128):
+        born = np.array([0.7, 0.3]) if d == 2 else np.arange(1, d + 1) / (d * (d + 1) / 2)
+        rng = np.random.default_rng(SEED + d)
+        amps = np.sqrt(born) * np.exp(2j * np.pi * rng.random(d))
+        psi = PureState(HilbertSpace.of(("s", d)), amps / np.linalg.norm(amps))
+        p = np.sort(np.abs(psi.amplitudes) ** 2)
+        gap = np.diff(p).min()
+        others = np.divide(p, p[:, None] - p, out=np.zeros((d, d)), where=~np.eye(d, dtype=bool))
+        coefficient = p * others.sum(axis=1)
+        for scale in (0.1, 0.01):
+            model = MeasurementModel(
+                subject_dim=d, n_a=1, n_e=0, gamma_a=1.0, gamma_e=1.0, dt=-math.log(scale * gap)
+            )
+            report = simulate_measurement(model, psi)
+            c = report.overlap_apparatus * report.overlap_environment
+            shift = np.sort(report.decomposition.probabilities) - p
+            error = np.abs(shift / (c * c * coefficient) - 1.0).max()
+            worst = max(worst, error / (c / gap))
+    _verdict(
+        "A13 second-order law",
+        worst <= 4.0,
+        f"largest relative error {worst:.3f} c / gap, bound 4 c / gap",
+    )

@@ -37,6 +37,7 @@ from onticsim import (
     verify_cptp,
 )
 from onticsim.errors import BadInterval, NotUnitary, SpaceMismatch, ToleranceBreach
+from onticsim.tolerances import EIG_FLOOR
 
 SEED = 20260816
 
@@ -234,6 +235,44 @@ def test_verify_cptp_flags_broken_kraus():
     assert not report.trace_preserving
     assert report.completeness_defect == 0.75
     assert report.completely_positive
+
+
+@pytest.mark.parametrize("d, k, scale", [(8, 2, 100.0), (2, 1, 1000.0)])
+def test_verify_cptp_calls_every_finite_kraus_set_completely_positive(d, k, scale):
+    """Rank-deficient Kraus sets with large entries are CP (their Choi matrix
+    is a sum of vec(K) vec(K)^dag), though the Choi eigensolve's rounding puts
+    their smallest eigenvalue below EIG_FLOOR in some of the 20 draws; the
+    reported eigenvalue is still that eigensolve's."""
+    space = HilbertSpace.of(("s", d))
+    rng = np.random.default_rng([SEED, d, k])
+    below_floor = 0
+    for _ in range(20):
+        ops = scale * (rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d)))
+        ch = QuantumChannel(space, space, ops, validate=False)
+        report = verify_cptp(ch)
+        assert report.completely_positive and not report.trace_preserving
+        assert report.min_choi_eigenvalue == float(np.linalg.eigvalsh(choi_matrix(ch))[0])
+        below_floor += report.min_choi_eigenvalue < EIG_FLOOR
+    assert below_floor > 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_verify_cptp_calls_a_non_finite_kraus_set_not_completely_positive(bad):
+    ops = 0.5 * np.eye(2, dtype=complex)
+    ops[0, 1] = bad
+    report = verify_cptp(QuantumChannel(QUBIT, QUBIT, (ops,), validate=False))
+    assert not report.completely_positive and not report.trace_preserving
+    assert math.isnan(report.min_choi_eigenvalue)
+
+
+def test_verify_cptp_of_cnot_keeps_its_choi_eigensolve():
+    """CNOT is CPTP; its smallest Choi eigenvalue, 0 exactly, reads as the
+    Choi eigensolve's rounding, the value the `verify` golden pins."""
+    ch = unitary_channel(UnitaryOperator(PAIR, CNOT))
+    report = verify_cptp(ch)
+    assert report.completely_positive and report.trace_preserving
+    assert report.min_choi_eigenvalue == float(np.linalg.eigvalsh(choi_matrix(ch))[0])
+    assert abs(report.min_choi_eigenvalue) <= 1e-15
 
 
 def test_channel_distance_identity_versus_flip():

@@ -489,6 +489,94 @@ def test_each_path_checks_its_eigenvectors_in_its_own_gauge(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the secular solve: the real form from the crossover dimension up
+# ---------------------------------------------------------------------------
+
+SECULAR_OVERLAPS = [0.0, 1e-12, 1e-8, 1e-4, 0.1, 0.9, 1.0]
+SECULAR_MODULI = ("random", "zeros", "tied", "near-tied")
+
+
+def secular_state(d: int, moduli: str) -> PureState:
+    """phased_state's random or zero moduli, tied_state's exact ties, or
+    phased_state's ties, which np.hypot leaves tied only to their last bits."""
+    if moduli == "tied":
+        return tied_state(d)
+    return phased_state(d, "tied" if moduli == "near-tied" else moduli)
+
+
+SECULAR_CASES = [
+    *((d, moduli, SECULAR_OVERLAPS)
+      for d in sorted({measurement._SECULAR_DIM, 128, 300}) for moduli in SECULAR_MODULI),
+    (1024, "near-tied", [0.0, 1e-4, 1.0]),
+]
+
+
+@pytest.mark.parametrize(
+    "d, moduli, overlaps", SECULAR_CASES, ids=[f"{d}-{m}-{len(c)}" for d, m, c in SECULAR_CASES]
+)
+def test_the_secular_solve_matches_lapack(d, moduli, overlaps):
+    """From the crossover up R is solved by its secular equation, with no
+    special case at c = 0 or 1: its eigenvalues are LAPACK's within 4 d eps,
+    with zero, tied and near-tied moduli, which deflate, and the block passes
+    every check `_spectra` makes, at its usual bounds."""
+    psi = secular_state(d, moduli)
+    moduli_bits = bits(np.sort(np.hypot(psi.amplitudes.real, psi.amplitudes.imag)))
+    ties = np.count_nonzero(moduli_bits[1:] == moduli_bits[:-1])
+    neighbours = np.count_nonzero(moduli_bits[1:] - moduli_bits[:-1] <= 4)
+    assert (ties > 0, neighbours > ties) == {
+        "random": (False, False), "zeros": (True, False), "tied": (True, False),
+        "near-tied": (True, True)}[moduli]
+    amps, eps = psi.amplitudes, np.finfo(float).eps
+    overlaps = np.array(overlaps)
+    solved = []
+
+    def eigensystem():
+        solved.append(measurement._real_form(amps, overlaps))
+        return solved[-1]
+
+    states = measurement._decohered(amps, amps.conjugate(), overlaps)
+    ontic._decompositions(psi.space, states, eigensystem)
+    evals, _, _, real = solved[0]
+    assert np.abs(evals - np.linalg.eigh(real)[0]).max() <= 4 * d * eps
+
+
+def test_a_measurement_from_the_crossover_up_makes_no_eigh(monkeypatch):
+    """At the crossover dimension a measurement, its Born check and a sweep
+    block (c = 1 at count 0, c = 0 at 2000) run no LAPACK eigensolve."""
+    d = measurement._SECULAR_DIM
+    eigh, eigvalsh = count_calls(monkeypatch, "eigh"), count_calls(monkeypatch, "eigvalsh")
+    cholesky = count_calls(monkeypatch, "cholesky")
+    model = default_model(subject_dim=d, n_a=2, n_e=3, dt=0.3)
+    psi = secular_state(d, "random")
+    simulate_measurement(model, psi)
+    born_conditional_check(model, psi)
+    decoherence_scaling_sweep(model, secular_state(d, "zeros"), [0, 1, 2, 2000])
+    assert (eigh, eigvalsh, cholesky) == ([], [], [])
+
+
+def test_the_secular_solve_keeps_the_outcomes_of_lapack(monkeypatch):
+    """On 200 inputs drawn as `measure_d128` draws them, the greedy outcome
+    matching gives each entry the outcome it gets from LAPACK's eigenvectors,
+    and the Born deviations agree within 4 d eps."""
+    d, eps = 128, np.finfo(float).eps
+    space = HilbertSpace.of(("s", d))
+    rng = np.random.default_rng(SEED + 32)
+    for _ in range(200):
+        amps = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        model = MeasurementModel(
+            subject_dim=d, n_a=int(rng.integers(4, 9)), n_e=int(rng.integers(8, 17)),
+            gamma_a=1.0, gamma_e=1.0, dt=float(rng.uniform(0.4, 0.7)),
+        )
+        amps /= np.linalg.norm(amps)
+        monkeypatch.setattr(measurement, "_SECULAR_DIM", d)
+        secular = simulate_measurement(model, PureState(space, amps))
+        monkeypatch.setattr(measurement, "_SECULAR_DIM", d + 1)
+        lapack = simulate_measurement(model, PureState(space, amps))
+        assert secular.outcome_of_entry == lapack.outcome_of_entry
+        assert abs(secular.max_born_deviation - lapack.max_born_deviation) <= 4 * d * eps
+
+
+# ---------------------------------------------------------------------------
 # one report per state object
 # ---------------------------------------------------------------------------
 
