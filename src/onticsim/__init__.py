@@ -54,7 +54,6 @@ from .measurement import (
     MeasurementReport,
     SweepPoint,
     born_conditional_check,
-    correlational_entropy,
     decoherence_scaling_sweep,
     error_entropy_bound,
     exponential_overlap,
@@ -68,17 +67,14 @@ from .ontic import (
     conditional_probabilities,
     ontic_decomposition,
     single_system_conditional,
-    table_to_csv,
 )
 from .opendyn import (
-    FactorizationCheck,
     NonlinearityWitnessReport,
     WitnessPair,
     bell_state,
     conditional_channel_given_env,
     nonlinearity_witness,
     parent_conditioned_probabilities,
-    projector_factorization_check,
     werner_state,
     witness_pair_bell_vs_product,
     witness_pair_werner,

@@ -61,7 +61,6 @@ __all__ = [
     "born_conditional_check",
     "decoherence_scaling_sweep",
     "error_entropy_bound",
-    "correlational_entropy",
 ]
 
 
@@ -559,13 +558,4 @@ def _entropy_floor(n_a: int) -> tuple[float, float]:
     """Record entropy N_A ln 2 of the apparatus, and the floor exp(-N_A ln 2)."""
     s_max = n_a * math.log(2.0)
     return s_max, math.exp(-s_max)
-
-
-def correlational_entropy(probs) -> float:
-    """Shannon entropy of a probability list, in nats, with 0 ln 0 = 0."""
-    p = np.asarray(probs, dtype=float)
-    tol.check(-p.min(initial=0.0), tol.DERIVED, NotADistribution, "probability negativity")
-    tol.check(abs(p.sum() - 1.0), tol.DERIVED, NotADistribution, "probability sum defect")
-    p = p[p > 0.0]
-    return float(-(p * np.log(p)).sum())
 

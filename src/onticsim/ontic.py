@@ -53,7 +53,6 @@ from .qcore import (
     _as_complex,
     _canonical_phase,
     _check_partition,
-    _csv_text,
     _memo,
 )
 
@@ -64,7 +63,6 @@ __all__ = [
     "conditional_probabilities",
     "single_system_conditional",
     "bayesian_propagation_check",
-    "table_to_csv",
 ]
 
 
@@ -433,15 +431,3 @@ def _first_group_marginal(table: ConditionalProbabilityTable, n_first: int) -> n
     """A joint table's values with every group after the first summed out."""
     return table.values.reshape(len(table.parent_indices), n_first, -1).sum(axis=2)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def table_to_csv(table: ConditionalProbabilityTable) -> str:
-    """Rows of `w,i1,...,in,p`, one line per table cell."""
-    header = ["w", *(f"i{k + 1}" for k in range(len(table.column_indices[0]))), "p"]
-    rows, cols = table.values.shape
-    combos = np.tile(np.array(table.column_indices, dtype=np.int64), (rows, 1))
-    parents = np.repeat(np.array(table.parent_indices, dtype=np.int64), cols)
-    return _csv_text(header, [parents, *combos.T, table.values.ravel()])

@@ -31,24 +31,13 @@ from . import tolerances as tol
 from .channels import _QUBIT_PAIR, QuantumChannel, _reduced_channel, apply
 from .errors import NotAProjector, NotAWitnessPair, NothingToTrace, SpaceMismatch
 from .ontic import ConditionalProbabilityTable, _conditional_core, _first_group_marginal
-from .qcore import (
-    DensityMatrix,
-    HilbertSpace,
-    PureState,
-    _check_partition,
-    _partial_trace_matrix,
-    partial_trace,
-    permute_factors,
-    trace_distance,
-)
+from .qcore import DensityMatrix, PureState, _check_partition, partial_trace, trace_distance
 
 __all__ = [
-    "FactorizationCheck",
     "NonlinearityWitnessReport",
     "WitnessPair",
     "conditional_channel_given_env",
     "parent_conditioned_probabilities",
-    "projector_factorization_check",
     "nonlinearity_witness",
     "bell_state",
     "werner_state",
@@ -56,16 +45,6 @@ __all__ = [
     "witness_pair_werner",
     "witness_report_to_json",
 ]
-
-
-def _check_projector(p: np.ndarray, dim: int) -> np.ndarray:
-    """The matrix as a complex array, if it is a dim x dim orthogonal projector."""
-    arr = np.asarray(p, dtype=np.complex128)
-    if arr.shape != (dim, dim):
-        raise NotAProjector(f"projector has shape {arr.shape}, expected ({dim}, {dim})")
-    tol.check(tol.hermiticity_defect(arr), tol.DERIVED, NotAProjector, "Hermiticity defect")
-    tol.check(np.max(np.abs(arr @ arr - arr)), tol.DERIVED, NotAProjector, "idempotence defect")
-    return arr
 
 
 def conditional_channel_given_env(
@@ -82,7 +61,12 @@ def conditional_channel_given_env(
     if ch_w.in_space != ch_w.out_space:
         raise SpaceMismatch("conditioning needs a channel square on one parent space")
     e_space = ch_w.in_space.subspace(split[1])
-    arr = _check_projector(p_e, e_space.total_dim)
+    dim = e_space.total_dim
+    arr = np.asarray(p_e, dtype=np.complex128)
+    if arr.shape != (dim, dim):
+        raise NotAProjector(f"projector has shape {arr.shape}, expected ({dim}, {dim})")
+    tol.check(tol.hermiticity_defect(arr), tol.DERIVED, NotAProjector, "Hermiticity defect")
+    tol.check(np.max(np.abs(arr @ arr - arr)), tol.DERIVED, NotAProjector, "idempotence defect")
     tol.check(abs(arr.trace() - 1.0), tol.DERIVED, NotAProjector, "rank-one trace defect")
     # a projector within the derived tolerance, made exactly a unit-trace state
     rho_e = DensityMatrix(e_space, (arr + arr.conjugate().T) / (2.0 * arr.trace().real))
@@ -111,53 +95,8 @@ def parent_conditioned_probabilities(
     return ConditionalProbabilityTable(table.parent_indices, columns, values, [s_labels])
 
 
-@dataclass(frozen=True)
-class FactorizationCheck:
-    factorizable: bool
-    defect: float
-
-
-def projector_factorization_check(
-    p_w: np.ndarray,
-    space: HilbertSpace,
-    split: tuple[Sequence[str], Sequence[str]],
-) -> FactorizationCheck:
-    """Whether a parent projector splits as P_S (x) P_E across the groups.
-
-    Candidate factors come from the partial traces: for a true product
-    projector the reduced matrix is the factor projector scaled by the
-    other factor's rank, so thresholding its spectrum at half the top
-    eigenvalue recovers the factor exactly.  The defect is the Frobenius
-    distance to the best candidate product, factorizable within
-    tol.FACTORIZATION_DEFECT.
-    """
-    s_labels, e_labels = [list(g) for g in split]
-    _check_partition(space, [s_labels, e_labels])
-    arr = _check_projector(p_w, space.total_dim)
-    if not (arr.trace().real >= 0.5):
-        raise NotAProjector("zero projector cannot factorize")
-
-    def candidate(labels: list[str]) -> np.ndarray:
-        axes = sorted(space.axis(l) for l in labels)
-        reduced = _partial_trace_matrix(arr, space.dims, axes)
-        evals, evecs = np.linalg.eigh(reduced)
-        keep = evals > 0.5 * evals[-1]
-        v = evecs[:, keep]
-        return v @ v.conjugate().T
-
-    p_s = candidate(s_labels)
-    p_e = candidate(e_labels)
-    s_space = space.subspace(s_labels)
-    e_space = space.subspace(e_labels)
-    product = np.kron(p_s, p_e)
-    product, _ = permute_factors(product, s_space.tensor(e_space), space.labels)
-    defect = float(np.linalg.norm(arr - product))
-    return FactorizationCheck(factorizable=defect <= tol.FACTORIZATION_DEFECT, defect=defect)
-
-
 @dataclass(frozen=True, eq=False)
 class NonlinearityWitnessReport:
-    rho_w_pair: tuple[DensityMatrix, DensityMatrix]
     marginal_distance_before: float
     reduced_distance_after: float
 
@@ -183,7 +122,6 @@ def nonlinearity_witness(
     after_1 = partial_trace(apply(ch_w, rho_w_1), s_labels)
     after_2 = partial_trace(apply(ch_w, rho_w_2), s_labels)
     return NonlinearityWitnessReport(
-        rho_w_pair=(rho_w_1, rho_w_2),
         marginal_distance_before=before,
         reduced_distance_after=trace_distance(after_1, after_2),
     )

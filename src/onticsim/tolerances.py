@@ -50,9 +50,6 @@ KRAUS_PRUNE = 1e-12
 # smallest amplitude magnitude usable as the global-phase pivot
 PHASE_PIVOT = 1e-10
 
-# a projector factorizes when its Frobenius distance to a product is within this
-FACTORIZATION_DEFECT = 1e-8
-
 # an observed Born deviation may sit this factor below the record-entropy floor
 ENTROPY_SLACK = 10.0
 
@@ -112,7 +109,7 @@ def hermiticity_defect(a: np.ndarray) -> float:
 def isometry_defect(v: np.ndarray) -> float:
     """max |V^dag V - I| of a matrix, or the largest over an (n, d, m) stack;
     for a Kraus stack pass kraus.reshape(-1, d_in)."""
-    return float(np.max(np.abs(v.conjugate().swapaxes(-1, -2) @ v - np.eye(v.shape[-1]))))
+    return float(np.max(np.abs(np.conjugate(v).swapaxes(-1, -2) @ v - np.eye(v.shape[-1]))))
 
 
 def negativity(a: np.ndarray) -> float:

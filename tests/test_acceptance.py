@@ -17,13 +17,16 @@ from onticsim import (
     HilbertSpace,
     MarkovKernelChain,
     MeasurementModel,
+    PAULI_Y,
     PureState,
     SWAP_REFACTOR_TIME,
     UnitaryFamily,
     UnitaryOperator,
+    apply,
     basis_state,
     bayesian_propagation_check,
     born_conditional_check,
+    compose,
     conditional_probabilities,
     decoherence_scaling_sweep,
     dilation_channel,
@@ -32,6 +35,7 @@ from onticsim import (
     error_entropy_bound,
     factorized_family,
     kernel_from_matrix,
+    markov_chain_from_repeated_interaction,
     nonlinearity_witness,
     partial_trace,
     sample_trajectories,
@@ -393,6 +397,38 @@ def test_a10_error_entropy_bound():
         ok,
         f"suppression ratio {ratio:.10e} vs 2^-10 = {2.0 ** -10:.10e}, "
         f"bound {bound.bound:.10e}",
+    )
+
+
+def test_a12_indivisible_measurement():
+    """A measurement cannot be stopped part-way: n steps of one fresh pointer
+    qubit each, h = |1><1| (x) sigma_y at step theta, are the closed-form
+    measurement with n records of overlap cos theta, (a) as a state and (b)
+    as a table, the product of the chain's first n kernels being the direct
+    (0, n) table.  Start (sqrt 0.7, sqrt 0.3 e^{0.4 i}), n = 1..4."""
+    s, e = HilbertSpace.of(("s", 2)), HilbertSpace.of(("e", 2))
+    h = np.kron(np.diag([0.0, 1.0]), PAULI_Y)
+    env = basis_state(e, 0).density_matrix()
+    psi = PureState(s, np.array([math.sqrt(0.7), math.sqrt(0.3) * np.exp(0.4j)]))
+    rho_0 = psi.density_matrix()
+    state_gap = table_gap = 0.0
+    for theta in (0.3, 0.8, 1.2):
+        step = dilation_channel(UnitaryFamily(s.tensor(e), h).at(theta), env, (["s"], ["e"]))
+        chain = markov_chain_from_repeated_interaction(h, env, rho_0, theta, 4)
+        channel, product = step, np.eye(2)
+        for n in range(1, 5):
+            if n > 1:
+                channel = compose(step, channel)
+            model = MeasurementModel(2, n, 0, -math.log(math.cos(theta)), 0.0, 1.0)
+            closed = simulate_measurement(model, psi).rho_s.matrix
+            state_gap = max(state_gap, np.abs(apply(channel, rho_0).matrix - closed).max())
+            product = product @ chain.kernels[n - 1].values
+            direct = single_system_conditional(channel, rho_0).values
+            table_gap = max(table_gap, np.abs(product - direct).max())
+    _verdict(
+        "A12 indivisible measurement",
+        state_gap <= 1e-14 and table_gap <= 1e-14,
+        f"(a) state gap {state_gap:.2e}, (b) kernel product gap {table_gap:.2e}, bound 1e-14",
     )
 
 

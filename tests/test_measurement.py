@@ -16,7 +16,6 @@ from onticsim import (
     basis_state,
     born_conditional_check,
     conditional_probabilities,
-    correlational_entropy,
     decoherence_scaling_sweep,
     error_entropy_bound,
     exponential_overlap,
@@ -508,6 +507,7 @@ SECULAR_CASES = [
     *((d, moduli, SECULAR_OVERLAPS)
       for d in sorted({measurement._SECULAR_DIM, 128, 300}) for moduli in SECULAR_MODULI),
     (1024, "near-tied", [0.0, 1e-4, 1.0]),
+    (2048, "random", [0.1]),
 ]
 
 
@@ -886,17 +886,3 @@ def test_error_entropy_bound_refuses_deviations_that_are_not_real(deviation):
     with pytest.raises(NotADistribution):
         error_entropy_bound(default_model(), deviation)
 
-
-def test_correlational_entropy_values():
-    assert correlational_entropy([1.0, 0.0]) == 0.0
-    assert abs(correlational_entropy([0.5, 0.5]) - math.log(2.0)) < 1e-15
-    assert abs(correlational_entropy([0.7, 0.3]) - 0.6108643020548935) < 1e-15
-
-
-def test_correlational_entropy_rejects_bad_distributions():
-    with pytest.raises(NotADistribution):
-        correlational_entropy([0.7, 0.4])
-    with pytest.raises(NotADistribution):
-        correlational_entropy([1.2, -0.2])
-    with pytest.raises(NotADistribution, match="^probability sum defect 1.0 exceeds"):
-        correlational_entropy([])

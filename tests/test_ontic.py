@@ -33,7 +33,6 @@ from onticsim import (
     bayesian_propagation_check,
     conditional_channel_given_env,
     conditional_probabilities,
-    correlational_entropy,
     dilation_channel,
     kernel_from_matrix,
     markov_chain_from_repeated_interaction,
@@ -42,9 +41,7 @@ from onticsim import (
     parent_conditioned_probabilities,
     partial_trace,
     permute_factors,
-    projector_factorization_check,
     single_system_conditional,
-    table_to_csv,
     unitary_channel,
 )
 from onticsim import channels, ontic
@@ -70,7 +67,6 @@ QUBIT = HilbertSpace.of(("s", 2))
 PAIR = HilbertSpace.of(("s", 2), ("e", 2))
 THREE = HilbertSpace.of(("a", 2), ("b", 3), ("c", 2))
 NAN_QUBIT = np.full((2, 2), np.nan, dtype=complex)
-NAN_PAIR = np.full((4, 4), np.nan, dtype=complex)
 # eigvalsh reads this one as the finite spectrum [0, -0]
 NAN_DIAGONAL = np.diag([0.5, np.nan]).astype(complex)
 
@@ -152,10 +148,9 @@ def test_decomposition_sorts_by_probability():
 
 def test_decomposition_refuses_a_negative_probability():
     """Summing to 1 over orthonormal columns does not make [1.5, -0.5] a
-    distribution: the constructor refuses it as correlational_entropy does."""
-    for build in (lambda p: OnticDecomposition(QUBIT, p, np.eye(2)), correlational_entropy):
-        with pytest.raises(NotADistribution, match="^probability negativity 0.5 exceeds 1e-10$"):
-            build([1.5, -0.5])
+    distribution."""
+    with pytest.raises(NotADistribution, match="^probability negativity 0.5 exceeds 1e-10$"):
+        OnticDecomposition(QUBIT, [1.5, -0.5], np.eye(2))
 
 
 def test_decomposition_keeps_null_configurations():
@@ -433,13 +428,11 @@ def test_table_validation():
             ),
             NotAProjector,
         ),
-        (lambda: projector_factorization_check(NAN_PAIR, PAIR, (["s"], ["e"])), NotAProjector),
         (lambda: OnticTrajectory((0.0, np.nan, 1.0), (0, 0, 0)), BadInterval),
         (
             lambda: MarkovKernelChain((0.0, np.nan, 1.0), (kernel_from_matrix([[1.0]]),) * 2),
             BadInterval,
         ),
-        (lambda: correlational_entropy([np.nan, 1.0]), NotADistribution),
         (lambda: MeasurementModel(2, 1, 1, np.nan, 1.0, 0.1), NotADistribution),
         (lambda: MeasurementModel(2, 1, 1, 1.0, np.nan, 0.1), NotADistribution),
         (lambda: MeasurementModel(2, 1, 1, 1.0, 1.0, np.nan), NotADistribution),
@@ -475,8 +468,7 @@ def test_table_validation():
     ids=[
         "density_matrix", "table", "decomposition", "pure_state", "unitary",
         "unitary_family", "kraus_channel", "conditioning_projector",
-        "factorization_projector", "trajectory_times", "chain_times",
-        "correlational_entropy", "measurement_gamma_a", "measurement_gamma_e",
+        "trajectory_times", "chain_times", "measurement_gamma_a", "measurement_gamma_e",
         "measurement_dt", "measurement_subject_dim",
         "repeated_interaction_step",
         "check", "hermiticity_defect", "isometry_defect", "negativity",
@@ -1053,17 +1045,3 @@ def test_the_kernel_stack_gets_the_table_by_table_verdict(flaw, where):
         assert table.values.strides == ref.values.strides
         assert not table.values.flags.writeable
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_table_to_csv_shape():
-    ch = unitary_channel(UnitaryOperator(PAIR, CNOT))
-    rho = DensityMatrix(PAIR, np.diag([0.7, 0.0, 0.0, 0.3]).astype(complex))
-    table = conditional_probabilities(ch, rho, (["s"], ["e"]))
-    text = table_to_csv(table)
-    lines = text.strip().split("\n")
-    assert lines[0] == "w,i1,i2,p"
-    assert len(lines) == 1 + 4 * 4
-    assert lines[1] == "0,0,0,1.0"

@@ -1,4 +1,4 @@
-"""Tests for conditioned channels, factorization checks, and the witness."""
+"""Tests for conditioned channels and the nonlinearity witness."""
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +22,6 @@ from onticsim import (
     ontic_decomposition,
     parent_conditioned_probabilities,
     partial_trace,
-    projector_factorization_check,
     tensor,
     unitary_channel,
     verify_cptp,
@@ -179,43 +178,6 @@ def test_parent_conditioned_agrees_with_conditioned_channel_route():
             for c, v in enumerate(evolved_s.vectors.T):
                 direct = float(np.real(np.vdot(v, out @ v)))
                 assert abs(table.values[r, c] - direct) < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# projector factorization
-# ---------------------------------------------------------------------------
-
-def test_product_projector_factorizes():
-    p = basis_state(PAIR, 1).projector()  # |0>|1>
-    check = projector_factorization_check(p, PAIR, SPLIT)
-    assert check.factorizable
-    assert check.defect <= 1e-12
-
-
-def test_bell_projector_does_not_factorize():
-    p = bell_state().projector()
-    check = projector_factorization_check(p, PAIR, SPLIT)
-    assert not check.factorizable
-    assert abs(check.defect - np.sqrt(3.0)) < 1e-12
-
-
-def test_factorization_check_rejects_non_projectors():
-    with pytest.raises(NotAProjector):
-        projector_factorization_check(np.eye(4) / 2, PAIR, SPLIT)
-
-
-def test_rotated_product_projectors_factorize_fuzz():
-    rng = np.random.default_rng(SEED + 5)
-    for _ in range(10):
-        u_s = haar_unitary(rng, 2)
-        u_e = haar_unitary(rng, 2)
-        p = np.kron(
-            np.outer(u_s[:, 0], u_s[:, 0].conjugate()),
-            np.outer(u_e[:, 0], u_e[:, 0].conjugate()),
-        )
-        check = projector_factorization_check(p, PAIR, SPLIT)
-        assert check.factorizable
-        assert check.defect <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,16 @@ REMOVED = (
     "embed_operator",
     "density_matrix_to_json",
     "density_matrix_from_json",
+    "projector_factorization_check",
+    "FactorizationCheck",
+    "FACTORIZATION_DEFECT",
+    "table_to_csv",
+    "correlational_entropy",
 )
 
-# parameters deleted with no shim: no public callable may take them again, with or without a default
-REMOVED_PARAMETERS = ("overlap_fn", "overlap_phases", "s_label", "e_label")
+# parameters deleted with no shim: no public callable may take them again, with or without a
+# default; a deleted dataclass field with no default is not a class attribute, so it is here
+REMOVED_PARAMETERS = ("overlap_fn", "overlap_phases", "s_label", "e_label", "rho_w_pair")
 
 
 def module_names():

@@ -13,10 +13,11 @@ from onticsim import (
     DensityMatrix,
     HilbertSpace,
     MarkovKernelChain,
+    MeasurementModel,
     UnitaryOperator,
     basis_state,
-    correlational_entropy,
     enumerate_trajectory_measure,
+    error_entropy_bound,
     kernel_from_matrix,
     nonlinearity_witness,
     unitary_channel,
@@ -120,7 +121,11 @@ FAILING_GUARDS = {
         tol.ROW_SUM,
     ),
     "opendyn": (_witness_pair_mismatch, NotAWitnessPair, tol.DERIVED),
-    "measurement": (lambda: correlational_entropy([0.5, 0.6]), NotADistribution, tol.DERIVED),
+    "measurement": (
+        lambda: error_entropy_bound(MeasurementModel(2, 1, 1, 1.0, 1.0, 0.5), 1.5),
+        NotADistribution,
+        0.0,
+    ),
     "trajectories": (_trajectory_mass_excess, ToleranceBreach, tol.ROW_SUM),
 }
 
