@@ -22,13 +22,12 @@ whose eigenvalues give each state its positivity verdict.  R is
 (1 - c) diag(|psi|^2) plus the rank-one c |psi| |psi|^T, so its eigenvalues
 are the roots of a secular equation, one between each two neighbouring
 poles (1 - c) |psi_j|^2.  Below a crossover dimension one real symmetric
-eigh solves the stack of R; from it up each R is solved from its secular
-equation in O(d^2), with its eigenvectors by the Loewner formula.  Both
-give R's ascending eigenvalues and eigenvectors Q to the same checks.  The
-eigenvectors are Phi Q, but they are checked in the real gauge, in float64:
-orthonormality on Q, drift on Q p Q^T - R, and a tie of R to the admitted
-complex states, max |Phi R Phi^dag - rho|.  A single measurement is a stack
-of one, and a sweep over record counts is one stack per block of states.
+eigh solves the stack of R; from it up each R is solved, never formed, from
+its secular equation in O(d^2), with its eigenvectors by the Loewner
+formula.  The eigenvectors are Phi Q for R's eigenvectors Q, checked in the
+real gauge: orthonormality on Q, drift as max |Phi (Q p Q^T) Phi^dag - rho|.
+A single measurement is a stack of one, and a sweep over record counts is
+one stack per block of states.
 Eigenvalues of the decohered state then deviate from the Born weights at
 second order in the total overlap, lambda_i - p_i = c^2 p_i sum_{j != i}
 p_j / (p_i - p_j), with a relative error of order c over the smallest gap
@@ -232,10 +231,10 @@ def _measure(psi: PureState, pairs: list[tuple[float, float]]) -> list[Measureme
     anything is solved, then decomposed by one `_decompositions` on the
     eigensystems of `_real_form`: one real symmetric eigh for the block below
     the crossover dimension, one secular solve per state from it up.  The
-    positivity verdict comes from those eigenvalues.  Orthonormality and drift
-    are checked on R's eigenvectors Q and on R, in float64, and a tie term
-    holds R to the admitted complex states; only then are the eigenvectors
-    Phi Q made.  Then each state's outcomes are matched.
+    positivity verdict comes from those eigenvalues.  Orthonormality is
+    checked on R's eigenvectors Q, and drift against the admitted states;
+    only then are the eigenvectors Phi Q made.  Then each state's outcomes
+    are matched.
     """
     amps = psi.amplitudes
     diagonal = np.arange(amps.size)
@@ -274,26 +273,24 @@ _SECULAR_DIM = 96
 
 def _real_form(amps: np.ndarray, overlaps: np.ndarray) -> tuple[np.ndarray, ...]:
     """The real form of each state psi psi^dag o (c J + (1 - c) I), one per
-    overlap c, solved: R's ascending eigenvalues and eigenvector columns Q,
-    Phi's diagonal and the stack R, as `_spectra` takes an eigensystem.
+    overlap c, solved: R's ascending eigenvalues and eigenvector columns Q and
+    Phi's diagonal, as `_spectra` takes an eigensystem.
 
     That state is Phi R Phi^dag with Phi = diag(psi_i / |psi_i|), a diagonal
     unitary (phase 1 where psi_i = 0), and R = |psi| |psi|^T o (c J + (1 - c) I)
     real symmetric.  So the states share R's eigenvalues, and their
     eigenvectors are Phi Q for R's Q.  Below _SECULAR_DIM one real eigh
-    solves the stack; from it up each R, which is (1 - c) diag(|psi|^2) plus
-    the rank-one c |psi| |psi|^T, is solved by `_secular_eigh` in O(d^2).
+    solves the stack of R; from it up each R, (1 - c) diag(|psi|^2) plus the
+    rank-one c |psi| |psi|^T, is solved by `_secular_eigh`, never formed.
     """
     moduli = np.hypot(amps.real, amps.imag)
     phases = np.ones(amps.size, dtype=np.complex128)
     np.divide(amps, moduli, out=phases, where=moduli > 0.0)
-    real = _decohered(moduli, moduli, overlaps)
     if amps.size < _SECULAR_DIM:
-        return (*np.linalg.eigh(real), phases, real)
-    evals, rotations = np.empty(real.shape[:2]), np.zeros(real.shape)
-    for c, lam, q in zip(overlaps.tolist(), evals, rotations):
-        lam[:] = _secular_eigh(moduli, c, q)
-    return evals, rotations, phases, real
+        return (*np.linalg.eigh(_decohered(moduli, moduli, overlaps)), phases)
+    rotations = np.zeros((overlaps.size, amps.size, amps.size))
+    evals = np.array([_secular_eigh(moduli, c, q) for c, q in zip(overlaps.tolist(), rotations)])
+    return evals, rotations, phases
 
 
 def _secular_eigh(moduli: np.ndarray, c: float, q: np.ndarray) -> np.ndarray:

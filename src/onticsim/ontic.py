@@ -135,8 +135,8 @@ def _spectra(
     A caller whose matrices are Phi R Phi^dag, with Phi a diagonal unitary and
     R real symmetric (the measurement's real form), passes `eigensystem`,
     called with no argument for R's ascending eigenvalues and eigenvector
-    columns Q, Phi's diagonal and the stack R, in place of the eigh.  The
-    eigenvectors are then Phi Q, made here, so only this function holds them.
+    columns Q and Phi's diagonal, in place of the eigh.  The eigenvectors are
+    then Phi Q, made here, so only this function holds them.
 
     Checked, each check once over the stack: positivity off the eigenvalues,
     then the probability sum, the orthonormality of the eigenvectors and the
@@ -144,24 +144,21 @@ def _spectra(
     last two are V^dag V - I and V lambda V^dag - rho on the complex
     eigenvectors V.  With it they are taken in the real gauge, before Phi Q is
     made (`_real_gauge_defects`), plus `_gauge_rounding(d)`, so neither reads
-    below the complex defect it replaces; the drift's tie term holds R to the
-    matrices themselves."""
+    below the complex defect it replaces."""
     count, d = matrices.shape[:2]
     if eigensystem is None:
         evals, evecs = np.linalg.eigh(matrices)
         # (d, n, d): every eigenvector of the stack as one column of a (d, n d) matrix
         evecs = evecs.reshape(count, d, d).transpose(1, 0, 2)
     else:
-        evals, rotations, phases, real = eigensystem()
-        # one complex buffer holds the tie term's temporary, then the eigenvectors:
+        evals, rotations, phases = eigensystem()
+        # one complex buffer holds the drift's temporary, then the eigenvectors:
         # a fresh d = 128 complex matrix is above malloc's mmap threshold
         evecs = np.empty((d, count, d), dtype=np.complex128)
         gauge = _real_gauge_defects(
-            matrices, np.clip(evals, 0.0, 1.0), rotations, phases, real, evecs.reshape(count, d, d)
+            matrices, np.clip(evals, 0.0, 1.0), rotations, phases, evecs.reshape(count, d, d)
         )
         ortho, drift = (defect + _gauge_rounding(d) for defect in gauge)
-        # R goes before the eigenvectors are canonicalized: a block peaks lower
-        del real
         np.multiply(phases[:, None, None], rotations.transpose(1, 0, 2), out=evecs)
         del rotations
     tol.check(-float(evals[..., 0].min()), -tol.EIG_FLOOR, ToleranceBreach, "eigenvalue negativity")
@@ -192,30 +189,20 @@ def _spectra(
 
 
 def _real_gauge_defects(
-    matrices: np.ndarray,
-    probs: np.ndarray,
-    rotations: np.ndarray,
-    phases: np.ndarray,
-    real: np.ndarray,
-    tie: np.ndarray,
+    matrices: np.ndarray, probs: np.ndarray, rotations: np.ndarray, phases: np.ndarray,
+    out: np.ndarray,
 ) -> tuple[float, float]:
-    """Orthonormality and reconstruction drift of the eigenvectors Phi Q of an
-    (n, d, d) stack `matrices` = Phi R Phi^dag, in float64 where they can be:
-    max |Q^T Q - I|, and max |Q p Q^T - R| + max |Phi R Phi^dag - matrices|
-    for the clipped eigenvalues p.  Phi is a diagonal unitary, so
-    |Phi X Phi^dag| = |X| entrywise: in exact arithmetic the first is the
-    complex V^dag V - I of V = Phi Q, and by the triangle inequality the
-    second bounds V p V^dag - matrices.  The last term is formed in `tie`, an
-    (n, d, d) complex buffer the caller owns, and its moduli in the drift's
-    product: each temporary is worked on in place."""
+    """Orthonormality and drift of the eigenvectors Phi Q of an (n, d, d) stack
+    `matrices` = Phi R Phi^dag, for the clipped eigenvalues p: max |Q^T Q - I|
+    and max |Phi (Q p Q^T) Phi^dag - matrices|, in exact arithmetic those of
+    V^dag V - I and V p V^dag - matrices for V = Phi Q.  Q p Q^T is float64; its
+    phase products are formed in `out`, a complex buffer the caller owns."""
     ortho = tol.isometry_defect(rotations)
     rebuilt = (rotations * probs[:, None, :]) @ rotations.swapaxes(1, 2)
-    rebuilt -= real
-    drift = float(np.max(np.abs(rebuilt, out=rebuilt)))
-    np.multiply(real, phases[:, None], out=tie)
-    tie *= phases.conjugate()
-    tie -= matrices
-    return ortho, drift + float(np.max(np.abs(tie, out=rebuilt)))
+    np.multiply(rebuilt, phases[:, None], out=out)
+    out *= phases.conjugate()
+    out -= matrices
+    return ortho, float(np.max(np.abs(out, out=rebuilt)))
 
 
 def _gauge_rounding(d: int) -> float:
@@ -224,9 +211,10 @@ def _gauge_rounding(d: int) -> float:
     from `_real_gauge_defects` through rounding alone, at dimension d.  A
     complex inner product of length d rounds within sqrt(2) (d + 2) u and a
     real one within d u (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., sections 3.1 and 3.6); making the phases, Phi Q,
-    its canonical phase and Phi R Phi^dag adds at most 34 u.  In all
-    sqrt(2) (d + 2) u + d u + 34 u, below 2 (d + 9) eps for every d >= 1."""
+    Algorithms, 2nd ed., sections 3.1 and 3.6); the phases, Phi Q, its
+    canonical phase, and the drift's two unit-phase products and one
+    subtraction add at most 34 u.  In all sqrt(2) (d + 2) u + d u + 34 u,
+    below 2 (d + 9) eps for every d >= 1."""
     return 2 * (d + 9) * tol._EPS
 
 

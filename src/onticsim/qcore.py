@@ -248,9 +248,9 @@ class DensityMatrix:
     kinds are built by `_derived` instead, which keeps the Hermiticity and
     trace checks but neither copies nor certifies: a pure state's projector,
     positive by construction, and a measurement state, whose verdict comes
-    from the eigh that decomposes it.  The state is immutable, so its ontic
-    decomposition is computed once per state object, and its table core once
-    per channel object and splits; each is kept on it.
+    from its real form's eigh, or from d = 96 up its secular solve.  The state
+    is immutable, so its decomposition is computed once per state object, and
+    its table core once per channel object and splits; each is kept on it.
     """
 
     space: HilbertSpace
@@ -270,7 +270,7 @@ def _admit(matrices: np.ndarray) -> None:
     whole stack at the construction tolerance: a stack passes exactly when
     each of its matrices would, and a refusal names the largest defect.
     Positivity is the caller's: a `DensityMatrix` certifies its own, and a
-    derived stack takes its verdict off the eigh that decomposes it next."""
+    derived stack takes its verdict off the eigensolve that decomposes it next."""
     herm = tol.hermiticity_defect(matrices)
     tol.check(herm, tol.CONSTRUCTION, ToleranceBreach, "Hermiticity defect")
     trace = float(np.abs(matrices.trace(axis1=1, axis2=2) - 1.0).max())
@@ -281,7 +281,7 @@ def _derived(space: HilbertSpace, matrices: np.ndarray) -> list[DensityMatrix]:
     """States on `space` for an (n, d, d) stack of derived matrices, made
     read-only, each state a view of its slice.  The stack is admitted once by
     `_admit`; there is no copy and no Cholesky, so each matrix must be positive
-    by construction, or its caller must read the verdict off its eigh."""
+    by construction, or its caller must read the verdict off its eigensolve."""
     _admit(matrices)
     matrices.setflags(write=False)
     states = [object.__new__(DensityMatrix) for _ in matrices]

@@ -404,10 +404,10 @@ def test_a_measurement_is_one_real_eigh(monkeypatch):
 @pytest.mark.parametrize("moduli", MODULI)
 @pytest.mark.parametrize("d", [2, 3, 16, 64, 128, 300])
 def test_the_real_gauge_defects_match_the_complex_ones(d, moduli):
-    """Orthonormality and drift taken in the real gauge, on (Q, R) plus the tie
-    of R to the complex states, read within 4 d eps of the defects of the
-    reported complex eigenvectors V, V^dag V - I and V p V^dag - rho, each
-    matrix on its own.  With `_gauge_rounding` added they never read below
+    """Orthonormality and drift taken in the real gauge, on Q and on
+    Phi (Q p Q^T) Phi^dag against the complex states, read within 4 d eps of
+    the defects of the reported complex eigenvectors V, V^dag V - I and
+    V p V^dag - rho, each matrix on its own.  With `_gauge_rounding` added they never read below
     those, so the real-gauge checks refuse every state the complex ones did,
     at the same bound."""
     psi = phased_state(d, moduli)
@@ -420,12 +420,12 @@ def test_the_real_gauge_defects_match_the_complex_ones(d, moduli):
     # the complex checks' own formulas, over the stack
     rebuilt = (vecs * probs[:, None, :]) @ vecs.conjugate().swapaxes(1, 2)
     drifts = np.abs(rebuilt - states).max(axis=(1, 2))
-    evals, rotations, phases, real = measurement._real_form(psi.amplitudes, overlaps)
+    evals, rotations, phases = measurement._real_form(psi.amplitudes, overlaps)
     clipped = np.clip(evals, 0.0, 1.0)
     for k in range(len(overlaps)):
         one = slice(k, k + 1)
         gauge = ontic._real_gauge_defects(
-            states[one], clipped[one], rotations[one], phases, real[one], np.empty_like(states[one])
+            states[one], clipped[one], rotations[one], phases, np.empty_like(states[one])
         )
         for complex_defect, real_defect in zip((tol.isometry_defect(vecs[k]), drifts[k]), gauge):
             assert abs(complex_defect - real_defect) <= 4 * d * eps
@@ -434,8 +434,8 @@ def test_the_real_gauge_defects_match_the_complex_ones(d, moduli):
 
 def test_the_real_gauge_refuses_what_the_complex_checks_refused(monkeypatch):
     """An eigenvector 1e-9 off unit norm is refused as before, and so are
-    states moved 2e-10 off the closed form their real form solves: the tie
-    term holds R to them.  (A NaN overlap is still refused at admission,
+    states moved 2e-10 off the closed form their real form solves: the drift
+    is taken against them.  (A NaN overlap is still refused at admission,
     before any solve, as the NaN test below pins.)"""
     psi, model = random_sixteen(), default_model(subject_dim=16, n_a=2, n_e=3, dt=0.3)
     original = np.linalg.eigh
@@ -536,8 +536,9 @@ def test_the_secular_solve_matches_lapack(d, moduli, overlaps):
 
     states = measurement._decohered(amps, amps.conjugate(), overlaps)
     ontic._decompositions(psi.space, states, eigensystem)
-    evals, _, _, real = solved[0]
-    assert np.abs(evals - np.linalg.eigh(real)[0]).max() <= 4 * d * eps
+    moduli = np.hypot(amps.real, amps.imag)
+    real = measurement._decohered(moduli, moduli, overlaps)
+    assert np.abs(solved[0][0] - np.linalg.eigh(real)[0]).max() <= 4 * d * eps
 
 
 def test_a_measurement_from_the_crossover_up_makes_no_eigh(monkeypatch):
@@ -552,6 +553,61 @@ def test_a_measurement_from_the_crossover_up_makes_no_eigh(monkeypatch):
     born_conditional_check(model, psi)
     decoherence_scaling_sweep(model, secular_state(d, "zeros"), [0, 1, 2, 2000])
     assert (eigh, eigvalsh, cholesky) == ([], [], [])
+
+
+def test_only_the_lapack_solve_builds_r(monkeypatch):
+    """A measurement builds its dense states and, below the crossover, the
+    stack R that LAPACK's eigh solves: two dense stacks at d = 16 and 64.  From
+    the crossover up the secular solve builds no R: one stack at d = 96 and
+    128, and one for a sweep block at d = 128 (4 states of 2^14 entries)."""
+    built = count_calls_in(monkeypatch, measurement, "_decohered")
+    for d in (16, 64, 96, 128):
+        built.clear()
+        model = default_model(subject_dim=d, n_a=2, n_e=3, dt=0.3)
+        simulate_measurement(model, phased_state(d, "random"))
+        assert len(built) == (2 if d < measurement._SECULAR_DIM else 1)
+    built.clear()
+    made = collect_reports(monkeypatch)
+    decoherence_scaling_sweep(model, phased_state(128, "random"), [1, 2, 3, 4])
+    assert len(made) == 4 and measurement._BLOCK_ENTRIES // 128**2 == 4
+    assert len(built) == 1
+
+
+def test_the_secular_solve_refuses_what_the_checks_refuse(monkeypatch):
+    """At d = 128, on the secular path: eigenvectors 1e-9 off unit norm are
+    refused, states moved 2e-10 off the closed form their real form solves are
+    refused by the drift, and a NaN overlap is refused at admission, before any
+    secular solve runs.  No LAPACK eigensolve runs."""
+    d = 128
+    assert d >= measurement._SECULAR_DIM
+    eigh = count_calls(monkeypatch, "eigh")
+    psi, model = phased_state(d, "random"), default_model(subject_dim=d, n_a=2, n_e=3, dt=0.3)
+    original = measurement._secular_eigh
+
+    def skewed(moduli, c, q):
+        values = original(moduli, c, q)
+        q[:, 0] *= 1.0 + 1e-9
+        return values
+
+    monkeypatch.setattr(measurement, "_secular_eigh", skewed)
+    with pytest.raises(ToleranceBreach, match="^eigenvector orthonormality defect"):
+        simulate_measurement(model, psi)
+    with pytest.raises(ToleranceBreach, match="^eigenvector orthonormality defect"):
+        decoherence_scaling_sweep(model, psi, [1, 2, 3, 4])
+    monkeypatch.setattr(measurement, "_secular_eigh", original)
+    amps, overlaps = psi.amplitudes, np.array([0.5, 1e-3, 1e-9])
+    states = measurement._decohered(amps, amps.conjugate(), overlaps)
+    states[:, 0, 1] += 2e-10
+    states[:, 1, 0] += 2e-10
+    with pytest.raises(ToleranceBreach, match="^reconstruction drift"):
+        ontic._decompositions(psi.space, states, lambda: measurement._real_form(amps, overlaps))
+    solves = count_calls_in(monkeypatch, measurement, "_secular_eigh")
+    monkeypatch.setattr(measurement, "pointer_overlap", lambda model, which: math.nan)
+    with pytest.raises(ToleranceBreach, match=r"^Hermiticity defect nan exceeds 1e-12$"):
+        simulate_measurement(model, phased_state(d, "random"))
+    with pytest.raises(ToleranceBreach, match=r"^Hermiticity defect nan exceeds 1e-12$"):
+        decoherence_scaling_sweep(model, phased_state(d, "random"), [2, 4])
+    assert solves == [] and eigh == []
 
 
 def test_the_secular_solve_keeps_the_outcomes_of_lapack(monkeypatch):

@@ -862,7 +862,7 @@ def test_one_table_core():
 def test_one_positivity_verdict_per_matrix():
     """Cholesky runs only at the trust boundary, on a matrix from outside;
     _admit checks Hermiticity and trace alone, and a derived stack takes its
-    positivity verdict off the eigh that decomposes it.  The one derived-state
+    positivity verdict off the eigensolve that decomposes it.  The one derived-state
     constructor, _derived, builds a pure state's projector, positive by
     construction, and the measurement states, decomposed next."""
     assert _callers("cholesky") == {("tolerances", "psd_certified")}
@@ -878,7 +878,8 @@ def test_one_positivity_verdict_per_matrix():
         ("measurement", "_measure"),
     }
     assert _unchecked_constructions("DensityMatrix") == {("qcore", "_derived")}
-    # a measurement block is decomposed by one stacked pass: its eigh is each state's verdict
+    # a measurement block is decomposed by one stacked pass: its eigensolve, an eigh or from
+    # measurement._SECULAR_DIM up the secular solve, gives each state its verdict
     assert _callers("_decompositions") == {
         ("ontic", "_eigensystem"),
         ("ontic", "_tabulate"),
